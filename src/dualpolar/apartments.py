@@ -15,14 +15,15 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
+from operator import and_
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import polar
 from .graphs import DenseGraph, _bits, dual_polar_graph, geodesic_count, geodesics_between, hypercube
-from .linalg import Subspace, contains_subspace, intersect, sum_span
-from .polar import PolarSpace, residue_collinear
+from .linalg import Subspace, contains_subspace, intersect, rref
+from .polar import PolarSpace, mask_rank, point_mask, subspace_of_mask
 from .reporting import CounterexampleError, make_report, subspace_json
 
 DEFAULT_BUDGET = 10_000_000
@@ -257,48 +258,57 @@ class ApartmentWitness:
         return frame
 
 
-def _images_by_mask(emb: Embedding) -> list[Subspace]:
+def _vertices_by_mask(emb: Embedding) -> list[int]:
+    """Target vertex of each hypercube vertex, indexed by its sign mask."""
     first = emb.source.labels[0]
     if not hasattr(first, "mask"):
         raise ValueError("embedding source is not a hypercube graph")
-    images = [None] * emb.source.num_vertices
+    order = [0] * emb.source.num_vertices
     for v, lab in enumerate(emb.source.labels):
-        images[lab.mask] = emb.target.labels[emb.assignment[v]]
-    return images
+        order[lab.mask] = emb.assignment[v]
+    return order
 
 
-def _base_from_images(space: PolarSpace, images: Sequence[Subspace], statement: str) -> Subspace:
-    field = space.field
-    m = (len(images) - 1).bit_length()
-    full = len(images) - 1
-    base = intersect(field, images[0], images[full])
-    if base.rank != space.n - m:
+def _images_by_mask(emb: Embedding) -> list[Subspace]:
+    return [emb.target.labels[i] for i in _vertices_by_mask(emb)]
+
+
+def _base_from_masks(space: PolarSpace, masks: Sequence[int], statement: str) -> int:
+    """Point mask of the base of a labelled hypercube given by its images'
+    point masks, indexed by sign mask."""
+    m = (len(masks) - 1).bit_length()
+    full = len(masks) - 1
+    base = masks[0] & masks[full]
+    rank = mask_rank(space, base)
+    if rank != space.n - m:
         raise CounterexampleError(
             statement,
             {
                 "kind": "base_dimension",
                 "expected_rank": space.n - m,
-                "got_rank": base.rank,
-                "base": subspace_json(base),
+                "got_rank": rank,
+                "base": subspace_json(subspace_of_mask(space, base)),
             },
         )
     for x in range(1 << (m - 1)):
-        other = intersect(field, images[x], images[x ^ full])
+        other = masks[x] & masks[x ^ full]
         if other != base:
             raise CounterexampleError(
                 statement,
-                {"kind": "base_depends_on_opposite_pair", "mask": x, "other": subspace_json(other)},
+                {"kind": "base_depends_on_opposite_pair", "mask": x,
+                 "other": subspace_json(subspace_of_mask(space, other))},
             )
-    for mask, img in enumerate(images):
-        if not contains_subspace(field, img, base):
+    for mask, img in enumerate(masks):
+        if base & ~img:
             raise CounterexampleError(
                 statement, {"kind": "image_missing_base", "mask": mask}
             )
-    everything = reduce(lambda a, b: intersect(field, a, b), images)
+    everything = reduce(and_, masks)
     if everything != base:
         raise CounterexampleError(
             statement,
-            {"kind": "total_intersection_differs", "total": subspace_json(everything)},
+            {"kind": "total_intersection_differs",
+             "total": subspace_json(subspace_of_mask(space, everything))},
         )
     return base
 
@@ -310,40 +320,51 @@ def base_subspace(space: PolarSpace, emb: Embedding) -> Subspace:
     have projective dimension n - m - 1, to be independent of the pair
     chosen, and to lie in every image; failures raise CounterexampleError.
     """
-    return _base_from_images(space, _images_by_mask(emb), "lemma3")
+    masks = [point_mask(space, s) for s in _images_by_mask(emb)]
+    return subspace_of_mask(space, _base_from_masks(space, masks, "lemma3"))
 
 
-def _witness_from_images(space: PolarSpace, images: Sequence[Subspace]) -> ApartmentWitness:
-    field = space.field
+def _witness_from_images(
+    space: PolarSpace, images: Sequence[Subspace], masks: Sequence[int]
+) -> ApartmentWitness:
+    """Decompose a hypercube labelling: ``images`` and their point ``masks``
+    are indexed by sign mask.
+
+    Meets, containments and residue collinearity are taken on point masks;
+    rref only builds the witness subspaces and the span of each image's faces.
+    """
     m = (len(images) - 1).bit_length()
-    base = _base_from_images(space, images, "theorem2")
-    qs: list[Subspace] = []
+    base = _base_from_masks(space, masks, "theorem2")
+    faces: list[int] = []
     for s in range(2 * m):
         bit = s % m
         want = 1 if s >= m else 0
-        face = [img for mask, img in enumerate(images) if (mask >> bit) & 1 == want]
-        q = reduce(lambda a, b: intersect(field, a, b), face)
-        if q.rank != space.n - m + 1 or not contains_subspace(field, q, base):
+        q = reduce(and_, (pm for mask, pm in enumerate(masks) if (mask >> bit) & 1 == want))
+        if mask_rank(space, q) != space.n - m + 1 or base & ~q:
             raise CounterexampleError(
                 "theorem2",
-                {"kind": "face_intersection_defect", "signed_index": s, "got": subspace_json(q)},
+                {"kind": "face_intersection_defect", "signed_index": s,
+                 "got": subspace_json(subspace_of_mask(space, q))},
             )
-        qs.append(q)
-    if len(set(qs)) != 2 * m:
+        faces.append(q)
+    if len(set(faces)) != 2 * m:
         raise CounterexampleError("theorem2", {"kind": "face_subspaces_collide"})
+    # two faces over the base are residue-collinear exactly when their span is
+    # singular, i.e. when every point of one is perpendicular to the other
+    collinear = space.collinear_masks()
+    perps = [reduce(and_, (collinear[x] | 1 << x for x in _bits(q))) for q in faces]
     for s in range(2 * m):
         for t in range(s + 1, 2 * m):
             expected = t != (s + m) % (2 * m)
-            if residue_collinear(space, base, qs[s], qs[t]) != expected:
+            if (not faces[t] & ~perps[s]) != expected:
                 raise CounterexampleError(
                     "theorem2",
                     {"kind": "residue_frame_condition", "pair": [s, t], "expected": expected},
                 )
+    qs = [subspace_of_mask(space, q) for q in faces]
     for mask, img in enumerate(images):
-        chosen = [
-            qs[i + m if (mask >> i) & 1 else i] for i in range(m)
-        ]
-        span = reduce(lambda a, b: sum_span(field, a, b), chosen)
+        rows = [row for i in range(m) for row in qs[i + m if (mask >> i) & 1 else i].rows]
+        span = rref(space.field, rows, space.dim)
         if span != img:
             raise CounterexampleError(
                 "theorem2",
@@ -351,12 +372,14 @@ def _witness_from_images(space: PolarSpace, images: Sequence[Subspace]) -> Apart
             )
         for s in range(2 * m):
             selected = ((mask >> (s % m)) & 1) == (1 if s >= m else 0)
-            if contains_subspace(field, img, qs[s]) != selected:
+            if (not faces[s] & ~masks[mask]) != selected:
                 raise CounterexampleError(
                     "theorem2",
                     {"kind": "membership_equivalence", "mask": mask, "signed_index": s},
                 )
-    return ApartmentWitness(base=base, residue_frame=tuple(qs), members=tuple(images))
+    return ApartmentWitness(
+        base=subspace_of_mask(space, base), residue_frame=tuple(qs), members=tuple(images)
+    )
 
 
 def recover_frame(space: PolarSpace, emb: Embedding) -> ApartmentWitness:
@@ -366,22 +389,24 @@ def recover_frame(space: PolarSpace, emb: Embedding) -> ApartmentWitness:
     full rank (m = n) the residue frame consists of single points forming a
     frame of the space.
     """
-    return _witness_from_images(space, _images_by_mask(emb))
+    images = _images_by_mask(emb)
+    return _witness_from_images(space, images, [point_mask(space, s) for s in images])
 
 
-def _restriction_graph(space: PolarSpace, members: Sequence[Subspace]) -> DenseGraph:
+def _restriction_graph(
+    space: PolarSpace, members: Sequence[Subspace], masks: Sequence[int]
+) -> DenseGraph:
     """Members as a graph carrying ambient dual-polar distances.
 
-    Distances come from the subspace-intersection formula, not from BFS on
+    Distances come from the rank of the meet of point masks, not from BFS on
     the restriction (an induced subgraph may have longer internal paths).
     """
-    field = space.field
     size = len(members)
     dist = [[0] * size for _ in range(size)]
     adj = [0] * size
     for i in range(size):
         for j in range(i + 1, size):
-            d = space.n - intersect(field, members[i], members[j]).rank
+            d = space.n - mask_rank(space, masks[i] & masks[j])
             dist[i][j] = dist[j][i] = d
             if d == 1:
                 adj[i] |= 1 << j
@@ -405,7 +430,7 @@ def _restriction_graph(space: PolarSpace, members: Sequence[Subspace]) -> DenseG
 
 
 def is_apartment(space: PolarSpace, members) -> ApartmentWitness | None:
-    """Recognize a set of maximal singular subspaces as an apartment.
+    """Recognize an unlabelled set of maximal singular subspaces as an apartment.
 
     Returns None when the set cannot even be relabeled as an isometrically
     embedded hypercube (wrong size, or no distance-preserving labeling).  If
@@ -420,13 +445,15 @@ def is_apartment(space: PolarSpace, members) -> ApartmentWitness | None:
     m = size.bit_length() - 1
     if size != 1 << m or not 1 <= m <= space.n:
         return None
-    restriction = _restriction_graph(space, unique)
+    masks = [point_mask(space, s) for s in unique]
+    restriction = _restriction_graph(space, unique, masks)
     found, _ = search_isometric_embeddings(
         hypercube(m), restriction, mode="exhaustive", budget=10**6
     )
     if not found:
         return None
-    return _witness_from_images(space, _images_by_mask(found[0]))
+    order = _vertices_by_mask(found[0])
+    return _witness_from_images(space, [unique[i] for i in order], [masks[i] for i in order])
 
 
 # -- statement verifiers ------------------------------------------------------
@@ -532,6 +559,9 @@ def verify_theorem2(
     """Search for embedded hypercubes H_m and validate that every distinct
     image is an apartment over a base of projective dimension n - m - 1.
 
+    Each image is decomposed in the hypercube labelling of the embedding that
+    found it, on point masks computed once per call for every graph vertex.
+
     With m = n in exhaustive mode the distinct images are also counted
     against the frame-defined apartments, and each witness is round-tripped
     through its recovered frame.
@@ -547,39 +577,22 @@ def verify_theorem2(
     for emb in embeddings:
         images_seen.setdefault(emb.image_indices(), emb)
 
+    masks = [point_mask(space, s) for s in graph.labels]
     for key, emb in images_seen.items():
-        members = [graph.labels[i] for i in key]
+        order = _vertices_by_mask(emb)
         try:
-            witness = is_apartment(space, members)
+            witness = _witness_from_images(
+                space, [graph.labels[i] for i in order], [masks[i] for i in order]
+            )
+            if m == space.n:
+                frame = witness.to_frame(space)
         except CounterexampleError as exc:
             violations.append(exc.as_violation())
             continue
-        if witness is None:
+        if m == space.n and set(polar.apartment_of_frame(space, frame)) != witness.member_set():
             violations.append(
-                {"statement": "theorem2", "kind": "image_not_an_apartment", "image": list(key)}
+                {"statement": "theorem2", "kind": "frame_roundtrip_mismatch", "image": list(key)}
             )
-            continue
-        if witness.base.rank != space.n - m:
-            violations.append(
-                {
-                    "statement": "theorem2",
-                    "kind": "base_projdim",
-                    "expected": space.n - m - 1,
-                    "got": witness.base.rank - 1,
-                }
-            )
-            continue
-        if m == space.n:
-            try:
-                frame = witness.to_frame(space)
-            except CounterexampleError as exc:
-                violations.append(exc.as_violation())
-                continue
-            rebuilt = set(polar.apartment_of_frame(space, frame))
-            if rebuilt != set(members):
-                violations.append(
-                    {"statement": "theorem2", "kind": "frame_roundtrip_mismatch", "image": list(key)}
-                )
 
     apartments = None
     if m == space.n and mode == "exhaustive" and stats["complete"]:

@@ -165,6 +165,7 @@ def cmd_count(args) -> int:
     start = time.perf_counter()
     space = PolarSpace(args.n, args.p)
     complete = True
+    expansions = 0
     if args.what == "points":
         counts = {"points": len(space.points)}
     elif args.what == "singular":
@@ -190,6 +191,7 @@ def cmd_count(args) -> int:
         )
         counts = {"embeddings": stats["embeddings"], "distinct_images": stats["distinct_images"]}
         complete = stats["complete"]
+        expansions = stats["expansions"]
     report = reporting.make_report(
         statement=f"count_{args.what}",
         instance={"p": args.p, "n": args.n, "m": getattr(args, "m", None)},
@@ -200,7 +202,7 @@ def cmd_count(args) -> int:
         counts=counts,
         violations=[],
         complete=complete,
-        expansions=0,
+        expansions=expansions,
         elapsed=time.perf_counter() - start,
     )
     out = _out_dir(args)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 from . import polar
-from .apartments import DEFAULT_BUDGET, is_apartment, search_isometric_embeddings
+from .apartments import DEFAULT_BUDGET, _witness_from_images, search_isometric_embeddings
 from .graphs import DenseGraph, dual_polar_graph
 from .linalg import Subspace, contains_subspace, intersect, rref, sum_span
 from .polar import Point, PolarSpace, residue_collinear
@@ -297,7 +297,8 @@ def check_frames_preserving(
     """Check that the point map carries frames to residue frames over its base.
 
     Source frames are enumerated exhaustively when the budget allows,
-    otherwise seeded samples are used; for each frame the images must be
+    otherwise seeded samples are used (at most as many as the space has) and
+    the report is marked incomplete; for each frame the images must be
     residue-collinear exactly off the partner involution.
     """
     start = time.perf_counter()
@@ -305,7 +306,8 @@ def check_frames_preserving(
     if frames is None:
         frames, complete = polar.enumerate_frames(pm.src_space, budget=budget)
         if not complete:
-            frames = polar.sample_frames(pm.src_space, sample_count, seed)
+            count = min(sample_count, polar.frame_count(pm.src_space))
+            frames = polar.sample_frames(pm.src_space, count, seed)
     violations = _frame_violations(pm, _frame_index_lists(pm.src_space, frames))
     return make_report(
         statement="frames_preserving",
@@ -317,7 +319,7 @@ def check_frames_preserving(
         workers=1,
         counts={"frames": len(frames)},
         violations=violations,
-        complete=True,
+        complete=complete,
         expansions=len(frames),
         elapsed=time.perf_counter() - start,
     )
@@ -464,8 +466,8 @@ def verify_theorem3(
     every image), an induced point map spanning back to the embedding, and a
     frames-to-residue-frames point map.  For the first
     ``apartment_check_embeddings`` embeddings, ``apartment_checks`` frame
-    apartments are also pushed through the embedding and recognized as
-    apartments over the same base.
+    apartments are also pushed through the embedding and decomposed, in the
+    sign-mask labelling they come with, as apartments over the same base.
     """
     start = time.perf_counter()
     found, stats = search_dualpolar_embeddings(
@@ -477,6 +479,7 @@ def verify_theorem3(
     frames_idx = _frame_index_lists(src_space, frames_src)
     violations: list[dict] = []
     checked_apartments = 0
+    target_masks = [polar.point_mask(dst_space, s) for s in found[0].target.labels] if found else []
     for k, emb in enumerate(found):
         try:
             base = verify_lemma5(emb)
@@ -488,14 +491,22 @@ def verify_theorem3(
             violations.extend(_frame_violations(pm, frames_idx))
             if k < apartment_check_embeddings:
                 for frame in frames_src[:apartment_checks]:
-                    members = polar.apartment_of_frame(src_space, frame)
-                    pushed = [
-                        emb.target.labels[emb.assignment[emb.source.index[s]]]
-                        for s in members
+                    # apartment_of_frame lists members by sign mask, so the
+                    # pushed members already carry a hypercube labelling
+                    order = [
+                        emb.assignment[emb.source.index[s]]
+                        for s in polar.apartment_of_frame(src_space, frame)
                     ]
-                    witness = is_apartment(dst_space, pushed)
                     checked_apartments += 1
-                    if witness is None or witness.base != base:
+                    try:
+                        transferred = _witness_from_images(
+                            dst_space,
+                            [emb.target.labels[i] for i in order],
+                            [target_masks[i] for i in order],
+                        ).base == base
+                    except CounterexampleError:
+                        transferred = False
+                    if not transferred:
                         raise CounterexampleError(
                             "theorem3",
                             {"kind": "apartment_transfer_failure",

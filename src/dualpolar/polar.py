@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import factorial, prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -18,6 +19,7 @@ from .linalg import (
     GF,
     Subspace,
     contains,
+    contains_subspace,
     gf,
     nullspace,
     rref,
@@ -208,12 +210,40 @@ def points_in_subspace(space: PolarSpace, sub: Subspace) -> list[Point]:
     return out
 
 
-def singular_span(space: PolarSpace, vectors: Iterable[Sequence[int]]) -> Subspace:
-    """Span of pairwise-collinear points; raises if the span is not singular."""
-    sub = rref(space.field, list(vectors), space.dim)
-    if not is_singular(space, sub):
-        raise ValueError("span is not totally isotropic")
-    return sub
+# -- subspaces as point bitmasks ----------------------------------------------
+#
+# A subspace is determined by its point set, so bit i of a mask stands for
+# space.points[i]: meet = AND, containment = subset test, and the rank follows
+# from the popcount, a rank-r subspace having (p^r - 1)/(p - 1) points.
+
+
+def point_mask(space: PolarSpace, sub: Subspace) -> int:
+    """Bitmask of the points of ``sub`` over ``space.points``."""
+    index = space.point_index
+    mask = 0
+    for pt in points_in_subspace(space, sub):
+        mask |= 1 << index[pt]
+    return mask
+
+
+def mask_rank(space: PolarSpace, mask: int) -> int:
+    """Linear rank of the subspace whose point set is ``mask``."""
+    count = mask.bit_count()
+    rank = size = 0
+    while size < count:
+        rank += 1
+        size = size * space.p + 1
+    return rank
+
+
+def subspace_of_mask(space: PolarSpace, mask: int) -> Subspace:
+    """The canonical RREF subspace spanned by the points of ``mask``."""
+    rows = []
+    while mask:
+        low = mask & -mask
+        rows.append(space.points[low.bit_length() - 1])
+        mask ^= low
+    return rref(space.field, rows, space.dim)
 
 
 def enumerate_singular(space: PolarSpace, k: int) -> tuple[Subspace, ...]:
@@ -300,7 +330,7 @@ class ResidueSpace:
         self._lines = []
         for upper in star(space, base, m + 2):
             members = tuple(
-                sorted(index[s] for s in self.points if contains_all(space, upper, s))
+                sorted(index[s] for s in self.points if contains_subspace(space.field, upper, s))
             )
             self._lines.append(members)
         self._masks = self._collinearity_masks()
@@ -325,10 +355,6 @@ class ResidueSpace:
 
     def describe_point(self, i: int) -> list[list[int]]:
         return [list(row) for row in self.points[i].rows]
-
-
-def contains_all(space: PolarSpace, outer: Subspace, inner: Subspace) -> bool:
-    return all(contains(space.field, outer, row) for row in inner.rows)
 
 
 def check_polar_axioms(geom) -> dict:
@@ -493,6 +519,14 @@ def enumerate_frames(space: PolarSpace, budget: int = 10**7) -> tuple[list[Frame
 
     descend([], list(range(len(pts))), -1)
     return frames, not exhausted
+
+
+def frame_count(space: PolarSpace) -> int:
+    """Number of frames: |Sp(2n,p)| over the 2^n n! (p-1)^n elements fixing
+    one, which permute its pairs, swap inside them and rescale them."""
+    n, p = space.n, space.p
+    order = p ** (n * n) * prod(p ** (2 * i) - 1 for i in range(1, n + 1))
+    return order // (2**n * factorial(n) * (p - 1) ** n)
 
 
 def sample_frames(space: PolarSpace, count: int, seed: int) -> list[Frame]:

@@ -229,3 +229,37 @@ def test_theorem2_odd_characteristic():
     assert report["counts"]["distinct_images"] == 1620
     assert report["counts"]["apartments"] == 1620
     assert report["counts"]["embeddings"] == 1620 * 8
+
+
+def test_labelled_and_unlabelled_validation_agree():
+    frames, _ = enumerate_frames(SP42)
+    cases = [(SP42, G42, f) for f in frames]
+    cases += [(SP62, G62, f) for f in sample_frames(SP62, 100, seed=21)]
+    for space, graph, frame in cases:
+        labelled = recover_frame(space, frame_apartment_embedding(space, graph, frame))
+        unlabelled = is_apartment(space, apartment_of_frame(space, frame))
+        assert labelled.base == unlabelled.base
+        assert set(labelled.residue_frame) == set(unlabelled.residue_frame)
+
+
+def test_labelled_and_unlabelled_validation_agree_over_a_point_base():
+    embs, _ = search_hypercube_embeddings(2, G62, mode="sample", budget=3_000, seed=4)
+    for emb in embs[:25]:
+        labelled = recover_frame(SP62, emb)
+        unlabelled = is_apartment(SP62, emb.image_labels())
+        assert labelled.base == unlabelled.base and labelled.base.rank == 1
+        assert set(labelled.residue_frame) == set(unlabelled.residue_frame)
+
+
+@pytest.mark.parametrize("space,graph", [(SP42, G42), (SP62, G62)])
+def test_labelled_validation_rejects_swapped_images(space, graph):
+    frame = sample_frames(space, 1, seed=12)[0]
+    emb = frame_apartment_embedding(space, graph, frame)
+    # sign masks 0 and 1 are adjacent, and no hypercube automorphism swaps
+    # them while fixing the rest
+    swapped = list(emb.assignment)
+    swapped[0], swapped[1] = swapped[1], swapped[0]
+    with pytest.raises(CounterexampleError):
+        recover_frame(space, Embedding(emb.source, graph, tuple(swapped)))
+    # the same members, unlabelled, are still an apartment
+    assert is_apartment(space, emb.image_labels()) is not None

@@ -1,5 +1,6 @@
 import json
 
+from dualpolar.apartments import search_hypercube_embeddings
 from dualpolar.cli import main
 from dualpolar.export import (
     dump_json,
@@ -141,6 +142,16 @@ def test_cli_count_embeddings_matches_theorem2(tmp_path):
     report = json.loads((tmp_path / "count_embeddings_p2_n2.json").read_text())
     assert report["counts"]["distinct_images"] == 90
     assert report["counts"]["embeddings"] == 720
+
+
+def test_cli_count_embeddings_reports_search_expansions(tmp_path):
+    code = main(["count", "embeddings", "--p", "2", "--n", "2", "--m", "2",
+                 "--output", str(tmp_path)])
+    assert code == 0
+    report = json.loads((tmp_path / "count_embeddings_p2_n2.json").read_text())
+    _, stats = search_hypercube_embeddings(2, dual_polar_graph(SP42))
+    assert report["expansions"] > 0
+    assert report["expansions"] == stats["expansions"]
 
 
 def test_cli_reports_are_deterministic(tmp_path):

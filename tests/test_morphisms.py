@@ -68,6 +68,17 @@ def test_frames_preserving_on_fixture(lifted):
     assert report["counts"]["frames"] == 90
 
 
+def test_frames_preserving_sample_fallback_is_incomplete(lifted):
+    # a budget of one node cannot enumerate the frames, so the check samples
+    _, _, emb = lifted
+    report = check_frames_preserving(induced_point_map(emb), budget=1)
+    assert report["complete"] is False
+    assert report["mode"] == "sample"
+    assert report["violations"] == []
+    # the sample is capped at the 90 frames Sp(4,2) has
+    assert report["counts"]["frames"] == 90
+
+
 def test_lift_rejects_collapsed_points(lifted):
     base, point_map, _ = lifted
     broken = dict(point_map)

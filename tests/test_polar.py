@@ -2,8 +2,10 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dualpolar.linalg import contains, rref, zero_subspace
+from dualpolar.linalg import contains, contains_subspace, intersect, rref, zero_subspace
 from dualpolar.polar import (
     PolarSpace,
     ResidueSpace,
@@ -17,12 +19,15 @@ from dualpolar.polar import (
     is_collinear,
     is_frame,
     is_singular,
+    mask_rank,
     perp_subspace,
+    point_mask,
     points_in_subspace,
     projdim,
     residue_collinear,
     sample_frames,
     star,
+    subspace_of_mask,
 )
 
 
@@ -42,6 +47,7 @@ def isotropic_count(n, k, q):
 SP42 = PolarSpace(2, 2)
 SP62 = PolarSpace(3, 2)
 SP43 = PolarSpace(2, 3)
+SP45 = PolarSpace(2, 5)
 
 
 def test_point_counts_match_closed_form():
@@ -376,3 +382,30 @@ def test_rank_four_desk_scale():
         assert witness is not None and witness.m == 4
         assert witness.base.rank == 0
         assert set(witness.to_frame(space).points) == set(frame.points)
+
+
+@st.composite
+def singular_pairs(draw):
+    space = draw(st.sampled_from([SP42, SP62, SP43, SP45]))
+
+    def pick():
+        layer = enumerate_singular(space, draw(st.integers(0, space.n - 1)))
+        return layer[draw(st.integers(0, len(layer) - 1))]
+
+    return space, pick(), pick()
+
+
+@settings(max_examples=200, deadline=None)
+@given(singular_pairs())
+def test_point_masks_agree_with_rref(data):
+    # rref stays the reference: meet = AND, rank from the popcount,
+    # containment = subset test
+    space, a, b = data
+    ma, mb = point_mask(space, a), point_mask(space, b)
+    meet = intersect(space.field, a, b)
+    assert ma & mb == point_mask(space, meet)
+    assert mask_rank(space, ma & mb) == meet.rank
+    assert mask_rank(space, ma) == a.rank
+    assert (not mb & ~ma) == contains_subspace(space.field, a, b)
+    assert (not ma & ~mb) == contains_subspace(space.field, b, a)
+    assert subspace_of_mask(space, ma) == a
