@@ -21,7 +21,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import polar
-from .graphs import DenseGraph, _bits, dual_polar_graph, geodesic_count, geodesics_between, hypercube
+from .graphs import (
+    DenseGraph,
+    _bits,
+    dual_polar_graph,
+    geodesic_count,
+    geodesics_between,
+    hypercube,
+    meet_graph,
+    sample_geodesic,
+)
 from .linalg import Subspace, contains_subspace, intersect, rref
 from .polar import PolarSpace, mask_rank, point_mask, subspace_of_mask
 from .reporting import CounterexampleError, make_report, subspace_json
@@ -393,42 +402,6 @@ def recover_frame(space: PolarSpace, emb: Embedding) -> ApartmentWitness:
     return _witness_from_images(space, images, [point_mask(space, s) for s in images])
 
 
-def _restriction_graph(
-    space: PolarSpace, members: Sequence[Subspace], masks: Sequence[int]
-) -> DenseGraph:
-    """Members as a graph carrying ambient dual-polar distances.
-
-    Distances come from the rank of the meet of point masks, not from BFS on
-    the restriction (an induced subgraph may have longer internal paths).
-    """
-    size = len(members)
-    dist = [[0] * size for _ in range(size)]
-    adj = [0] * size
-    for i in range(size):
-        for j in range(i + 1, size):
-            d = space.n - mask_rank(space, masks[i] & masks[j])
-            dist[i][j] = dist[j][i] = d
-            if d == 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        for b in _bits(frontier):
-            nxt |= adj[b]
-        frontier = nxt & ~seen
-        seen |= nxt
-    return DenseGraph(
-        labels=tuple(members),
-        adj=tuple(adj),
-        dist=tuple(tuple(r) for r in dist),
-        diameter=max(max(r) for r in dist),
-        connected=seen == (1 << size) - 1,
-        index={s: i for i, s in enumerate(members)},
-    )
-
-
 def is_apartment(space: PolarSpace, members) -> ApartmentWitness | None:
     """Recognize an unlabelled set of maximal singular subspaces as an apartment.
 
@@ -446,9 +419,8 @@ def is_apartment(space: PolarSpace, members) -> ApartmentWitness | None:
     if size != 1 << m or not 1 <= m <= space.n:
         return None
     masks = [point_mask(space, s) for s in unique]
-    restriction = _restriction_graph(space, unique, masks)
     found, _ = search_isometric_embeddings(
-        hypercube(m), restriction, mode="exhaustive", budget=10**6
+        hypercube(m), meet_graph(space, unique, masks), mode="exhaustive", budget=10**6
     )
     if not found:
         return None
@@ -516,7 +488,7 @@ def verify_lemma1(
             if graph.dist[v][w] < 2:
                 continue
             _, counts = geodesic_count(graph, v, w)
-            path = _sample_geodesic(graph, v, w, counts, rng)
+            path = sample_geodesic(graph, v, w, counts, rng)
             check_path(path)
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -534,17 +506,6 @@ def verify_lemma1(
         expansions=tested,
         elapsed=time.perf_counter() - start,
     )
-
-
-def _sample_geodesic(graph: DenseGraph, v: int, w: int, counts, rng) -> list[int]:
-    dv = graph.dist[v]
-    path = [w]
-    while path[-1] != v:
-        u = path[-1]
-        preds = [t for t in _bits(graph.adj[u]) if dv[t] == dv[u] - 1 and counts[t] > 0]
-        weights = np.array([counts[t] for t in preds], dtype=float)
-        path.append(preds[int(rng.choice(len(preds), p=weights / weights.sum()))])
-    return path[::-1]
 
 
 def verify_theorem2(

@@ -150,6 +150,8 @@ def cmd_verify(args) -> int:
         )
     out = _out_dir(args)
     name = f"report_{statement}_p{args.p}_n{args.n}"
+    if statement in ("lemma5", "theorem3"):
+        name += f"_np{target.n}"
     if args.m is not None:
         name += f"_m{args.m}"
     _write(out / f"{name}.json", reporting.report_json(report))

@@ -1,10 +1,12 @@
 """Dense graphs with precomputed all-pairs distances.
 
 Two families are built here: hypercube graphs on the maximal singular sign
-sets of {±1, ..., ±m}, and dual polar graphs on the maximal singular
-subspaces of a polar space (adjacency = intersection one step below
-maximal).  Adjacency is kept as one int bitmask per vertex and distances as
-a full matrix, so searches probe distances in O(1).
+sets of {±1, ..., ±m}, with BFS distances, and dual polar graphs on the
+maximal singular subspaces of a polar space, whose distance is n - rank of
+the meet, read off the popcount of the AND of two point masks (adjacency =
+distance 1, i.e. intersection one step below maximal).  Adjacency is kept
+as one int bitmask per vertex and distances as a full matrix, so searches
+probe distances in O(1).
 """
 
 from __future__ import annotations
@@ -12,13 +14,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, product
 from typing import Sequence
 
 import numpy as np
 
 from . import polar
-from .linalg import Subspace, nullspace, rref
 from .polar import PolarSpace
 from .reporting import make_report
 
@@ -150,51 +150,53 @@ def hypercube(m: int) -> DenseGraph:
     return graph_from_edges(labels, edges, require_connected=True)
 
 
-def _hyperplanes(space: PolarSpace, sub: Subspace) -> list[Subspace]:
-    """All corank-1 subspaces of ``sub``, via the projective functionals on
-    its coefficient space."""
-    field = space.field
-    r = sub.rank
-    out = []
-    for c in _functionals(space.p, r):
-        coeffs = nullspace(field, [c], r)
-        rows = [
-            tuple(
-                sum(k * sub.rows[t][j] for t, k in enumerate(comb)) % space.p
-                for j in range(sub.width)
-            )
-            for comb in coeffs.rows
-        ]
-        out.append(rref(field, rows, sub.width))
-    return out
+def meet_graph(space: PolarSpace, labels: Sequence, masks: Sequence[int]) -> DenseGraph:
+    """Maximal singular subspaces with their dual polar distances.
+
+    ``masks[i]`` is the point mask of ``labels[i]``; the distance of two
+    maximals is n - rank of their meet, read off the popcount of the AND of
+    their masks, and adjacency is distance 1.  For a subset of the maximals
+    these are the ambient distances, not those of the induced subgraph,
+    whose internal paths may be longer.
+    """
+    n, p = space.n, space.p
+    dist_of_count = [UNREACHABLE] * ((p**n - 1) // (p - 1) + 1)
+    for r in range(n + 1):
+        dist_of_count[(p**r - 1) // (p - 1)] = n - r
+    dist = []
+    adj = []
+    for mi in masks:
+        row = tuple([dist_of_count[(mi & mj).bit_count()] for mj in masks])
+        dist.append(row)
+        adj.append(sum(1 << j for j, d in enumerate(row) if d == 1))
+    seen = frontier = 1
+    while frontier:
+        nxt = 0
+        for b in _bits(frontier):
+            nxt |= adj[b]
+        frontier = nxt & ~seen
+        seen |= nxt
+    return DenseGraph(
+        labels=tuple(labels),
+        adj=tuple(adj),
+        dist=tuple(dist),
+        diameter=max(max(row) for row in dist),
+        connected=seen == (1 << len(labels)) - 1,
+        index={lab: i for i, lab in enumerate(labels)},
+    )
 
 
-def _functionals(p: int, r: int) -> list[tuple[int, ...]]:
-    out = []
-    for lead in range(r):
-        for tail in product(range(p), repeat=r - lead - 1):
-            out.append((0,) * lead + (1,) + tail)
-    return out
-
-
-@lru_cache(maxsize=None)
 def dual_polar_graph(space: PolarSpace) -> DenseGraph:
-    """Graph on the maximal singular subspaces; adjacency = common hyperplane."""
-    maximals = polar.enumerate_singular(space, space.n - 1)
-    index = {s: i for i, s in enumerate(maximals)}
-    buckets: dict[Subspace, list[int]] = {}
-    for s in maximals:
-        i = index[s]
-        for h in _hyperplanes(space, s):
-            buckets.setdefault(h, []).append(i)
-    edges = []
-    for members in buckets.values():
-        # each next-to-maximal singular subspace lies in exactly p+1 maximals
-        assert len(members) == space.p + 1
-        edges.extend(combinations(sorted(members), 2))
-    graph = graph_from_edges(maximals, set(edges), require_connected=True)
-    assert graph.diameter == space.n
-    return graph
+    """Graph on the maximal singular subspaces; adjacency = common hyperplane.
+
+    Built once per space and kept on it.
+    """
+    if space._graph_cache is None:
+        maximals = polar.enumerate_singular(space, space.n - 1)
+        graph = meet_graph(space, maximals, [polar.point_mask(space, s) for s in maximals])
+        assert graph.connected and graph.diameter == space.n
+        space._graph_cache = graph
+    return space._graph_cache
 
 
 def geodesic_count(graph: DenseGraph, v: int, w: int) -> tuple[int, list[int]]:
@@ -255,22 +257,20 @@ def geodesics_between(
         assert len(paths) == total
         return paths, True
     rng = np.random.default_rng(np.random.SeedSequence(seed))
+    return [sample_geodesic(graph, v, w, counts, rng) for _ in range(budget)], False
+
+
+def sample_geodesic(graph: DenseGraph, v: int, w: int, counts: Sequence[int], rng) -> list[int]:
+    """One uniform geodesic from v to w, drawn from ``rng`` by walking back
+    from w with the path counts of ``geodesic_count(graph, v, w)``."""
     dv = graph.dist[v]
-    out = []
-    for _ in range(budget):
-        path = [w]
-        while path[-1] != v:
-            u = path[-1]
-            preds = [
-                t
-                for t in _bits(graph.adj[u])
-                if dv[t] == dv[u] - 1 and counts[t] > 0
-            ]
-            weights = np.array([counts[t] for t in preds], dtype=float)
-            pick = preds[int(rng.choice(len(preds), p=weights / weights.sum()))]
-            path.append(pick)
-        out.append(path[::-1])
-    return out, False
+    path = [w]
+    while path[-1] != v:
+        u = path[-1]
+        preds = [t for t in _bits(graph.adj[u]) if dv[t] == dv[u] - 1 and counts[t] > 0]
+        weights = np.array([counts[t] for t in preds], dtype=float)
+        path.append(preds[int(rng.choice(len(preds), p=weights / weights.sum()))])
+    return path[::-1]
 
 
 def _shortest_path(graph: DenseGraph, v: int, w: int) -> list[int]:

@@ -4,6 +4,9 @@ The model is the projective space of GF(p)^{2n} equipped with the standard
 alternating form pairing coordinates (2i, 2i+1).  Every projective point is
 isotropic, collinearity is vanishing of the form, and singular subspaces are
 the totally isotropic linear subspaces (projective dimension = rank - 1).
+The singular subspaces are enumerated layer by layer by canonical parent:
+each one in RREF extends the subspace of its first rank - 1 rows by one
+perpendicular point, so it is built exactly once.
 """
 
 from __future__ import annotations
@@ -67,6 +70,7 @@ class PolarSpace:
         self.point_index = {pt: i for i, pt in enumerate(self.points)}
         self._collinear_masks: list[int] | None = None
         self._singular_cache: dict[int, tuple[Subspace, ...]] = {}
+        self._graph_cache = None  # set by graphs.dual_polar_graph
         self._check_model()
 
     @staticmethod
@@ -247,38 +251,44 @@ def subspace_of_mask(space: PolarSpace, mask: int) -> Subspace:
 
 
 def enumerate_singular(space: PolarSpace, k: int) -> tuple[Subspace, ...]:
-    """All singular subspaces of projective dimension k, canonically sorted."""
+    """All singular subspaces of projective dimension k, canonically sorted.
+
+    Layer k + 1 is grown from layer k by canonical parent: a subspace T in
+    RREF is its first rank - 1 rows (a singular subspace P in RREF) plus a
+    last row v, a normalized point perpendicular to P whose pivot lies beyond
+    P's last pivot and in a column where every row of P is zero.  Each
+    (P, v) pair of that kind yields T = rref(P + v) exactly once.
+    """
     if not 0 <= k <= space.n - 1:
         raise ValueError(f"projective dimension {k} out of range [0, {space.n - 1}]")
-    top = max(space._singular_cache) if space._singular_cache else -1
-    if k <= top:
-        return space._singular_cache[k]
-    if top < 0:
-        layer = tuple(
-            sorted(
-                (rref(space.field, [pt], space.dim) for pt in space.points),
-                key=lambda s: s.rows,
-            )
-        )
-        space._singular_cache[0] = layer
-        top = 0
-    else:
-        layer = space._singular_cache[top]
-    for kk in range(top + 1, k + 1):
-        layer = _extend_layer(space, layer)
-        space._singular_cache[kk] = layer
-    return space._singular_cache[k]
+    cache = space._singular_cache
+    if not cache:
+        # space.points is sorted, so layer 0 is too
+        cache[0] = tuple(rref(space.field, [pt], space.dim) for pt in space.points)
+    for kk in range(max(cache) + 1, k + 1):
+        cache[kk] = tuple(sorted(_children(space, cache[kk - 1]), key=lambda s: s.rows))
+    return cache[k]
 
 
-def _extend_layer(space: PolarSpace, layer: Sequence[Subspace]) -> tuple[Subspace, ...]:
-    field = space.field
-    seen: set[Subspace] = set()
-    for sub in layer:
-        perp = perp_subspace(space, sub)
-        for pt in points_in_subspace(space, perp):
-            if not contains(field, sub, pt):
-                seen.add(rref(field, sub.rows + (pt,), space.dim))
-    return tuple(sorted(seen, key=lambda s: s.rows))
+def _children(space: PolarSpace, layer: Sequence[Subspace]) -> Iterable[Subspace]:
+    """The subspaces one rank up whose canonical parent lies in ``layer``."""
+    d, p = space.dim, space.p
+    perp = space.collinear_masks()
+    index = space.point_index
+    for parent in layer:
+        last = parent.rows[-1].index(1)
+        # the points of pivot > last are the first (p^(d-last-1) - 1)/(p - 1)
+        # of space.points, which sorts leading zeros first
+        cands = (1 << (p ** (d - last - 1) - 1) // (p - 1)) - 1
+        for row in parent.rows:
+            i = index[row]
+            cands &= perp[i] | 1 << i
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            v = space.points[low.bit_length() - 1]
+            if not any(row[v.index(1)] for row in parent.rows):
+                yield rref(space.field, parent.rows + (v,), d)
 
 
 def star(space: PolarSpace, base: Subspace, k: int) -> tuple[Subspace, ...]:
@@ -287,10 +297,8 @@ def star(space: PolarSpace, base: Subspace, k: int) -> tuple[Subspace, ...]:
         raise ValueError(f"need projdim(base) < k <= n-1, got {projdim(base)} and {k}")
     if not is_singular(space, base):
         raise ValueError("base subspace is not singular")
-    layer: tuple[Subspace, ...] = (base,)
-    for _ in range(k - projdim(base)):
-        layer = _extend_layer(space, layer)
-    return layer
+    inner = point_mask(space, base)
+    return tuple(s for s in enumerate_singular(space, k) if not inner & ~point_mask(space, s))
 
 
 def residue_collinear(space: PolarSpace, base: Subspace, a: Subspace, b: Subspace) -> bool:

@@ -112,10 +112,24 @@ def test_cli_verify_lemma5(tmp_path):
         "--mode", "sample", "--budget", "5000", "--output", str(tmp_path),
     ])
     assert code in (0, 2)
-    report = json.loads((tmp_path / "report_lemma5_p2_n2.json").read_text())
+    report = json.loads((tmp_path / "report_lemma5_p2_n2_np3.json").read_text())
     assert report["statement"] == "lemma5"
     assert report["violations"] == []
     assert report["counts"]["embeddings"] > 0
+
+
+def test_cli_reports_for_different_n_prime_do_not_collide(tmp_path):
+    for n_prime in ("2", "3"):
+        code = main([
+            "verify", "lemma5", "--p", "2", "--n", "2", "--n-prime", n_prime,
+            "--mode", "sample", "--budget", "200", "--output", str(tmp_path),
+        ])
+        assert code in (0, 2)
+    written = sorted(path.name for path in tmp_path.glob("report_lemma5_*.json"))
+    assert written == ["report_lemma5_p2_n2_np2.json", "report_lemma5_p2_n2_np3.json"]
+    for name, n_prime in zip(written, (2, 3)):
+        report = json.loads((tmp_path / name).read_text())
+        assert report["instance"]["n_prime"] == n_prime
 
 
 def test_cli_budget_exhaustion_exit_code(tmp_path):

@@ -1,4 +1,7 @@
+import gc
 import math
+import random
+import weakref
 from itertools import combinations, permutations
 
 import numpy as np
@@ -13,6 +16,7 @@ from dualpolar.graphs import (
     geodesics_between,
     graph_from_edges,
     hypercube,
+    sample_geodesic,
     verify_lemma2,
 )
 from dualpolar.linalg import intersect
@@ -21,6 +25,9 @@ from dualpolar.polar import PolarSpace
 SP42 = PolarSpace(2, 2)
 SP62 = PolarSpace(3, 2)
 SP43 = PolarSpace(2, 3)
+SP45 = PolarSpace(2, 5)
+SP63 = PolarSpace(3, 3)
+ORACLE_SPACES = [SP42, SP62, SP43, SP45, SP63]
 
 
 def test_complete_graph_distances():
@@ -105,6 +112,51 @@ def test_dual_polar_distance_formula(space):
             assert g.dist[i][j] == space.n - meet.rank
 
 
+@pytest.mark.parametrize("space", ORACLE_SPACES)
+def test_meet_distances_equal_bfs(space):
+    g = dual_polar_graph(space)
+    dist, connected = all_pairs_distances(g.adj)
+    assert connected
+    assert g.dist == tuple(tuple(row) for row in dist)
+
+
+@pytest.mark.parametrize("space", ORACLE_SPACES)
+def test_meet_distances_on_sampled_pairs(space):
+    g = dual_polar_graph(space)
+    rng = random.Random(2010)
+    for _ in range(300):
+        i, j = rng.randrange(g.num_vertices), rng.randrange(g.num_vertices)
+        assert g.dist[i][j] == space.n - intersect(space.field, g.labels[i], g.labels[j]).rank
+
+
+@pytest.mark.parametrize("space", ORACLE_SPACES)
+def test_intersection_array(space):
+    # BCN 9.4: c_i = (q^i - 1)/(q - 1), b_i = q^(i+1) (q^(n-i) - 1)/(q - 1)
+    n, q = space.n, space.p
+    c = [(q**i - 1) // (q - 1) for i in range(n + 1)]
+    b = [q ** (i + 1) * (q ** (n - i) - 1) // (q - 1) for i in range(n + 1)]
+    g = dual_polar_graph(space)
+    for v in range(g.num_vertices):
+        spheres = [0] * (n + 2)
+        for u, d in enumerate(g.dist[v]):
+            spheres[d] |= 1 << u
+        for u, d in enumerate(g.dist[v]):
+            if d > 0:
+                assert (g.adj[u] & spheres[d - 1]).bit_count() == c[d]
+            assert (g.adj[u] & spheres[d + 1]).bit_count() == b[d]
+
+
+def test_graph_memo_lives_on_the_space():
+    space = PolarSpace(2, 2)
+    graph = dual_polar_graph(space)
+    assert dual_polar_graph(space) is graph
+    assert dual_polar_graph(PolarSpace(2, 2)) is not graph
+    ref = weakref.ref(space)
+    del space, graph
+    gc.collect()
+    assert ref() is None
+
+
 @pytest.mark.parametrize("space", [SP42, SP62, SP43])
 def test_opposite_iff_disjoint(space):
     g = dual_polar_graph(space)
@@ -159,6 +211,16 @@ def test_geodesics_budget_sampling():
             assert g.dist[a][b] == 1
     again, _ = geodesics_between(g, 0, 15, budget=5, seed=1)
     assert paths == again
+
+
+def test_sampled_geodesics_draw_from_one_stream():
+    g = dual_polar_graph(SP62)
+    v, w = 0, next(u for u in range(g.num_vertices) if g.dist[0][u] == 3)
+    paths, complete = geodesics_between(g, v, w, budget=4, seed=9)
+    assert not complete
+    _, counts = geodesic_count(g, v, w)
+    rng = np.random.default_rng(np.random.SeedSequence(9))
+    assert paths == [sample_geodesic(g, v, w, counts, rng) for _ in range(4)]
 
 
 def test_geodesic_count_matches_enumeration():

@@ -78,6 +78,32 @@ def test_maximal_counts():
     assert len(enumerate_singular(PolarSpace(3, 3), 2)) == 1120
 
 
+def layered_reference(space):
+    """Every singular layer by the layered method: extend each subspace of
+    layer k by every perpendicular point outside it, one rref per pair, and
+    deduplicate."""
+    field = space.field
+    layer = sorted({rref(field, [pt], space.dim) for pt in space.points}, key=lambda s: s.rows)
+    layers = [tuple(layer)]
+    for _ in range(space.n - 1):
+        seen = set()
+        for sub in layer:
+            for pt in points_in_subspace(space, perp_subspace(space, sub)):
+                if not contains(field, sub, pt):
+                    seen.add(rref(field, sub.rows + (pt,), space.dim))
+        layer = sorted(seen, key=lambda s: s.rows)
+        layers.append(tuple(layer))
+    return layers
+
+
+@pytest.mark.parametrize("n,p", [(2, 2), (3, 2), (2, 3), (2, 5), (3, 3)])
+def test_canonical_parent_enumeration_matches_layered_reference(n, p):
+    space = PolarSpace(n, p)
+    expected = layered_reference(space)
+    assert [enumerate_singular(space, k) for k in range(n)] == expected
+    assert [len(layer) for layer in expected] == [isotropic_count(n, k + 1, p) for k in range(n)]
+
+
 def test_enumerate_singular_range_check():
     with pytest.raises(ValueError):
         enumerate_singular(SP42, 2)
@@ -317,6 +343,15 @@ def test_star_of_point_in_sp62():
     assert len(got) == 15
     for sub in got:
         assert all(contains(SP62.field, sub, row) for row in pt.rows)
+
+
+def test_star_of_line_matches_containment():
+    line = enumerate_singular(SP62, 1)[7]
+    got = star(SP62, line, 2)
+    assert len(got) == 3
+    assert got == tuple(
+        s for s in enumerate_singular(SP62, 2) if contains_subspace(SP62.field, s, line)
+    )
 
 
 def test_star_precondition():
