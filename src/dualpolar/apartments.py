@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -136,12 +135,27 @@ def _branch_search(dst_nbrs, dst_dist, plan, nsrc, root_img, budget, rng):
     return found, state["expansions"], state["complete"]
 
 
-def _run_tasks(tasks: Sequence[Callable], workers: int) -> list:
-    if workers <= 1:
-        return [t() for t in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        futures = [ex.submit(t) for t in tasks]
-        return [f.result() for f in futures]
+def search_stats(
+    mode: str,
+    budget: int,
+    seed: int,
+    workers: int,
+    embeddings: Sequence[Embedding] = (),
+    expansions: int = 0,
+    complete: bool = True,
+) -> dict:
+    """The stats an embedding search returns; the defaults describe a search
+    that had nothing to explore."""
+    return {
+        "mode": mode,
+        "budget": budget,
+        "seed": seed,
+        "workers": workers,
+        "expansions": expansions,
+        "complete": complete,
+        "embeddings": len(embeddings),
+        "distinct_images": len({e.image_indices() for e in embeddings}),
+    }
 
 
 def search_isometric_embeddings(
@@ -155,8 +169,9 @@ def search_isometric_embeddings(
     """All (or budget-bounded) isometric embeddings of ``src`` into ``dst``.
 
     The node budget is split over the root-placement branches up front and
-    sample mode only permutes candidate order per branch, so the result set
-    is identical for every worker count.  Expansions count vertex
+    sample mode only permutes candidate order per branch.  The branches run
+    one after another; ``workers`` is only recorded in the stats, so the
+    result set is the same for every worker count.  Expansions count vertex
     placements.
     """
     if mode not in ("exhaustive", "sample"):
@@ -167,32 +182,23 @@ def search_isometric_embeddings(
     nsrc = src.num_vertices
     nv = dst.num_vertices
     if nv == 0:
-        return [], {
-            "mode": mode, "budget": budget, "seed": seed, "workers": workers,
-            "expansions": 0, "complete": True, "embeddings": 0, "distinct_images": 0,
-        }
+        return [], search_stats(mode, budget, seed, workers)
     nbrs = tuple(tuple(_bits(mask)) for mask in dst.adj)
     shares = [budget // nv + (1 if i < budget % nv else 0) for i in range(nv)]
     if mode == "sample":
-        # one independent stream per root branch, all split from the one seed,
-        # so the result set does not depend on the worker count
+        # one independent stream per root branch, all split from the one seed
         children = np.random.SeedSequence(seed).spawn(nv)
         rngs = [random.Random(int(c.generate_state(2, np.uint64)[0])) for c in children]
     else:
         rngs = [None] * nv
 
-    tasks = [
-        (lambda root=root: _branch_search(
-            nbrs, dst.dist, plan, nsrc, root, shares[root], rngs[root]
-        ))
-        for root in range(nv)
-    ]
-    results = _run_tasks(tasks, workers)
-
     embeddings = []
     expansions = 0
     complete = True
-    for found, exp, comp in results:
+    for root in range(nv):
+        found, exp, comp = _branch_search(
+            nbrs, dst.dist, plan, nsrc, root, shares[root], rngs[root]
+        )
         expansions += exp
         complete = complete and comp
         for imgs in found:
@@ -200,17 +206,7 @@ def search_isometric_embeddings(
             for k, v in enumerate(order):
                 assignment[v] = imgs[k]
             embeddings.append(Embedding(src, dst, tuple(assignment)))
-    stats = {
-        "mode": mode,
-        "budget": budget,
-        "seed": seed,
-        "workers": workers,
-        "expansions": expansions,
-        "complete": complete,
-        "embeddings": len(embeddings),
-        "distinct_images": len({e.image_indices() for e in embeddings}),
-    }
-    return embeddings, stats
+    return embeddings, search_stats(mode, budget, seed, workers, embeddings, expansions, complete)
 
 
 def search_hypercube_embeddings(
@@ -521,7 +517,8 @@ def verify_theorem2(
     image is an apartment over a base of projective dimension n - m - 1.
 
     Each image is decomposed in the hypercube labelling of the embedding that
-    found it, on point masks computed once per call for every graph vertex.
+    found it, on the point masks the graph keeps for its vertices (so a given
+    ``graph`` must be a dual polar graph of ``space`` or a ``meet_graph``).
 
     With m = n in exhaustive mode the distinct images are also counted
     against the frame-defined apartments, and each witness is round-tripped
@@ -538,12 +535,11 @@ def verify_theorem2(
     for emb in embeddings:
         images_seen.setdefault(emb.image_indices(), emb)
 
-    masks = [point_mask(space, s) for s in graph.labels]
     for key, emb in images_seen.items():
         order = _vertices_by_mask(emb)
         try:
             witness = _witness_from_images(
-                space, [graph.labels[i] for i in order], [masks[i] for i in order]
+                space, [graph.labels[i] for i in order], [graph.masks[i] for i in order]
             )
             if m == space.n:
                 frame = witness.to_frame(space)

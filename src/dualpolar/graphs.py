@@ -6,7 +6,9 @@ maximal singular subspaces of a polar space, whose distance is n - rank of
 the meet, read off the popcount of the AND of two point masks (adjacency =
 distance 1, i.e. intersection one step below maximal).  Adjacency is kept
 as one int bitmask per vertex and distances as a full matrix, so searches
-probe distances in O(1).
+probe distances in O(1).  A dual polar graph also keeps the point mask of
+every vertex, which the verifiers take their meets, containments and perps
+from.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ class DenseGraph:
     diameter: int
     connected: bool
     index: dict = field(repr=False)
+    # point masks of the labels (see polar.point_mask); dual polar graphs only
+    masks: tuple[int, ...] = field(default=(), repr=False)
 
     @property
     def num_vertices(self) -> int:
@@ -183,6 +187,7 @@ def meet_graph(space: PolarSpace, labels: Sequence, masks: Sequence[int]) -> Den
         diameter=max(max(row) for row in dist),
         connected=seen == (1 << len(labels)) - 1,
         index={lab: i for i, lab in enumerate(labels)},
+        masks=tuple(masks),
     )
 
 

@@ -6,9 +6,11 @@ sending each point of the source space to the intersection of the images of
 the maximal singular subspaces through it.  Conversely a point map landing
 one step above a base subspace lifts to a graph embedding by spanning.
 
-Bulk validation memoizes meets, joins and residue collinearity globally;
-the operands come from the small fixed pool of singular subspaces of the
-spaces involved, so the caches stay desk-sized.
+The checks run on the point masks the dual polar graphs keep for their
+vertices: meet = AND, containment = subset test, and residue collinearity and
+spans are read off perps, the AND of ``collinear_masks()[x] | 1 << x`` over
+the points x of a subspace.  Subspaces in RREF are only built for results and
+violation payloads.
 """
 
 from __future__ import annotations
@@ -16,12 +18,18 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from operator import and_, or_
 
 from . import polar
-from .apartments import DEFAULT_BUDGET, _witness_from_images, search_isometric_embeddings
-from .graphs import DenseGraph, dual_polar_graph
-from .linalg import Subspace, contains_subspace, intersect, rref, sum_span
-from .polar import Point, PolarSpace, residue_collinear
+from .apartments import (
+    DEFAULT_BUDGET,
+    _witness_from_images,
+    search_isometric_embeddings,
+    search_stats,
+)
+from .graphs import DenseGraph, _bits, dual_polar_graph
+from .linalg import Subspace, rref, sum_span
+from .polar import Point, PolarSpace, mask_rank, point_mask, subspace_of_mask
 from .reporting import CounterexampleError, make_report, subspace_json
 
 
@@ -65,57 +73,6 @@ class InducedPointMap:
         return self.assignment[pt]
 
 
-# -- memoized subspace arithmetic ---------------------------------------------
-
-_meet_cache: dict = {}
-_join_cache: dict = {}
-_rc_cache: dict = {}
-_contains_cache: dict = {}
-
-
-def _meet(field, a: Subspace, b: Subspace) -> Subspace:
-    if a.rows > b.rows:
-        a, b = b, a
-    key = (field.p, a, b)
-    hit = _meet_cache.get(key)
-    if hit is None:
-        hit = _meet_cache[key] = intersect(field, a, b)
-    return hit
-
-
-def _join(field, a: Subspace, b: Subspace) -> Subspace:
-    if a.rows > b.rows:
-        a, b = b, a
-    key = (field.p, a, b)
-    hit = _join_cache.get(key)
-    if hit is None:
-        hit = _join_cache[key] = sum_span(field, a, b)
-    return hit
-
-
-def _rc(space: PolarSpace, base: Subspace, a: Subspace, b: Subspace) -> bool:
-    if a.rows > b.rows:
-        a, b = b, a
-    key = (space.p, base, a, b)
-    hit = _rc_cache.get(key)
-    if hit is None:
-        hit = _rc_cache[key] = residue_collinear(space, base, a, b)
-    return hit
-
-
-def _covers(field, outer: Subspace, inner: Subspace) -> bool:
-    key = (field.p, outer, inner)
-    hit = _contains_cache.get(key)
-    if hit is None:
-        hit = _contains_cache[key] = contains_subspace(field, outer, inner)
-    return hit
-
-
-@lru_cache(maxsize=None)
-def _points_of(space: PolarSpace, sub: Subspace) -> tuple[Point, ...]:
-    return tuple(polar.points_in_subspace(space, sub))
-
-
 @lru_cache(maxsize=None)
 def _opposite_pairs(graph: DenseGraph) -> tuple[tuple[int, int], ...]:
     return tuple(
@@ -126,16 +83,15 @@ def _opposite_pairs(graph: DenseGraph) -> tuple[tuple[int, int], ...]:
     )
 
 
-@lru_cache(maxsize=None)
-def _stars_of_points(space: PolarSpace) -> dict:
-    """Indices (into the dual polar graph labels) of the maximal singular
-    subspaces through each point."""
-    graph = dual_polar_graph(space)
-    out: dict[Point, list[int]] = {pt: [] for pt in space.points}
-    for i, sub in enumerate(graph.labels):
-        for pt in _points_of(space, sub):
-            out[pt].append(i)
-    return out
+def _image_masks(emb: GraphEmbedding) -> list[int]:
+    masks = emb.target.masks
+    return [masks[a] for a in emb.assignment]
+
+
+def _perp(space: PolarSpace, mask: int) -> int:
+    """Point mask of the perp of the subspace spanned by the points of ``mask``."""
+    collinear = space.collinear_masks()
+    return reduce(and_, (collinear[x] | 1 << x for x in _bits(mask)), (1 << len(space.points)) - 1)
 
 
 # -- search -------------------------------------------------------------------
@@ -156,17 +112,7 @@ def search_dualpolar_embeddings(
     """
     src = dual_polar_graph(src_space)
     if src_space.n > dst_space.n:
-        stats = {
-            "mode": mode,
-            "budget": budget,
-            "seed": seed,
-            "workers": workers,
-            "expansions": 0,
-            "complete": True,
-            "embeddings": 0,
-            "distinct_images": 0,
-        }
-        return [], stats
+        return [], search_stats(mode, budget, seed, workers)
     dst = dual_polar_graph(dst_space)
     found, stats = search_isometric_embeddings(src, dst, mode, budget, seed, workers)
     wrapped = [
@@ -185,29 +131,69 @@ def verify_lemma5(emb: GraphEmbedding) -> Subspace:
     dimension n' - n - 1, to be independent of the pair, and to lie in every
     image; failures raise CounterexampleError.
     """
-    field = emb.dst_space.field
-    n, n_prime = emb.src_space.n, emb.dst_space.n
+    space = emb.dst_space
+    n, n_prime = emb.src_space.n, space.n
+    imgs = _image_masks(emb)
     pairs = _opposite_pairs(emb.source)
     i0, j0 = pairs[0]
-    base = _meet(field, emb.image_of(i0), emb.image_of(j0))
-    if base.rank != n_prime - n:
+    base = imgs[i0] & imgs[j0]
+    if mask_rank(space, base) != n_prime - n:
         raise CounterexampleError(
             "lemma5",
-            {"kind": "base_dimension", "expected_rank": n_prime - n, "got": subspace_json(base)},
+            {"kind": "base_dimension", "expected_rank": n_prime - n,
+             "got": subspace_json(subspace_of_mask(space, base))},
         )
     for i, j in pairs[1:]:
-        other = _meet(field, emb.image_of(i), emb.image_of(j))
+        other = imgs[i] & imgs[j]
         if other != base:
             raise CounterexampleError(
                 "lemma5",
-                {"kind": "base_depends_on_opposite_pair", "pair": [i, j], "other": subspace_json(other)},
+                {"kind": "base_depends_on_opposite_pair", "pair": [i, j],
+                 "other": subspace_json(subspace_of_mask(space, other))},
             )
-    for v in range(emb.source.num_vertices):
-        if not _covers(field, emb.image_of(v), base):
+    for v, img in enumerate(imgs):
+        if base & ~img:
             raise CounterexampleError(
                 "lemma5", {"kind": "image_missing_base", "vertex": v}
             )
-    return base
+    return subspace_of_mask(space, base)
+
+
+def _point_images(emb: GraphEmbedding) -> tuple[int, list[int], list[int]]:
+    """Masks of the base and of every g(p), in ``src_space.points`` order, and
+    the perp of every g(p); the checks are those of ``induced_point_map``.
+
+    Each g(p) lies in the image W of every maximal M through p, and W is its
+    own perp, so g spans W over M exactly when the perps of the g(p) meet in W.
+    """
+    space = emb.dst_space
+    rank = space.n - emb.src_space.n + 1
+    imgs = _image_masks(emb)
+    i0, j0 = _opposite_pairs(emb.source)[0]
+    base = imgs[i0] & imgs[j0]
+    members = [_bits(mask) for mask in emb.source.masks]
+    g = [(1 << len(space.points)) - 1] * len(emb.src_space.points)
+    for pts, img in zip(members, imgs):
+        for p in pts:
+            g[p] &= img
+    for p, gp in enumerate(g):
+        if mask_rank(space, gp) != rank or base & ~gp:
+            raise CounterexampleError(
+                "theorem3",
+                {"kind": "point_image_defect", "point": list(emb.src_space.points[p]),
+                 "got": subspace_json(subspace_of_mask(space, gp))},
+            )
+    if len(set(g)) != len(g):
+        raise CounterexampleError("theorem3", {"kind": "point_map_not_injective"})
+    perps = [_perp(space, gp) for gp in g]
+    for v, (pts, img) in enumerate(zip(members, imgs)):
+        if reduce(and_, (perps[p] for p in pts)) != img:
+            span = subspace_of_mask(space, reduce(or_, (g[p] for p in pts)))
+            raise CounterexampleError(
+                "theorem3",
+                {"kind": "image_not_spanned_by_point_map", "vertex": v, "span": subspace_json(span)},
+            )
+    return base, g, perps
 
 
 def induced_point_map(emb: GraphEmbedding) -> InducedPointMap:
@@ -218,36 +204,10 @@ def induced_point_map(emb: GraphEmbedding) -> InducedPointMap:
     injective, and that spanning g over any maximal singular subspace gives
     back its image; failures raise CounterexampleError.
     """
-    field = emb.dst_space.field
-    n, n_prime = emb.src_space.n, emb.dst_space.n
-    pairs = _opposite_pairs(emb.source)
-    base = _meet(field, emb.image_of(pairs[0][0]), emb.image_of(pairs[0][1]))
-    stars = _stars_of_points(emb.src_space)
-    assignment: dict[Point, Subspace] = {}
-    for pt in emb.src_space.points:
-        g = reduce(
-            lambda a, b: _meet(field, a, b),
-            (emb.image_of(i) for i in stars[pt]),
-        )
-        if g.rank != n_prime - n + 1 or not _covers(field, g, base):
-            raise CounterexampleError(
-                "theorem3",
-                {"kind": "point_image_defect", "point": list(pt), "got": subspace_json(g)},
-            )
-        assignment[pt] = g
-    if len(set(assignment.values())) != len(assignment):
-        raise CounterexampleError("theorem3", {"kind": "point_map_not_injective"})
-    for v in range(emb.source.num_vertices):
-        span = reduce(
-            lambda a, b: _join(field, a, b),
-            (assignment[pt] for pt in _points_of(emb.src_space, emb.source.labels[v])),
-        )
-        if span != emb.image_of(v):
-            raise CounterexampleError(
-                "theorem3",
-                {"kind": "image_not_spanned_by_point_map", "vertex": v, "span": subspace_json(span)},
-            )
-    return InducedPointMap(emb.src_space, emb.dst_space, base, assignment)
+    space = emb.dst_space
+    base, g, _ = _point_images(emb)
+    assignment = {pt: subspace_of_mask(space, gp) for pt, gp in zip(emb.src_space.points, g)}
+    return InducedPointMap(emb.src_space, space, subspace_of_mask(space, base), assignment)
 
 
 def _frame_index_lists(space: PolarSpace, frames) -> list[tuple[list[int], tuple[int, ...]]]:
@@ -256,14 +216,19 @@ def _frame_index_lists(space: PolarSpace, frames) -> list[tuple[list[int], tuple
     ]
 
 
-def _frame_violations(pm: InducedPointMap, frames_idx) -> list[dict]:
-    """Frames whose point images break the residue-frame collinearity pattern."""
-    space = pm.src_space
-    imgs = [pm.assignment[pt] for pt in space.points]
-    rc_masks = [0] * len(imgs)
-    for i in range(len(imgs)):
-        for j in range(i + 1, len(imgs)):
-            if _rc(pm.dst_space, pm.base, imgs[i], imgs[j]):
+def _frame_violations(
+    space: PolarSpace, g: list[int], perps: list[int], frames_idx
+) -> list[dict]:
+    """Frames of ``space`` whose point images (masks ``g`` with perps
+    ``perps``) break the residue-frame collinearity pattern.
+
+    Two images over the base are residue-collinear exactly when their span is
+    singular, i.e. when one lies in the perp of the other.
+    """
+    rc_masks = [0] * len(g)
+    for i in range(len(g)):
+        for j in range(i + 1, len(g)):
+            if not g[j] & ~perps[i]:
                 rc_masks[i] |= 1 << j
                 rc_masks[j] |= 1 << i
     out = []
@@ -308,7 +273,11 @@ def check_frames_preserving(
         if not complete:
             count = min(sample_count, polar.frame_count(pm.src_space))
             frames = polar.sample_frames(pm.src_space, count, seed)
-    violations = _frame_violations(pm, _frame_index_lists(pm.src_space, frames))
+    g = [point_mask(pm.dst_space, pm.assignment[pt]) for pt in pm.src_space.points]
+    perps = [_perp(pm.dst_space, gp) for gp in g]
+    violations = _frame_violations(
+        pm.src_space, g, perps, _frame_index_lists(pm.src_space, frames)
+    )
     return make_report(
         statement="frames_preserving",
         instance={"p": pm.src_space.p, "n": pm.src_space.n, "m": None,
@@ -350,7 +319,7 @@ def lift_frame_preserving_map(
         sub = src.labels[v]
         span = reduce(
             lambda a, b: sum_span(field, a, b),
-            (point_map[pt] for pt in _points_of(src_space, sub)),
+            (point_map[pt] for pt in polar.points_in_subspace(src_space, sub)),
             base,
         )
         if span.rank != dst_space.n or not polar.is_singular(dst_space, span):
@@ -364,7 +333,7 @@ def lift_frame_preserving_map(
     assignment = tuple(dst.index[s] for s in images)
     for i in range(len(images)):
         for j in range(i + 1, len(images)):
-            d = dst_space.n - intersect(field, images[i], images[j]).rank
+            d = dst.dist[assignment[i]][assignment[j]]
             if d != src.dist[i][j]:
                 raise LiftError(
                     "lifted map does not preserve distances",
@@ -479,16 +448,11 @@ def verify_theorem3(
     frames_idx = _frame_index_lists(src_space, frames_src)
     violations: list[dict] = []
     checked_apartments = 0
-    target_masks = [polar.point_mask(dst_space, s) for s in found[0].target.labels] if found else []
     for k, emb in enumerate(found):
         try:
             base = verify_lemma5(emb)
-            pm = induced_point_map(emb)
-            if pm.base != base:
-                raise CounterexampleError(
-                    "theorem3", {"kind": "base_mismatch", "lemma5": subspace_json(base)}
-                )
-            violations.extend(_frame_violations(pm, frames_idx))
+            _, g, perps = _point_images(emb)
+            violations.extend(_frame_violations(src_space, g, perps, frames_idx))
             if k < apartment_check_embeddings:
                 for frame in frames_src[:apartment_checks]:
                     # apartment_of_frame lists members by sign mask, so the
@@ -502,7 +466,7 @@ def verify_theorem3(
                         transferred = _witness_from_images(
                             dst_space,
                             [emb.target.labels[i] for i in order],
-                            [target_masks[i] for i in order],
+                            [emb.target.masks[i] for i in order],
                         ).base == base
                     except CounterexampleError:
                         transferred = False
@@ -561,10 +525,10 @@ def verify_chow(
         try:
             if len(set(emb.assignment)) != emb.source.num_vertices:
                 raise CounterexampleError("chow", {"kind": "not_a_bijection"})
-            pm = induced_point_map(emb)
-            if pm.base.rank != 0:
+            base, g, perps = _point_images(emb)
+            if base:
                 raise CounterexampleError("chow", {"kind": "nonempty_base"})
-            perm = [space.point_index[pm.assignment[pt].rows[0]] for pt in space.points]
+            perm = [gp.bit_length() - 1 for gp in g]
             if sorted(perm) != list(range(len(space.points))):
                 raise CounterexampleError("chow", {"kind": "point_map_not_bijective"})
             for i in range(len(perm)):
@@ -574,7 +538,7 @@ def verify_chow(
                             "chow",
                             {"kind": "collinearity_not_preserved", "pair": [i, j]},
                         )
-            violations.extend(_frame_violations(pm, frames_idx))
+            violations.extend(_frame_violations(space, g, perps, frames_idx))
         except CounterexampleError as exc:
             violations.append(exc.as_violation())
     counts = {

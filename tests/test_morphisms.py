@@ -1,8 +1,20 @@
-import pytest
+import gc
+import json
+import random
+import weakref
+from functools import reduce
+from operator import or_
 
-from dualpolar.linalg import rref
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dualpolar.linalg import contains_subspace, intersect, rref, sum_span
 from dualpolar.morphisms import (
+    GraphEmbedding,
+    InducedPointMap,
     LiftError,
+    _perp,
     check_frames_preserving,
     induced_point_map,
     lift_frame_preserving_map,
@@ -12,11 +24,23 @@ from dualpolar.morphisms import (
     verify_lemma5,
     verify_theorem3,
 )
-from dualpolar.polar import PolarSpace, enumerate_frames
-from dualpolar.reporting import CounterexampleError
+from dualpolar.polar import (
+    PolarSpace,
+    empty_subspace,
+    enumerate_frames,
+    enumerate_singular,
+    perp_subspace,
+    point_mask,
+    points_in_subspace,
+    residue_collinear,
+    star,
+)
+from dualpolar.reporting import CounterexampleError, subspace_json
 
 SP42 = PolarSpace(2, 2)
 SP62 = PolarSpace(3, 2)
+SP43 = PolarSpace(2, 3)
+SP45 = PolarSpace(2, 5)
 
 
 @pytest.fixture(scope="module")
@@ -141,8 +165,6 @@ def test_verify_chow_quick():
 
 
 def test_counterexample_payloads_are_jsonable():
-    import json
-
     emb_list, _ = search_dualpolar_embeddings(SP42, SP42, budget=50_000)
     bad = emb_list[0]
     # a constant map has full-rank opposite-pair intersections
@@ -152,3 +174,162 @@ def test_counterexample_payloads_are_jsonable():
     with pytest.raises(CounterexampleError) as info:
         verify_lemma5(constant)
     json.dumps(info.value.as_violation())
+
+
+def test_verifiers_do_not_keep_spaces_alive():
+    src, dst = PolarSpace(2, 2), PolarSpace(3, 2)
+    assert verify_theorem3(src, dst, mode="sample", budget=20_000, seed=6)["violations"] == []
+    assert verify_chow(src, budget=100_000)["violations"] == []
+    refs = [weakref.ref(src), weakref.ref(dst)]
+    del src, dst
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+
+
+@st.composite
+def points_of_a_maximal(draw):
+    space = draw(st.sampled_from([SP42, SP62, SP43, SP45]))
+    maximals = enumerate_singular(space, space.n - 1)
+    w = maximals[draw(st.integers(0, len(maximals) - 1))]
+    pts = points_in_subspace(space, w)
+    chosen = draw(st.lists(st.sampled_from(pts), min_size=1, max_size=space.n + 1, unique=True))
+    return space, w, chosen
+
+
+@settings(max_examples=200, deadline=None)
+@given(points_of_a_maximal())
+def test_perp_of_points_decides_their_span(data):
+    # W is its own perp, so points of W span W exactly when their perps meet in W
+    space, w, chosen = data
+    mask = reduce(or_, (1 << space.point_index[pt] for pt in chosen))
+    span = rref(space.field, chosen, space.dim)
+    assert _perp(space, mask) == point_mask(space, perp_subspace(space, span))
+    assert (_perp(space, mask) == point_mask(space, w)) == (span == w)
+
+
+@st.composite
+def residue_points(draw):
+    space = draw(st.sampled_from([SP42, SP62, SP43, SP45]))
+    k = draw(st.integers(-1, space.n - 2))
+    if k < 0:
+        base = empty_subspace(space)
+    else:
+        layer = enumerate_singular(space, k)
+        base = layer[draw(st.integers(0, len(layer) - 1))]
+    above = star(space, base, k + 1)
+    i, j = draw(st.lists(st.integers(0, len(above) - 1), min_size=2, max_size=2, unique=True))
+    return space, base, above[i], above[j]
+
+
+@settings(max_examples=200, deadline=None)
+@given(residue_points())
+def test_mask_residue_collinearity_agrees_with_polar(data):
+    space, base, a, b = data
+    collinear = not point_mask(space, b) & ~_perp(space, point_mask(space, a))
+    assert collinear == residue_collinear(space, base, a, b)
+
+
+# -- the subspace-arithmetic reference for lemma5 and the induced point map ----
+
+
+def _reference_opposite_pairs(graph):
+    nv = graph.num_vertices
+    return [(i, j) for i in range(nv) for j in range(i + 1, nv) if graph.dist[i][j] == graph.diameter]
+
+
+def reference_lemma5(emb):
+    """verify_lemma5 with Zassenhaus meets and containments on RREF subspaces."""
+    field = emb.dst_space.field
+    n, n_prime = emb.src_space.n, emb.dst_space.n
+    pairs = _reference_opposite_pairs(emb.source)
+    i0, j0 = pairs[0]
+    base = intersect(field, emb.image_of(i0), emb.image_of(j0))
+    if base.rank != n_prime - n:
+        raise CounterexampleError(
+            "lemma5",
+            {"kind": "base_dimension", "expected_rank": n_prime - n, "got": subspace_json(base)},
+        )
+    for i, j in pairs[1:]:
+        other = intersect(field, emb.image_of(i), emb.image_of(j))
+        if other != base:
+            raise CounterexampleError(
+                "lemma5",
+                {"kind": "base_depends_on_opposite_pair", "pair": [i, j], "other": subspace_json(other)},
+            )
+    for v in range(emb.source.num_vertices):
+        if not contains_subspace(field, emb.image_of(v), base):
+            raise CounterexampleError("lemma5", {"kind": "image_missing_base", "vertex": v})
+    return base
+
+
+def reference_point_map(emb):
+    """induced_point_map with Zassenhaus meets, containments and joins."""
+    field = emb.dst_space.field
+    n, n_prime = emb.src_space.n, emb.dst_space.n
+    i0, j0 = _reference_opposite_pairs(emb.source)[0]
+    base = intersect(field, emb.image_of(i0), emb.image_of(j0))
+    points_of = [points_in_subspace(emb.src_space, sub) for sub in emb.source.labels]
+    stars = {pt: [] for pt in emb.src_space.points}
+    for i, pts in enumerate(points_of):
+        for pt in pts:
+            stars[pt].append(i)
+    assignment = {}
+    for pt in emb.src_space.points:
+        g = reduce(lambda a, b: intersect(field, a, b), (emb.image_of(i) for i in stars[pt]))
+        if g.rank != n_prime - n + 1 or not contains_subspace(field, g, base):
+            raise CounterexampleError(
+                "theorem3",
+                {"kind": "point_image_defect", "point": list(pt), "got": subspace_json(g)},
+            )
+        assignment[pt] = g
+    if len(set(assignment.values())) != len(assignment):
+        raise CounterexampleError("theorem3", {"kind": "point_map_not_injective"})
+    for v in range(emb.source.num_vertices):
+        span = reduce(lambda a, b: sum_span(field, a, b), (assignment[pt] for pt in points_of[v]))
+        if span != emb.image_of(v):
+            raise CounterexampleError(
+                "theorem3",
+                {"kind": "image_not_spanned_by_point_map", "vertex": v, "span": subspace_json(span)},
+            )
+    return InducedPointMap(emb.src_space, emb.dst_space, base, assignment)
+
+
+def _outcome(fn, emb):
+    try:
+        out = fn(emb)
+    except CounterexampleError as exc:
+        return exc.as_violation()
+    return (out.base, out.assignment) if isinstance(out, InducedPointMap) else out
+
+
+def _perturbed(embs, count, seed):
+    """Seeded copies of found embeddings: unchanged, two images swapped, or
+    one image replaced by a random target vertex."""
+    rng = random.Random(seed)
+    for k in range(count):
+        emb = embs[rng.randrange(len(embs))]
+        a = list(emb.assignment)
+        if k % 3 == 1:
+            i, j = rng.sample(range(len(a)), 2)
+            a[i], a[j] = a[j], a[i]
+        elif k % 3 == 2:
+            a[rng.randrange(len(a))] = rng.randrange(emb.target.num_vertices)
+        yield GraphEmbedding(emb.src_space, emb.dst_space, emb.source, emb.target, tuple(a))
+
+
+@pytest.mark.parametrize(
+    "src,dst,mode,budget",
+    [(SP42, SP62, "sample", 40_000), (SP42, SP42, "exhaustive", 100_000), (SP43, SP43, "sample", 20_000)],
+    ids=["sp42-sp62", "sp42-sp42", "sp43-sp43"],
+)
+def test_mask_verifiers_match_the_reference(src, dst, mode, budget):
+    embs, _ = search_dualpolar_embeddings(src, dst, mode=mode, budget=budget, seed=6)
+    assert embs
+    kinds = set()
+    for emb in _perturbed(embs, 300, seed=17):
+        for new, ref in ((verify_lemma5, reference_lemma5), (induced_point_map, reference_point_map)):
+            got = _outcome(new, emb)
+            assert got == _outcome(ref, emb)
+            kinds.add(got.get("kind") if isinstance(got, dict) else "ok")
+    # the perturbations reach both verdicts and several violation kinds
+    assert "ok" in kinds and len(kinds) >= 4
