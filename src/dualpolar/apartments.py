@@ -25,8 +25,8 @@ from .graphs import (
     _bits,
     dual_polar_graph,
     geodesic_count,
-    geodesics_between,
     hypercube,
+    iter_geodesics,
     meet_graph,
     sample_geodesic,
 )
@@ -92,47 +92,68 @@ def _source_plan(src: DenseGraph):
     return order, plan
 
 
-def _branch_search(dst_nbrs, dst_dist, plan, nsrc, root_img, budget, rng):
-    """Explore one root placement; returns (image tuples, expansions, complete)."""
+def _shuffle(items: list, rng: random.Random) -> None:
+    """Shuffle ``items`` in place with the draws of ``random.Random.shuffle``:
+    Fisher-Yates from the end, each index drawn by rejection sampling on
+    ``getrandbits``, so a sample stream does not depend on the Python
+    version's ``shuffle``."""
+    getrandbits = rng.getrandbits
+    for i in range(len(items) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        items[i], items[j] = items[j], items[i]
+
+
+def _branch_search(dst_nbrs, dst_adj, at_dist, plan, nsrc, root_img, budget, rng):
+    """Explore one root placement; returns (image tuples, expansions, complete).
+
+    ``at_dist[v][d]`` is the bitmask of target vertices at distance d from v,
+    so the candidates left by every distance constraint are one AND per
+    placed vertex; they are walked in neighbor order (shuffled in sample mode).
+    """
     if budget < 1:
         return [], 0, False
     found = []
     imgs = [root_img]
-    state = {"expansions": 1, "complete": True}
+    expansions = 1
+    complete = True
 
     def dfs(k: int) -> None:
+        nonlocal expansions, complete
         if k == nsrc:
             found.append(tuple(imgs))
             return
         parent, reqs = plan[k - 1]
+        allowed = dst_adj[imgs[parent]]
+        for j, d in reqs:
+            allowed &= at_dist[imgs[j]][d]
         cands = dst_nbrs[imgs[parent]]
         if rng is not None:
+            # shuffled even when nothing is allowed, to keep the draws
             cands = list(cands)
-            rng.shuffle(cands)
+            _shuffle(cands, rng)
+        if not allowed:
+            return
         for cand in cands:
-            drow = dst_dist[cand]
-            ok = True
-            for j, d in reqs:
-                if drow[imgs[j]] != d:
-                    ok = False
-                    break
-            if not ok:
+            if not allowed >> cand & 1:
                 continue
-            if state["expansions"] >= budget:
-                state["complete"] = False
+            if expansions >= budget:
+                complete = False
                 return
-            state["expansions"] += 1
+            expansions += 1
             imgs.append(cand)
             dfs(k + 1)
             imgs.pop()
-            if not state["complete"]:
+            if not complete:
                 return
 
     if nsrc > 1:
         dfs(1)
     else:
         found.append(tuple(imgs))
-    return found, state["expansions"], state["complete"]
+    return found, expansions, complete
 
 
 def search_stats(
@@ -178,12 +199,22 @@ def search_isometric_embeddings(
         raise ValueError(f"unknown mode {mode!r}")
     if budget <= 0:
         raise ValueError("budget must be positive")
+    if not src.connected:
+        raise ValueError("source graph is disconnected; only connected sources are supported")
     order, plan = _source_plan(src)
     nsrc = src.num_vertices
     nv = dst.num_vertices
     if nv == 0:
         return [], search_stats(mode, budget, seed, workers)
     nbrs = tuple(tuple(_bits(mask)) for mask in dst.adj)
+    # bit u of at_dist[v][d] is set when dst.dist[v][u] == d, so distances
+    # the target lacks (beyond its diameter, or unreachable) get empty masks
+    dist = np.array(dst.dist, dtype=np.int16)
+    at_dist = list(zip(*(
+        [int.from_bytes(row.tobytes(), "little")
+         for row in np.packbits(dist == d, axis=1, bitorder="little")]
+        for d in range(max(src.diameter, dst.diameter) + 1)
+    )))
     shares = [budget // nv + (1 if i < budget % nv else 0) for i in range(nv)]
     if mode == "sample":
         # one independent stream per root branch, all split from the one seed
@@ -197,7 +228,7 @@ def search_isometric_embeddings(
     complete = True
     for root in range(nv):
         found, exp, comp = _branch_search(
-            nbrs, dst.dist, plan, nsrc, root, shares[root], rngs[root]
+            nbrs, dst.adj, at_dist, plan, nsrc, root, shares[root], rngs[root]
         )
         expansions += exp
         complete = complete and comp
@@ -436,9 +467,9 @@ def verify_lemma1(
 ) -> dict:
     """Check that geodesic interiors contain the intersection of the endpoints.
 
-    Exhaustive mode walks every geodesic between every vertex pair (the
-    budget caps the total, flagging incompleteness); sample mode draws
-    ``budget`` seeded uniform geodesics from random pairs.
+    Exhaustive mode walks the geodesics of every vertex pair one at a time
+    and stops when the budget runs out, flagging incompleteness; sample
+    mode draws ``budget`` seeded uniform geodesics from random pairs.
     """
     start = time.perf_counter()
     if graph is None:
@@ -467,14 +498,17 @@ def verify_lemma1(
         nv = graph.num_vertices
         for v in range(nv):
             for w in range(v + 1, nv):
-                if graph.dist[v][w] < 2 or not complete:
+                if graph.dist[v][w] < 2:
                     continue
-                paths, _ = geodesics_between(graph, v, w)
-                for path in paths:
+                for path in iter_geodesics(graph, v, w):
                     if tested >= budget:
                         complete = False
                         break
                     check_path(path)
+                if not complete:
+                    break
+            if not complete:
+                break
     elif mode == "sample":
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         nv = graph.num_vertices

@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -228,6 +228,29 @@ def geodesic_count(graph: DenseGraph, v: int, w: int) -> tuple[int, list[int]]:
     return counts[w], counts
 
 
+def iter_geodesics(graph: DenseGraph, v: int, w: int) -> Iterator[list[int]]:
+    """Every geodesic vertex path from v to w, one at a time, depth first
+    with neighbors in index order; v == w yields [v]."""
+    dvw = graph.dist[v][w]
+    if dvw == UNREACHABLE:
+        raise ValueError(f"vertices {v} and {w} are not connected")
+    dv, dw = graph.dist[v], graph.dist[w]
+    path = [v]
+
+    def walk() -> Iterator[list[int]]:
+        u = path[-1]
+        if u == w:
+            yield list(path)
+            return
+        for t in _bits(graph.adj[u]):
+            if dv[t] == dv[u] + 1 and dv[t] + dw[t] == dvw:
+                path.append(t)
+                yield from walk()
+                path.pop()
+
+    return walk()
+
+
 def geodesics_between(
     graph: DenseGraph,
     v: int,
@@ -243,22 +266,7 @@ def geodesics_between(
     """
     total, counts = geodesic_count(graph, v, w)
     if budget is None or total <= budget:
-        paths: list[list[int]] = []
-        dvw = graph.dist[v][w]
-        dv, dw = graph.dist[v], graph.dist[w]
-
-        def walk(path: list[int]) -> None:
-            u = path[-1]
-            if u == w:
-                paths.append(list(path))
-                return
-            for t in _bits(graph.adj[u]):
-                if dv[t] == dv[u] + 1 and dv[t] + dw[t] == dvw:
-                    path.append(t)
-                    walk(path)
-                    path.pop()
-
-        walk([v])
+        paths = list(iter_geodesics(graph, v, w))
         assert len(paths) == total
         return paths, True
     rng = np.random.default_rng(np.random.SeedSequence(seed))

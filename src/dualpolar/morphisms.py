@@ -216,21 +216,9 @@ def _frame_index_lists(space: PolarSpace, frames) -> list[tuple[list[int], tuple
     ]
 
 
-def _frame_violations(
-    space: PolarSpace, g: list[int], perps: list[int], frames_idx
-) -> list[dict]:
-    """Frames of ``space`` whose point images (masks ``g`` with perps
-    ``perps``) break the residue-frame collinearity pattern.
-
-    Two images over the base are residue-collinear exactly when their span is
-    singular, i.e. when one lies in the perp of the other.
-    """
-    rc_masks = [0] * len(g)
-    for i in range(len(g)):
-        for j in range(i + 1, len(g)):
-            if not g[j] & ~perps[i]:
-                rc_masks[i] |= 1 << j
-                rc_masks[j] |= 1 << i
+def _off_pattern(rc_masks: list[int], frames_idx) -> list[list[int]]:
+    """Point indices of the frames whose points are not pairwise collinear,
+    in ``rc_masks``, exactly off the partner involution."""
     out = []
     for idx, sigma in frames_idx:
         ok = True
@@ -243,13 +231,34 @@ def _frame_violations(
             if not ok:
                 break
         if not ok:
-            out.append(
-                {
-                    "statement": "frames_preserving",
-                    "frame": [list(space.points[i]) for i in idx],
-                }
-            )
+            out.append(idx)
     return out
+
+
+def _frame_violations(
+    space: PolarSpace, g: list[int], perps: list[int], frames_idx
+) -> list[dict]:
+    """Frames of ``space`` whose point images (masks ``g`` with perps
+    ``perps``) break the residue-frame collinearity pattern; ``frames_idx``
+    must hold frames of ``space``.
+
+    Two images over the base are residue-collinear exactly when their span is
+    singular, i.e. when one lies in the perp of the other.  A frame's points
+    are collinear exactly off its partners, so when the images are
+    residue-collinear exactly where the points are collinear, no frame breaks.
+    """
+    rc_masks = [0] * len(g)
+    for i in range(len(g)):
+        for j in range(i + 1, len(g)):
+            if not g[j] & ~perps[i]:
+                rc_masks[i] |= 1 << j
+                rc_masks[j] |= 1 << i
+    if rc_masks == space.collinear_masks():
+        return []
+    return [
+        {"statement": "frames_preserving", "frame": [list(space.points[i]) for i in idx]}
+        for idx in _off_pattern(rc_masks, frames_idx)
+    ]
 
 
 def check_frames_preserving(
@@ -264,7 +273,8 @@ def check_frames_preserving(
     Source frames are enumerated exhaustively when the budget allows,
     otherwise seeded samples are used (at most as many as the space has) and
     the report is marked incomplete; for each frame the images must be
-    residue-collinear exactly off the partner involution.
+    residue-collinear exactly off the partner involution.  Given ``frames``
+    must be frames of the source space, or ValueError is raised.
     """
     start = time.perf_counter()
     complete = True
@@ -273,6 +283,8 @@ def check_frames_preserving(
         if not complete:
             count = min(sample_count, polar.frame_count(pm.src_space))
             frames = polar.sample_frames(pm.src_space, count, seed)
+    elif _off_pattern(pm.src_space.collinear_masks(), _frame_index_lists(pm.src_space, frames)):
+        raise ValueError("frames must be frames of the source space")
     g = [point_mask(pm.dst_space, pm.assignment[pt]) for pt in pm.src_space.points]
     perps = [_perp(pm.dst_space, gp) for gp in g]
     violations = _frame_violations(
@@ -517,7 +529,7 @@ def verify_chow(
     found, stats = search_dualpolar_embeddings(
         space, space, "exhaustive", budget, seed, workers
     )
-    frames, _ = polar.enumerate_frames(space, budget=10**6)
+    frames, frames_complete = polar.enumerate_frames(space, budget=10**6)
     frames_idx = _frame_index_lists(space, frames)
     masks = space.collinear_masks()
     violations: list[dict] = []
@@ -555,7 +567,7 @@ def verify_chow(
         workers=workers,
         counts=counts,
         violations=violations,
-        complete=stats["complete"],
+        complete=stats["complete"] and frames_complete,
         expansions=stats["expansions"],
         elapsed=time.perf_counter() - start,
     )

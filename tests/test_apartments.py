@@ -1,16 +1,24 @@
+import random
+
+import numpy as np
 import pytest
 
+from dualpolar import apartments
 from dualpolar.apartments import (
     Embedding,
+    _shuffle,
+    _source_plan,
     base_subspace,
     is_apartment,
     is_isometric_embedding,
     recover_frame,
     search_hypercube_embeddings,
+    search_isometric_embeddings,
+    search_stats,
     verify_lemma1,
     verify_theorem2,
 )
-from dualpolar.graphs import dual_polar_graph, hypercube
+from dualpolar.graphs import dual_polar_graph, graph_from_edges, hypercube, iter_geodesics
 from dualpolar.linalg import contains, intersect, rref
 from dualpolar.polar import (
     PolarSpace,
@@ -22,8 +30,10 @@ from dualpolar.reporting import CounterexampleError
 
 SP42 = PolarSpace(2, 2)
 SP62 = PolarSpace(3, 2)
+SP43 = PolarSpace(2, 3)
 G42 = dual_polar_graph(SP42)
 G62 = dual_polar_graph(SP62)
+G43 = dual_polar_graph(SP43)
 
 
 def frame_apartment_embedding(space, graph, frame):
@@ -80,6 +90,12 @@ def test_search_rejects_bad_arguments():
         search_hypercube_embeddings(2, G42, mode="other")
     with pytest.raises(ValueError):
         search_hypercube_embeddings(2, G42, budget=0)
+
+
+def test_search_rejects_a_disconnected_source():
+    two_edges = graph_from_edges(list(range(4)), [(0, 1), (2, 3)])
+    with pytest.raises(ValueError, match="disconnected"):
+        search_isometric_embeddings(two_edges, G42)
 
 
 def test_no_hypercube_above_rank():
@@ -203,6 +219,22 @@ def test_verify_lemma1_exhaustive_sp42():
     assert report["counts"]["geodesics"] > 0
 
 
+def test_lemma1_exhaustive_walks_no_geodesic_past_the_budget(monkeypatch):
+    walked = []
+
+    def counting(graph, v, w):
+        for path in iter_geodesics(graph, v, w):
+            walked.append(path)
+            yield path
+
+    monkeypatch.setattr(apartments, "iter_geodesics", counting)
+    report = verify_lemma1(SP62, mode="exhaustive", budget=1)
+    assert report["complete"] is False
+    assert report["counts"]["geodesics"] == 1
+    # the tested path, and the next one, which finds the budget spent
+    assert len(walked) == 2
+
+
 def test_verify_lemma1_sampled_sp62():
     report = verify_lemma1(SP62, mode="sample", budget=500, seed=2)
     assert report["violations"] == []
@@ -263,3 +295,110 @@ def test_labelled_validation_rejects_swapped_images(space, graph):
         recover_frame(space, Embedding(emb.source, graph, tuple(swapped)))
     # the same members, unlabelled, are still an apartment
     assert is_apartment(space, emb.image_labels()) is not None
+
+
+# -- the per-candidate reference search ----------------------------------------
+
+
+def _reference_branch(dst_nbrs, dst_dist, plan, nsrc, root_img, budget, rng):
+    """_branch_search with a per-candidate distance test and random.shuffle."""
+    if budget < 1:
+        return [], 0, False
+    found = []
+    imgs = [root_img]
+    state = {"expansions": 1, "complete": True}
+
+    def dfs(k):
+        if k == nsrc:
+            found.append(tuple(imgs))
+            return
+        parent, reqs = plan[k - 1]
+        cands = dst_nbrs[imgs[parent]]
+        if rng is not None:
+            cands = list(cands)
+            rng.shuffle(cands)
+        for cand in cands:
+            if any(dst_dist[cand][imgs[j]] != d for j, d in reqs):
+                continue
+            if state["expansions"] >= budget:
+                state["complete"] = False
+                return
+            state["expansions"] += 1
+            imgs.append(cand)
+            dfs(k + 1)
+            imgs.pop()
+            if not state["complete"]:
+                return
+
+    if nsrc > 1:
+        dfs(1)
+    else:
+        found.append(tuple(imgs))
+    return found, state["expansions"], state["complete"]
+
+
+def reference_search(src, dst, mode, budget, seed):
+    """search_isometric_embeddings over _reference_branch."""
+    order, plan = _source_plan(src)
+    nsrc, nv = src.num_vertices, dst.num_vertices
+    nbrs = [dst.neighbors(v) for v in range(nv)]
+    shares = [budget // nv + (1 if i < budget % nv else 0) for i in range(nv)]
+    if mode == "sample":
+        children = np.random.SeedSequence(seed).spawn(nv)
+        rngs = [random.Random(int(c.generate_state(2, np.uint64)[0])) for c in children]
+    else:
+        rngs = [None] * nv
+    embeddings, expansions, complete = [], 0, True
+    for root in range(nv):
+        found, exp, comp = _reference_branch(
+            nbrs, dst.dist, plan, nsrc, root, shares[root], rngs[root]
+        )
+        expansions += exp
+        complete = complete and comp
+        for imgs in found:
+            assignment = [0] * nsrc
+            for k, v in enumerate(order):
+                assignment[v] = imgs[k]
+            embeddings.append(Embedding(src, dst, tuple(assignment)))
+    return embeddings, search_stats(mode, budget, seed, 1, embeddings, expansions, complete)
+
+
+SEARCH_CASES = {
+    **{
+        f"h{m}-sp62-seed{seed}": (hypercube(m), G62, "sample", 3_000, seed)
+        for m in (2, 3)
+        for seed in (0, 5, 11)
+    },
+    # H_3 has a larger diameter than the dual polar graph of Sp(4,2)
+    "h3-sp42": (hypercube(3), G42, "exhaustive", 10**5, 0),
+    "h3-sp42-sample": (hypercube(3), G42, "sample", 10**5, 4),
+    "sp42-sp62": (G42, G62, "sample", 20_000, 6),
+    # a disconnected target: unreachable pairs meet no distance constraint
+    "h2-two-squares": (
+        hypercube(2),
+        graph_from_edges(list(range(8)), [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)]),
+        "exhaustive", 1_000, 0,
+    ),
+    # a budget below the 40 vertices leaves some root branches no budget
+    "sp43-sp43-b30": (G43, G43, "exhaustive", 30, 0),
+    "sp43-sp43-b30-sample": (G43, G43, "sample", 30, 2),
+}
+
+
+@pytest.mark.parametrize("case", SEARCH_CASES.values(), ids=SEARCH_CASES.keys())
+def test_mask_pruned_search_matches_the_reference(case):
+    embs, stats = search_isometric_embeddings(*case)
+    ref, ref_stats = reference_search(*case)
+    assert [e.assignment for e in embs] == [e.assignment for e in ref]
+    assert stats == ref_stats
+
+
+def test_shuffle_makes_the_draws_of_random_shuffle():
+    for seed in range(20):
+        for length in range(41):
+            mine, ref = random.Random(seed), random.Random(seed)
+            got, want = list(range(length)), list(range(length))
+            _shuffle(got, mine)
+            ref.shuffle(want)
+            assert got == want
+            assert mine.getstate() == ref.getstate()

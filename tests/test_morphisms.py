@@ -9,12 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualpolar import polar
 from dualpolar.linalg import contains_subspace, intersect, rref, sum_span
 from dualpolar.morphisms import (
     GraphEmbedding,
     InducedPointMap,
     LiftError,
+    _frame_index_lists,
+    _frame_violations,
     _perp,
+    _point_images,
     check_frames_preserving,
     induced_point_map,
     lift_frame_preserving_map,
@@ -25,6 +29,7 @@ from dualpolar.morphisms import (
     verify_theorem3,
 )
 from dualpolar.polar import (
+    Frame,
     PolarSpace,
     empty_subspace,
     enumerate_frames,
@@ -103,6 +108,15 @@ def test_frames_preserving_sample_fallback_is_incomplete(lifted):
     assert report["counts"]["frames"] == 90
 
 
+def test_frames_preserving_rejects_non_frames(lifted):
+    _, _, emb = lifted
+    frame = enumerate_frames(SP42)[0][0]
+    # the same points with a wrong partner involution
+    sigma = (frame.sigma[1], frame.sigma[0], frame.sigma[3], frame.sigma[2])
+    with pytest.raises(ValueError, match="frames"):
+        check_frames_preserving(induced_point_map(emb), frames=[Frame(frame.points, sigma)])
+
+
 def test_lift_rejects_collapsed_points(lifted):
     base, point_map, _ = lifted
     broken = dict(point_map)
@@ -162,6 +176,14 @@ def test_verify_chow_quick():
     assert report["violations"] == []
     assert report["complete"]
     assert report["counts"]["embeddings"] == 720
+
+
+def test_verify_chow_reports_incomplete_frames(monkeypatch):
+    frames, _ = enumerate_frames(SP42)
+    monkeypatch.setattr(polar, "enumerate_frames", lambda space, budget: (frames[:5], False))
+    report = verify_chow(SP42, budget=100_000)
+    assert report["counts"]["frames_checked"] == 5
+    assert report["complete"] is False
 
 
 def test_counterexample_payloads_are_jsonable():
@@ -333,3 +355,50 @@ def test_mask_verifiers_match_the_reference(src, dst, mode, budget):
             kinds.add(got.get("kind") if isinstance(got, dict) else "ok")
     # the perturbations reach both verdicts and several violation kinds
     assert "ok" in kinds and len(kinds) >= 4
+
+
+# -- the per-frame reference for the frame check ---------------------------------
+
+
+def reference_frame_violations(space, g, perps, frames):
+    """Frames whose images are not residue-collinear exactly off the partners,
+    each pair tested on its own."""
+    out = []
+    for frame in frames:
+        idx = [space.point_index[pt] for pt in frame.points]
+        ok = all(
+            (not g[idx[b]] & ~perps[idx[a]]) == (b != frame.sigma[a])
+            for a in range(len(idx))
+            for b in range(a + 1, len(idx))
+        )
+        if not ok:
+            out.append({"statement": "frames_preserving", "frame": [list(pt) for pt in frame.points]})
+    return out
+
+
+@pytest.mark.parametrize(
+    "src,dst,mode,budget",
+    [(SP42, SP62, "sample", 40_000), (SP43, SP43, "sample", 20_000)],
+    ids=["sp42-sp62", "chow-sp43"],
+)
+def test_frame_check_matches_the_per_frame_reference(src, dst, mode, budget):
+    embs, _ = search_dualpolar_embeddings(src, dst, mode=mode, budget=budget, seed=6)
+    frames, complete = enumerate_frames(src)
+    assert embs and complete
+    frames_idx = _frame_index_lists(src, frames)
+    images = [_point_images(emb)[1] for emb in embs]
+    pool = [gp for g in images for gp in g]
+    rng = random.Random(23)
+    verdicts = set()
+    for k in range(300):
+        g = list(images[rng.randrange(len(images))])
+        if k % 3 == 1:
+            i, j = rng.sample(range(len(g)), 2)
+            g[i], g[j] = g[j], g[i]
+        elif k % 3 == 2:
+            g[rng.randrange(len(g))] = pool[rng.randrange(len(pool))]
+        perps = [_perp(dst, gp) for gp in g]
+        got = _frame_violations(src, g, perps, frames_idx)
+        assert got == reference_frame_violations(src, g, perps, frames)
+        verdicts.add(bool(got))
+    assert verdicts == {False, True}
