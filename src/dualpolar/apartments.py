@@ -30,7 +30,7 @@ from .graphs import (
     meet_graph,
     sample_geodesic,
 )
-from .linalg import Subspace, contains_subspace, intersect, rref
+from .linalg import Subspace, rref
 from .polar import PolarSpace, mask_rank, point_mask, subspace_of_mask
 from .reporting import CounterexampleError, make_report, subspace_json
 
@@ -44,9 +44,6 @@ class Embedding:
     source: DenseGraph
     target: DenseGraph
     assignment: tuple[int, ...]
-
-    def image_indices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.assignment))
 
     def image_labels(self) -> list:
         return [self.target.labels[i] for i in self.assignment]
@@ -106,16 +103,16 @@ def _shuffle(items: list, rng: random.Random) -> None:
         items[i], items[j] = items[j], items[i]
 
 
-def _branch_search(dst_nbrs, dst_adj, at_dist, plan, nsrc, root_img, budget, rng):
-    """Explore one root placement; returns (image tuples, expansions, complete).
+def _branch_search(dst_nbrs, dst_adj, at_dist, plan, nsrc, root_img, budget, rng, leaf):
+    """Explore one root placement, calling ``leaf(imgs)`` with the images in
+    plan order at every full placement; returns (expansions, complete).
 
     ``at_dist[v][d]`` is the bitmask of target vertices at distance d from v,
     so the candidates left by every distance constraint are one AND per
     placed vertex; they are walked in neighbor order (shuffled in sample mode).
     """
     if budget < 1:
-        return [], 0, False
-    found = []
+        return 0, False
     imgs = [root_img]
     expansions = 1
     complete = True
@@ -123,7 +120,7 @@ def _branch_search(dst_nbrs, dst_adj, at_dist, plan, nsrc, root_img, budget, rng
     def dfs(k: int) -> None:
         nonlocal expansions, complete
         if k == nsrc:
-            found.append(tuple(imgs))
+            leaf(imgs)
             return
         parent, reqs = plan[k - 1]
         allowed = dst_adj[imgs[parent]]
@@ -152,8 +149,8 @@ def _branch_search(dst_nbrs, dst_adj, at_dist, plan, nsrc, root_img, budget, rng
     if nsrc > 1:
         dfs(1)
     else:
-        found.append(tuple(imgs))
-    return found, expansions, complete
+        leaf(imgs)
+    return expansions, complete
 
 
 def search_stats(
@@ -161,7 +158,8 @@ def search_stats(
     budget: int,
     seed: int,
     workers: int,
-    embeddings: Sequence[Embedding] = (),
+    embeddings: int = 0,
+    distinct_images: int = 0,
     expansions: int = 0,
     complete: bool = True,
 ) -> dict:
@@ -174,8 +172,8 @@ def search_stats(
         "workers": workers,
         "expansions": expansions,
         "complete": complete,
-        "embeddings": len(embeddings),
-        "distinct_images": len({e.image_indices() for e in embeddings}),
+        "embeddings": embeddings,
+        "distinct_images": distinct_images,
     }
 
 
@@ -186,6 +184,7 @@ def search_isometric_embeddings(
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
     workers: int = 1,
+    visit=None,
 ) -> tuple[list[Embedding], dict]:
     """All (or budget-bounded) isometric embeddings of ``src`` into ``dst``.
 
@@ -194,6 +193,13 @@ def search_isometric_embeddings(
     one after another; ``workers`` is only recorded in the stats, so the
     result set is the same for every worker count.  Expansions count vertex
     placements.
+
+    Without ``visit`` the embeddings come back as a list.  With it, each one
+    is streamed as ``visit(assignment, key, new)`` the moment it is found and
+    the list comes back empty: ``assignment`` is the tuple of target vertices
+    of the source vertices, ``key`` the image as an int (bit v set for each
+    target vertex v in it) and ``new`` whether this is the first embedding
+    with that image.  The stats are the same either way.
     """
     if mode not in ("exhaustive", "sample"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -223,21 +229,36 @@ def search_isometric_embeddings(
     else:
         rngs = [None] * nv
 
-    embeddings = []
+    embeddings: list[Embedding] = []
+    if visit is None:
+        def visit(assignment, key, new):
+            embeddings.append(Embedding(src, dst, assignment))
+    # position in the plan of each source vertex
+    plan_pos = sorted(range(nsrc), key=order.__getitem__)
+    keys: set[int] = set()
+    found = 0
+
+    def leaf(imgs: list[int]) -> None:
+        nonlocal found
+        found += 1
+        key = 0
+        for v in imgs:
+            key |= 1 << v
+        new = key not in keys
+        if new:
+            keys.add(key)
+        visit(tuple([imgs[k] for k in plan_pos]), key, new)
+
     expansions = 0
     complete = True
     for root in range(nv):
-        found, exp, comp = _branch_search(
-            nbrs, dst.adj, at_dist, plan, nsrc, root, shares[root], rngs[root]
+        exp, comp = _branch_search(
+            nbrs, dst.adj, at_dist, plan, nsrc, root, shares[root], rngs[root], leaf
         )
         expansions += exp
         complete = complete and comp
-        for imgs in found:
-            assignment = [0] * nsrc
-            for k, v in enumerate(order):
-                assignment[v] = imgs[k]
-            embeddings.append(Embedding(src, dst, tuple(assignment)))
-    return embeddings, search_stats(mode, budget, seed, workers, embeddings, expansions, complete)
+    stats = search_stats(mode, budget, seed, workers, found, len(keys), expansions, complete)
+    return embeddings, stats
 
 
 def search_hypercube_embeddings(
@@ -247,13 +268,15 @@ def search_hypercube_embeddings(
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
     workers: int = 1,
+    visit=None,
 ) -> tuple[list[Embedding], dict]:
-    """Isometric embeddings of the hypercube H_m into ``graph``.
+    """Isometric embeddings of the hypercube H_m into ``graph``, listed or
+    streamed to ``visit`` as in ``search_isometric_embeddings``.
 
     m may exceed the target diameter; the distance constraints then prune
     everything and the search returns no embeddings.
     """
-    return search_isometric_embeddings(hypercube(m), graph, mode, budget, seed, workers)
+    return search_isometric_embeddings(hypercube(m), graph, mode, budget, seed, workers, visit)
 
 
 # -- decomposition of embedded hypercubes ------------------------------------
@@ -294,19 +317,20 @@ class ApartmentWitness:
         return frame
 
 
-def _vertices_by_mask(emb: Embedding) -> list[int]:
-    """Target vertex of each hypercube vertex, indexed by its sign mask."""
-    first = emb.source.labels[0]
+def _vertices_by_mask(cube: DenseGraph, assignment: Sequence[int]) -> list[int]:
+    """Target vertex of each vertex of the hypercube ``cube``, indexed by its
+    sign mask."""
+    first = cube.labels[0]
     if not hasattr(first, "mask"):
         raise ValueError("embedding source is not a hypercube graph")
-    order = [0] * emb.source.num_vertices
-    for v, lab in enumerate(emb.source.labels):
-        order[lab.mask] = emb.assignment[v]
+    order = [0] * cube.num_vertices
+    for v, lab in enumerate(cube.labels):
+        order[lab.mask] = assignment[v]
     return order
 
 
 def _images_by_mask(emb: Embedding) -> list[Subspace]:
-    return [emb.target.labels[i] for i in _vertices_by_mask(emb)]
+    return [emb.target.labels[i] for i in _vertices_by_mask(emb.source, emb.assignment)]
 
 
 def _base_from_masks(space: PolarSpace, masks: Sequence[int], statement: str) -> int:
@@ -435,7 +459,9 @@ def is_apartment(space: PolarSpace, members) -> ApartmentWitness | None:
     Returns None when the set cannot even be relabeled as an isometrically
     embedded hypercube (wrong size, or no distance-preserving labeling).  If
     a labeling exists but its decomposition fails validation, that failure
-    is a counterexample to the characterization and raises instead.
+    is a counterexample to the characterization and raises instead.  If the
+    labelling search runs out of its budget without finding a labelling,
+    RuntimeError is raised: an unfinished search decides nothing.
     """
     unique = sorted(set(members), key=lambda s: s.rows)
     for s in unique:
@@ -446,12 +472,14 @@ def is_apartment(space: PolarSpace, members) -> ApartmentWitness | None:
     if size != 1 << m or not 1 <= m <= space.n:
         return None
     masks = [point_mask(space, s) for s in unique]
-    found, _ = search_isometric_embeddings(
+    found, stats = search_isometric_embeddings(
         hypercube(m), meet_graph(space, unique, masks), mode="exhaustive", budget=10**6
     )
     if not found:
+        if not stats["complete"]:
+            raise RuntimeError("the labelling search ran out of its budget")
         return None
-    order = _vertices_by_mask(found[0])
+    order = _vertices_by_mask(found[0].source, found[0].assignment)
     return _witness_from_images(space, [unique[i] for i in order], [masks[i] for i in order])
 
 
@@ -469,12 +497,14 @@ def verify_lemma1(
 
     Exhaustive mode walks the geodesics of every vertex pair one at a time
     and stops when the budget runs out, flagging incompleteness; sample
-    mode draws ``budget`` seeded uniform geodesics from random pairs.
+    mode draws ``budget`` seeded uniform geodesics from random pairs.  Meets
+    and containments are taken on the point masks the graph keeps for its
+    vertices, so a given ``graph`` must be a dual polar graph of ``space``.
     """
     start = time.perf_counter()
     if graph is None:
         graph = dual_polar_graph(space)
-    field = space.field
+    masks = graph.masks
     violations: list[dict] = []
     tested = 0
     complete = True
@@ -482,9 +512,9 @@ def verify_lemma1(
     def check_path(path: list[int]) -> None:
         nonlocal tested
         tested += 1
-        meet = intersect(field, graph.labels[path[0]], graph.labels[path[-1]])
+        meet = masks[path[0]] & masks[path[-1]]
         for u in path[1:-1]:
-            if not contains_subspace(field, graph.labels[u], meet):
+            if meet & ~masks[u]:
                 violations.append(
                     {
                         "statement": "lemma1",
@@ -550,9 +580,10 @@ def verify_theorem2(
     """Search for embedded hypercubes H_m and validate that every distinct
     image is an apartment over a base of projective dimension n - m - 1.
 
-    Each image is decomposed in the hypercube labelling of the embedding that
-    found it, on the point masks the graph keeps for its vertices (so a given
-    ``graph`` must be a dual polar graph of ``space`` or a ``meet_graph``).
+    Each image is decomposed as soon as the search first finds it, in the
+    hypercube labelling of that embedding, on the point masks the graph keeps
+    for its vertices (so a given ``graph`` must be a dual polar graph of
+    ``space`` or a ``meet_graph``).
 
     With m = n in exhaustive mode the distinct images are also counted
     against the frame-defined apartments, and each witness is round-tripped
@@ -563,14 +594,13 @@ def verify_theorem2(
     start = time.perf_counter()
     if graph is None:
         graph = dual_polar_graph(space)
-    embeddings, stats = search_hypercube_embeddings(m, graph, mode, budget, seed, workers)
+    cube = hypercube(m)
     violations: list[dict] = []
-    images_seen: dict[tuple[int, ...], Embedding] = {}
-    for emb in embeddings:
-        images_seen.setdefault(emb.image_indices(), emb)
 
-    for key, emb in images_seen.items():
-        order = _vertices_by_mask(emb)
+    def validate(assignment: tuple[int, ...], key: int, new: bool) -> None:
+        if not new:
+            return
+        order = _vertices_by_mask(cube, assignment)
         try:
             witness = _witness_from_images(
                 space, [graph.labels[i] for i in order], [graph.masks[i] for i in order]
@@ -579,23 +609,35 @@ def verify_theorem2(
                 frame = witness.to_frame(space)
         except CounterexampleError as exc:
             violations.append(exc.as_violation())
-            continue
+            return
         if m == space.n and set(polar.apartment_of_frame(space, frame)) != witness.member_set():
             violations.append(
-                {"statement": "theorem2", "kind": "frame_roundtrip_mismatch", "image": list(key)}
+                {"statement": "theorem2", "kind": "frame_roundtrip_mismatch", "image": _bits(key)}
             )
+
+    _, stats = search_isometric_embeddings(
+        cube, graph, mode, budget, seed, workers, visit=validate
+    )
 
     apartments = None
     if m == space.n and mode == "exhaustive" and stats["complete"]:
-        frames, frames_complete = polar.enumerate_frames(space, budget=budget)
+        # each apartment as an int over the maximals, like the image keys
+        index = dual_polar_graph(space).index
+        members: set[int] = set()
+        _, frames_complete = polar.enumerate_frames(
+            space, budget=budget,
+            visit=lambda frame: members.add(sum(
+                1 << index[s] for s in polar.apartment_of_frame(space, frame)
+            )),
+        )
         if frames_complete:
-            apartments = len({frozenset(polar.apartment_of_frame(space, f)) for f in frames})
-            if apartments != len(images_seen):
+            apartments = len(members)
+            if apartments != stats["distinct_images"]:
                 violations.append(
                     {
                         "statement": "theorem2",
                         "kind": "image_count_vs_apartments",
-                        "distinct_images": len(images_seen),
+                        "distinct_images": stats["distinct_images"],
                         "apartments": apartments,
                     }
                 )

@@ -189,7 +189,7 @@ def cmd_count(args) -> int:
         graph = graphs.dual_polar_graph(space)
         _, stats = apartments.search_hypercube_embeddings(
             m, graph, mode=args.mode, budget=args.budget,
-            seed=args.seed, workers=args.workers,
+            seed=args.seed, workers=args.workers, visit=lambda *found: None,
         )
         counts = {"embeddings": stats["embeddings"], "distinct_images": stats["distinct_images"]}
         complete = stats["complete"]

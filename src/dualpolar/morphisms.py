@@ -52,9 +52,6 @@ class GraphEmbedding:
     target: DenseGraph
     assignment: tuple[int, ...]
 
-    def image_indices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.assignment))
-
     def image_of(self, i: int) -> Subspace:
         return self.target.labels[self.assignment[i]]
 
@@ -104,21 +101,28 @@ def search_dualpolar_embeddings(
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
     workers: int = 1,
+    visit=None,
 ) -> tuple[list[GraphEmbedding], dict]:
     """Backtracking search for isometric embeddings between dual polar graphs.
 
-    A source of larger diameter admits none, and that case returns empty
-    immediately.
+    Without ``visit`` the embeddings come back as a list; with it, each one
+    is passed to ``visit`` as soon as it is found and the list comes back
+    empty.  A source of larger diameter admits none, and that case returns
+    empty immediately.
     """
     src = dual_polar_graph(src_space)
     if src_space.n > dst_space.n:
         return [], search_stats(mode, budget, seed, workers)
     dst = dual_polar_graph(dst_space)
-    found, stats = search_isometric_embeddings(src, dst, mode, budget, seed, workers)
-    wrapped = [
-        GraphEmbedding(src_space, dst_space, src, dst, emb.assignment) for emb in found
-    ]
-    return wrapped, stats
+    found: list[GraphEmbedding] = []
+    emit = found.append if visit is None else visit
+    _, stats = search_isometric_embeddings(
+        src, dst, mode, budget, seed, workers,
+        visit=lambda assignment, key, new: emit(
+            GraphEmbedding(src_space, dst_space, src, dst, assignment)
+        ),
+    )
+    return found, stats
 
 
 # -- decomposition ------------------------------------------------------------
@@ -159,9 +163,13 @@ def verify_lemma5(emb: GraphEmbedding) -> Subspace:
     return subspace_of_mask(space, base)
 
 
-def _point_images(emb: GraphEmbedding) -> tuple[int, list[int], list[int]]:
+def _point_images(
+    emb: GraphEmbedding, perp_of: dict[int, int]
+) -> tuple[int, list[int], list[int]]:
     """Masks of the base and of every g(p), in ``src_space.points`` order, and
     the perp of every g(p); the checks are those of ``induced_point_map``.
+    ``perp_of`` maps masks to their perps: pass one dict through a verifier
+    call, since the g(p) of different embeddings repeat.
 
     Each g(p) lies in the image W of every maximal M through p, and W is its
     own perp, so g spans W over M exactly when the perps of the g(p) meet in W.
@@ -185,7 +193,12 @@ def _point_images(emb: GraphEmbedding) -> tuple[int, list[int], list[int]]:
             )
     if len(set(g)) != len(g):
         raise CounterexampleError("theorem3", {"kind": "point_map_not_injective"})
-    perps = [_perp(space, gp) for gp in g]
+    perps = []
+    for gp in g:
+        perp = perp_of.get(gp)
+        if perp is None:
+            perp = perp_of[gp] = _perp(space, gp)
+        perps.append(perp)
     for v, (pts, img) in enumerate(zip(members, imgs)):
         if reduce(and_, (perps[p] for p in pts)) != img:
             span = subspace_of_mask(space, reduce(or_, (g[p] for p in pts)))
@@ -205,7 +218,7 @@ def induced_point_map(emb: GraphEmbedding) -> InducedPointMap:
     back its image; failures raise CounterexampleError.
     """
     space = emb.dst_space
-    base, g, _ = _point_images(emb)
+    base, g, _ = _point_images(emb, {})
     assignment = {pt: subspace_of_mask(space, gp) for pt, gp in zip(emb.src_space.points, g)}
     return InducedPointMap(emb.src_space, space, subspace_of_mask(space, base), assignment)
 
@@ -402,15 +415,17 @@ def verify_lemma5_bulk(
     pair independence, containment in every image).
     """
     start = time.perf_counter()
-    found, stats = search_dualpolar_embeddings(
-        src_space, dst_space, mode, budget, seed, workers
-    )
     violations: list[dict] = []
-    for emb in found:
+
+    def check(emb: GraphEmbedding) -> None:
         try:
             verify_lemma5(emb)
         except CounterexampleError as exc:
             violations.append(exc.as_violation())
+
+    _, stats = search_dualpolar_embeddings(
+        src_space, dst_space, mode, budget, seed, workers, visit=check
+    )
     counts = {
         "embeddings": stats["embeddings"],
         "distinct_images": stats["distinct_images"],
@@ -451,21 +466,23 @@ def verify_theorem3(
     sign-mask labelling they come with, as apartments over the same base.
     """
     start = time.perf_counter()
-    found, stats = search_dualpolar_embeddings(
-        src_space, dst_space, mode, budget, seed, workers
-    )
     frames_src, frames_complete = polar.enumerate_frames(src_space, budget=10**6)
     if not frames_complete:
         frames_src = polar.sample_frames(src_space, 100, seed)
     frames_idx = _frame_index_lists(src_space, frames_src)
     violations: list[dict] = []
-    checked_apartments = 0
-    for k, emb in enumerate(found):
+    perp_of: dict[int, int] = {}
+    visited = checked_apartments = 0
+
+    def check(emb: GraphEmbedding) -> None:
+        nonlocal visited, checked_apartments
+        first = visited < apartment_check_embeddings
+        visited += 1
         try:
             base = verify_lemma5(emb)
-            _, g, perps = _point_images(emb)
+            _, g, perps = _point_images(emb, perp_of)
             violations.extend(_frame_violations(src_space, g, perps, frames_idx))
-            if k < apartment_check_embeddings:
+            if first:
                 for frame in frames_src[:apartment_checks]:
                     # apartment_of_frame lists members by sign mask, so the
                     # pushed members already carry a hypercube labelling
@@ -490,6 +507,10 @@ def verify_theorem3(
                         )
         except CounterexampleError as exc:
             violations.append(exc.as_violation())
+
+    _, stats = search_dualpolar_embeddings(
+        src_space, dst_space, mode, budget, seed, workers, visit=check
+    )
     counts = {
         "embeddings": stats["embeddings"],
         "distinct_images": stats["distinct_images"],
@@ -523,36 +544,47 @@ def verify_chow(
 
     Every embedding found must be a bijection whose induced point map is a
     collinearity-preserving bijection of the points carrying frames to
-    frames.
+    frames.  The g(p) are single points here, so their residue collinearity
+    is their collinearity, and a frame is defined by the collinearity of its
+    points: once each pair of points is checked, no frame can break, and the
+    frames are enumerated only for the count and completeness they report.
     """
     start = time.perf_counter()
-    found, stats = search_dualpolar_embeddings(
-        space, space, "exhaustive", budget, seed, workers
-    )
     frames, frames_complete = polar.enumerate_frames(space, budget=10**6)
-    frames_idx = _frame_index_lists(space, frames)
     masks = space.collinear_masks()
     violations: list[dict] = []
-    for emb in found:
+    perp_of: dict[int, int] = {}
+
+    def check(emb: GraphEmbedding) -> None:
         try:
             if len(set(emb.assignment)) != emb.source.num_vertices:
                 raise CounterexampleError("chow", {"kind": "not_a_bijection"})
-            base, g, perps = _point_images(emb)
+            base, g, _ = _point_images(emb, perp_of)
             if base:
                 raise CounterexampleError("chow", {"kind": "nonempty_base"})
             perm = [gp.bit_length() - 1 for gp in g]
             if sorted(perm) != list(range(len(space.points))):
                 raise CounterexampleError("chow", {"kind": "point_map_not_bijective"})
-            for i in range(len(perm)):
-                for j in range(i + 1, len(perm)):
-                    if (masks[i] >> j & 1) != (masks[perm[i]] >> perm[j] & 1):
-                        raise CounterexampleError(
-                            "chow",
-                            {"kind": "collinearity_not_preserved", "pair": [i, j]},
-                        )
-            violations.extend(_frame_violations(space, g, perps, frames_idx))
+            inverse = [0] * len(perm)
+            for i, x in enumerate(perm):
+                inverse[x] = i
+            for i, x in enumerate(perm):
+                # bit j of ``pulled``: are the images of points i and j collinear
+                pulled = 0
+                for y in _bits(masks[x]):
+                    pulled |= 1 << inverse[y]
+                later = (pulled ^ masks[i]) >> (i + 1)
+                if later:
+                    j = i + (later & -later).bit_length()
+                    raise CounterexampleError(
+                        "chow", {"kind": "collinearity_not_preserved", "pair": [i, j]}
+                    )
         except CounterexampleError as exc:
             violations.append(exc.as_violation())
+
+    _, stats = search_dualpolar_embeddings(
+        space, space, "exhaustive", budget, seed, workers, visit=check
+    )
     counts = {
         "embeddings": stats["embeddings"],
         "distinct_images": stats["distinct_images"],

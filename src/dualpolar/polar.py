@@ -472,20 +472,23 @@ def is_frame(space: PolarSpace, points: Sequence[Sequence[int]]) -> Frame | None
     return Frame(tuple(pts), tuple(sigma))
 
 
-def enumerate_frames(space: PolarSpace, budget: int = 10**7) -> tuple[list[Frame], bool]:
+def enumerate_frames(
+    space: PolarSpace, budget: int = 10**7, visit=None
+) -> tuple[list[Frame], bool]:
     """All frames up to set equality, by backtracking over hyperbolic pairs.
 
     Pairs are chosen with lexicographically increasing anchors inside the
     perp of everything chosen so far, which generates each frame exactly
     once.  Returns (frames, complete); complete is False when the node
-    budget ran out first.
+    budget ran out first.  With ``visit``, each frame is passed to it as
+    soon as it is found and the returned list is empty.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
     field = space.field
     pts = space.points
-    seen: set[tuple[Point, ...]] = set()
     frames: list[Frame] = []
+    emit = frames.append if visit is None else visit
     nodes = 0
     exhausted = False
 
@@ -494,12 +497,9 @@ def enumerate_frames(space: PolarSpace, budget: int = 10**7) -> tuple[list[Frame
         if exhausted:
             return
         if len(chosen) == 2 * space.n:
-            key = tuple(sorted(pts[i] for i in chosen))
-            if key not in seen:
-                seen.add(key)
-                frame = is_frame(space, key)
-                assert frame is not None
-                frames.append(frame)
+            frame = is_frame(space, sorted(pts[i] for i in chosen))
+            assert frame is not None
+            emit(frame)
             return
         for ai, a in enumerate(cands):
             if a <= last_anchor:

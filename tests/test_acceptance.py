@@ -146,7 +146,10 @@ def test_criterion_07_theorem2_h2_in_sp62():
         report = _primary("c7")
         assert report["complete"], "exhaustive run exceeded the node budget"
         assert report["violations"] == []
-        assert report["counts"]["distinct_images"] > 0
+        # one star apartment per point and frame of its residue Sp(4,2):
+        # 63 * 720 / (2^2 * 2!), each reached by the 8 automorphisms of H_2
+        assert report["counts"]["distinct_images"] == 5670
+        assert report["counts"]["embeddings"] == 45360
 
 
 def test_criterion_08_theorem2_h3_in_sp62():
@@ -192,7 +195,11 @@ def test_criterion_11_theorem3_lemma5():
 
         report = _primary("c11")
         assert report["violations"] == []
-        assert report["counts"]["embeddings"] > 0
+        # the run completes: one image per base point of Sp(6,2), each
+        # reached by the |Sp(4,2)| = 720 automorphisms of the source
+        assert report["complete"]
+        assert report["counts"]["distinct_images"] == 63
+        assert report["counts"]["embeddings"] == 45360
         assert report["counts"]["apartments_checked"] > 0
 
 

@@ -1,4 +1,6 @@
+import dataclasses
 import random
+from math import factorial, prod
 
 import numpy as np
 import pytest
@@ -190,6 +192,16 @@ def test_is_apartment_rejects_non_isometric_squares():
     assert is_apartment(SP42, members) is None
 
 
+def test_is_apartment_raises_when_its_search_runs_out(monkeypatch):
+    def exhausted(src, dst, mode, budget, *args, **kwargs):
+        return [], search_stats(mode, budget, 0, 1, expansions=budget, complete=False)
+
+    monkeypatch.setattr(apartments, "search_isometric_embeddings", exhausted)
+    members = apartment_of_frame(SP42, enumerate_frames(SP42)[0][0])
+    with pytest.raises(RuntimeError, match="budget"):
+        is_apartment(SP42, members)
+
+
 def test_is_apartment_star_restriction_of_sp62_frame():
     # the apartment members through one frame point form an apartment of the
     # star of that point, with the point as base
@@ -241,11 +253,52 @@ def test_verify_lemma1_sampled_sp62():
     assert report["counts"]["geodesics"] == 500
 
 
+def test_lemma1_reports_an_interior_vertex_missing_the_meet():
+    # odd vertices lose every point, so they miss any nonempty meet
+    masks = tuple(0 if v % 2 else mask for v, mask in enumerate(G62.masks))
+    broken = dataclasses.replace(G62, masks=masks)
+    report = verify_lemma1(SP62, mode="sample", budget=200, seed=2, graph=broken)
+    assert report["violations"]
+    for violation in report["violations"]:
+        path = [G62.index[rref(SP62.field, rows, 6)] for rows in violation["path"]]
+        u = G62.index[rref(SP62.field, violation["interior_vertex"], 6)]
+        assert u % 2 == 1 and u in path[1:-1]
+        assert masks[path[0]] & masks[path[-1]]
+
+
 def test_verify_theorem2_sp42_m2():
     report = verify_theorem2(SP42, 2)
     assert report["violations"] == []
     assert report["complete"]
     assert report["counts"]["distinct_images"] == report["counts"]["apartments"] == 90
+
+
+def _gaussian(n, k, q):
+    return prod(q ** (n - i) - 1 for i in range(k)) // prod(q ** (i + 1) - 1 for i in range(k))
+
+
+def _singular(n, k, q):
+    """Totally isotropic k-spaces of the symplectic 2n-space over GF(q)."""
+    return _gaussian(n, k, q) * prod(q**i + 1 for i in range(n - k + 1, n + 1))
+
+
+def _sp_order(m, q):
+    return q ** (m * m) * prod(q ** (2 * i) - 1 for i in range(1, m + 1))
+
+
+@pytest.mark.parametrize(
+    "n,q,m", [(2, 2, 1), (2, 2, 2), (3, 2, 1), (2, 3, 1), (2, 3, 2)],
+    ids=["sp42-h1", "sp42-h2", "sp62-h1", "sp43-h1", "sp43-h2"],
+)
+def test_theorem2_counts_match_the_closed_form(n, q, m):
+    # the images of H_m are the apartments of the stars of the singular
+    # (n-m)-spaces, each reached once per automorphism of H_m
+    per_image = 2**m * factorial(m)
+    images = _singular(n, n - m, q) * _sp_order(m, q) // (per_image * (q - 1) ** m)
+    report = verify_theorem2(PolarSpace(n, q), m)
+    assert report["complete"] and report["violations"] == []
+    assert report["counts"]["distinct_images"] == images
+    assert report["counts"]["embeddings"] == images * per_image
 
 
 def test_verify_theorem2_argument_check():
@@ -360,7 +413,9 @@ def reference_search(src, dst, mode, budget, seed):
             for k, v in enumerate(order):
                 assignment[v] = imgs[k]
             embeddings.append(Embedding(src, dst, tuple(assignment)))
-    return embeddings, search_stats(mode, budget, seed, 1, embeddings, expansions, complete)
+    distinct = len({tuple(sorted(e.assignment)) for e in embeddings})
+    stats = search_stats(mode, budget, seed, 1, len(embeddings), distinct, expansions, complete)
+    return embeddings, stats
 
 
 SEARCH_CASES = {
@@ -391,6 +446,22 @@ def test_mask_pruned_search_matches_the_reference(case):
     ref, ref_stats = reference_search(*case)
     assert [e.assignment for e in embs] == [e.assignment for e in ref]
     assert stats == ref_stats
+
+
+@pytest.mark.parametrize("case", SEARCH_CASES.values(), ids=SEARCH_CASES.keys())
+def test_visitor_streams_what_the_list_holds(case):
+    embs, stats = search_isometric_embeddings(*case)
+    streamed = []
+    none, streamed_stats = search_isometric_embeddings(
+        *case, visit=lambda *found: streamed.append(found)
+    )
+    assert none == [] and streamed_stats == stats
+    assert [a for a, _, _ in streamed] == [e.assignment for e in embs]
+    seen = set()
+    for assignment, key, new in streamed:
+        assert key == sum(1 << v for v in assignment)
+        assert new == (key not in seen)
+        seen.add(key)
 
 
 def test_shuffle_makes_the_draws_of_random_shuffle():

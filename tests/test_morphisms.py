@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualpolar import polar
+from dualpolar import morphisms, polar
 from dualpolar.linalg import contains_subspace, intersect, rref, sum_span
 from dualpolar.morphisms import (
     GraphEmbedding,
@@ -184,6 +184,52 @@ def test_verify_chow_reports_incomplete_frames(monkeypatch):
     report = verify_chow(SP42, budget=100_000)
     assert report["counts"]["frames_checked"] == 5
     assert report["complete"] is False
+
+
+@pytest.mark.parametrize(
+    "run",
+    [lambda: verify_theorem3(SP42, SP62, mode="sample", budget=20_000, seed=6),
+     lambda: verify_chow(SP42, budget=100_000)],
+    ids=["theorem3", "chow"],
+)
+def test_a_verifier_call_takes_each_perp_once(monkeypatch, run):
+    taken = []
+
+    def counting(space, mask):
+        taken.append(mask)
+        return _perp(space, mask)
+
+    monkeypatch.setattr(morphisms, "_perp", counting)
+    assert run()["violations"] == []
+    assert taken and len(taken) == len(set(taken))
+
+
+def test_chow_names_the_first_pair_whose_collinearity_breaks(monkeypatch):
+    # swap the images of two points on every embedding; the violation must
+    # name the first pair, in (i, j) order, that the swapped map breaks
+    masks = SP42.collinear_masks()
+    swap = (0, 7)
+    assert (masks[0] >> 1 & 1) != (masks[7] >> 1 & 1)
+    found = []
+
+    def swapped(emb, perp_of):
+        base, g, perps = _point_images(emb, perp_of)
+        g, perps = list(g), list(perps)
+        for seq in (g, perps):
+            seq[swap[0]], seq[swap[1]] = seq[swap[1]], seq[swap[0]]
+        perm = [gp.bit_length() - 1 for gp in g]
+        found.append(next(
+            [i, j] for i in range(len(perm)) for j in range(i + 1, len(perm))
+            if (masks[i] >> j & 1) != (masks[perm[i]] >> perm[j] & 1)
+        ))
+        return base, g, perps
+
+    monkeypatch.setattr(morphisms, "_point_images", swapped)
+    report = verify_chow(SP42, budget=100_000)
+    assert len(found) == 720
+    assert report["violations"] == [
+        {"statement": "chow", "kind": "collinearity_not_preserved", "pair": pair} for pair in found
+    ]
 
 
 def test_counterexample_payloads_are_jsonable():
@@ -386,7 +432,8 @@ def test_frame_check_matches_the_per_frame_reference(src, dst, mode, budget):
     frames, complete = enumerate_frames(src)
     assert embs and complete
     frames_idx = _frame_index_lists(src, frames)
-    images = [_point_images(emb)[1] for emb in embs]
+    perp_of = {}
+    images = [_point_images(emb, perp_of)[1] for emb in embs]
     pool = [gp for g in images for gp in g]
     rng = random.Random(23)
     verdicts = set()

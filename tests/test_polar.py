@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -273,6 +274,21 @@ def test_enumerate_frames_matches_bruteforce_oracle():
     assert {f.points for f in frames} == set(oracle)
     for f in frames:
         assert is_frame(SP42, f.points) is not None
+
+
+@pytest.mark.parametrize(
+    "n,p,budget", [(2, 2, 10**7), (2, 3, 10**7), (3, 2, 3_000)], ids=["sp42", "sp43", "sp62-partial"]
+)
+def test_enumerate_frames_streams_each_frame_once(n, p, budget):
+    space = PolarSpace(n, p)
+    listed, complete = enumerate_frames(space, budget=budget)
+    streamed = []
+    none, streamed_complete = enumerate_frames(space, budget=budget, visit=streamed.append)
+    assert none == [] and streamed_complete == complete and streamed == listed
+    assert len({f.points for f in listed}) == len(listed)
+    if complete:
+        order = p ** (n * n) * prod(p ** (2 * i) - 1 for i in range(1, n + 1))
+        assert len(listed) == order // (2**n * factorial(n) * (p - 1) ** n)
 
 
 def test_enumerate_frames_budget_flag():
