@@ -150,6 +150,9 @@ def _branch_search(dst_nbrs, dst_adj, at_dist, plan, nsrc, root_img, budget, rng
         dfs(1)
     else:
         leaf(imgs)
+    # dfs refers to itself; unbinding it frees the branch, and the caller's
+    # leaf, now instead of at the next garbage collection
+    del dfs
     return expansions, complete
 
 

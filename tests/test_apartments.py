@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import random
+import weakref
 from math import factorial, prod
 
 import numpy as np
@@ -462,6 +464,24 @@ def test_visitor_streams_what_the_list_holds(case):
         assert key == sum(1 << v for v in assignment)
         assert new == (key not in seen)
         seen.add(key)
+
+
+def test_search_frees_its_visitor_when_it_returns():
+    class Visitor:
+        def __call__(self, assignment, key, new):
+            pass
+
+    visitor = Visitor()
+    ref = weakref.ref(visitor)
+    gc.disable()
+    try:
+        search_hypercube_embeddings(2, G42, visit=visitor)
+        del visitor
+        # no reference cycle keeps the search's state, and so the visitor
+        # and its set of image keys, alive until a garbage collection
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_shuffle_makes_the_draws_of_random_shuffle():
