@@ -22,7 +22,7 @@ from .graphs import (
     hypercube,
     verify_lemma2,
 )
-from .linalg import GF, Subspace, contains, gf, intersect, rref, sum_span
+from .linalg import GF, Subspace, gf, rref
 from .morphisms import (
     GraphEmbedding,
     InducedPointMap,
@@ -51,7 +51,6 @@ from .polar import (
     is_frame,
     perp_subspace,
     projdim,
-    residue_collinear,
     sample_frames,
     star,
 )

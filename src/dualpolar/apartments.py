@@ -14,7 +14,7 @@ import random
 import time
 from dataclasses import dataclass
 from functools import reduce
-from operator import and_
+from operator import and_, or_
 from typing import Sequence
 
 import numpy as np
@@ -30,8 +30,8 @@ from .graphs import (
     meet_graph,
     sample_geodesic,
 )
-from .linalg import Subspace, rref
-from .polar import PolarSpace, mask_rank, point_mask, subspace_of_mask
+from .linalg import Subspace
+from .polar import PolarSpace, mask_rank, perp_mask, point_mask, subspace_of_mask
 from .reporting import CounterexampleError, make_report, subspace_json
 
 DEFAULT_BUDGET = 10_000_000
@@ -311,13 +311,17 @@ class ApartmentWitness:
         """The recovered point frame; only defined when the base is empty."""
         if self.base.rank != 0:
             raise ValueError("frame points exist only for full-rank witnesses")
-        pts = [q.rows[0] for q in self.residue_frame]
-        frame = polar.is_frame(space, pts)
-        if frame is None:
-            raise CounterexampleError(
-                "theorem2", {"kind": "recovered_points_not_a_frame", "points": pts}
-            )
-        return frame
+        return _frame_of_points(space, [q.rows[0] for q in self.residue_frame])
+
+
+def _frame_of_points(space: PolarSpace, pts: list) -> polar.Frame:
+    """The Frame on the points of a full-rank residue frame."""
+    frame = polar.is_frame(space, pts)
+    if frame is None:
+        raise CounterexampleError(
+            "theorem2", {"kind": "recovered_points_not_a_frame", "points": pts}
+        )
+    return frame
 
 
 def _vertices_by_mask(cube: DenseGraph, assignment: Sequence[int]) -> list[int]:
@@ -338,7 +342,12 @@ def _images_by_mask(emb: Embedding) -> list[Subspace]:
 
 def _base_from_masks(space: PolarSpace, masks: Sequence[int], statement: str) -> int:
     """Point mask of the base of a labelled hypercube given by its images'
-    point masks, indexed by sign mask."""
+    point masks, indexed by sign mask.
+
+    Every sign mask is one side of the opposite pairs checked here, so once
+    each pair meets in the base, the base lies in every image and the meet of
+    all the images is the base; neither is checked again.
+    """
     m = (len(masks) - 1).bit_length()
     full = len(masks) - 1
     base = masks[0] & masks[full]
@@ -361,18 +370,6 @@ def _base_from_masks(space: PolarSpace, masks: Sequence[int], statement: str) ->
                 {"kind": "base_depends_on_opposite_pair", "mask": x,
                  "other": subspace_json(subspace_of_mask(space, other))},
             )
-    for mask, img in enumerate(masks):
-        if base & ~img:
-            raise CounterexampleError(
-                statement, {"kind": "image_missing_base", "mask": mask}
-            )
-    everything = reduce(and_, masks)
-    if everything != base:
-        raise CounterexampleError(
-            statement,
-            {"kind": "total_intersection_differs",
-             "total": subspace_json(subspace_of_mask(space, everything))},
-        )
     return base
 
 
@@ -380,23 +377,24 @@ def base_subspace(space: PolarSpace, emb: Embedding) -> Subspace:
     """The singular subspace common to every image of an embedded hypercube.
 
     Computed as the intersection of one opposite image pair and checked to
-    have projective dimension n - m - 1, to be independent of the pair
-    chosen, and to lie in every image; failures raise CounterexampleError.
+    have projective dimension n - m - 1 and to be independent of the pair
+    chosen, which puts it in every image; failures raise CounterexampleError.
     """
     masks = [point_mask(space, s) for s in _images_by_mask(emb)]
     return subspace_of_mask(space, _base_from_masks(space, masks, "lemma3"))
 
 
-def _witness_from_images(
-    space: PolarSpace, images: Sequence[Subspace], masks: Sequence[int]
-) -> ApartmentWitness:
-    """Decompose a hypercube labelling: ``images`` and their point ``masks``
-    are indexed by sign mask.
+def _witness_from_images(space: PolarSpace, masks: Sequence[int]) -> tuple[int, list[int]]:
+    """Decompose a hypercube labelling given by the point masks of its images,
+    indexed by sign mask: returns the masks of the base and of the residue
+    frame, or raises CounterexampleError.
 
-    Meets, containments and residue collinearity are taken on point masks;
-    rref only builds the witness subspaces and the span of each image's faces.
+    Two faces over the base are residue-collinear exactly when their span is
+    singular, i.e. when one lies in the perp of the other.  An image is
+    maximal, hence its own perp, so it is the span of its chosen faces
+    exactly when their perps meet in it.
     """
-    m = (len(images) - 1).bit_length()
+    m = (len(masks) - 1).bit_length()
     base = _base_from_masks(space, masks, "theorem2")
     faces: list[int] = []
     for s in range(2 * m):
@@ -412,10 +410,7 @@ def _witness_from_images(
         faces.append(q)
     if len(set(faces)) != 2 * m:
         raise CounterexampleError("theorem2", {"kind": "face_subspaces_collide"})
-    # two faces over the base are residue-collinear exactly when their span is
-    # singular, i.e. when every point of one is perpendicular to the other
-    collinear = space.collinear_masks()
-    perps = [reduce(and_, (collinear[x] | 1 << x for x in _bits(q))) for q in faces]
+    perps = [perp_mask(space, q) for q in faces]
     for s in range(2 * m):
         for t in range(s + 1, 2 * m):
             expected = t != (s + m) % (2 * m)
@@ -424,24 +419,34 @@ def _witness_from_images(
                     "theorem2",
                     {"kind": "residue_frame_condition", "pair": [s, t], "expected": expected},
                 )
-    qs = [subspace_of_mask(space, q) for q in faces]
-    for mask, img in enumerate(images):
-        rows = [row for i in range(m) for row in qs[i + m if (mask >> i) & 1 else i].rows]
-        span = rref(space.field, rows, space.dim)
-        if span != img:
+    for mask, img in enumerate(masks):
+        chosen = [i + m if (mask >> i) & 1 else i for i in range(m)]
+        if reduce(and_, (perps[s] for s in chosen)) != img:
+            span = subspace_of_mask(space, reduce(or_, (faces[s] for s in chosen)))
             raise CounterexampleError(
                 "theorem2",
                 {"kind": "image_not_spanned_by_faces", "mask": mask, "span": subspace_json(span)},
             )
         for s in range(2 * m):
             selected = ((mask >> (s % m)) & 1) == (1 if s >= m else 0)
-            if (not faces[s] & ~masks[mask]) != selected:
+            if (not faces[s] & ~img) != selected:
                 raise CounterexampleError(
                     "theorem2",
                     {"kind": "membership_equivalence", "mask": mask, "signed_index": s},
                 )
+    return base, faces
+
+
+def _apartment_witness(
+    space: PolarSpace, images: Sequence[Subspace], masks: Sequence[int]
+) -> ApartmentWitness:
+    """The witness of the labelling whose images, indexed by sign mask, are
+    ``images`` with point masks ``masks``."""
+    base, faces = _witness_from_images(space, masks)
     return ApartmentWitness(
-        base=subspace_of_mask(space, base), residue_frame=tuple(qs), members=tuple(images)
+        base=subspace_of_mask(space, base),
+        residue_frame=tuple(subspace_of_mask(space, q) for q in faces),
+        members=tuple(images),
     )
 
 
@@ -453,7 +458,7 @@ def recover_frame(space: PolarSpace, emb: Embedding) -> ApartmentWitness:
     frame of the space.
     """
     images = _images_by_mask(emb)
-    return _witness_from_images(space, images, [point_mask(space, s) for s in images])
+    return _apartment_witness(space, images, [point_mask(space, s) for s in images])
 
 
 def is_apartment(space: PolarSpace, members) -> ApartmentWitness | None:
@@ -483,7 +488,30 @@ def is_apartment(space: PolarSpace, members) -> ApartmentWitness | None:
             raise RuntimeError("the labelling search ran out of its budget")
         return None
     order = _vertices_by_mask(found[0].source, found[0].assignment)
-    return _witness_from_images(space, [unique[i] for i in order], [masks[i] for i in order])
+    return _apartment_witness(space, [unique[i] for i in order], [masks[i] for i in order])
+
+
+# -- frame apartments ----------------------------------------------------------
+
+
+def frame_vertices(space: PolarSpace, graph: DenseGraph):
+    """The map sending a frame of ``space`` to the vertices of ``graph`` that
+    are the members of its apartment, in sign-mask order; ``graph`` must
+    hold every such member (a dual polar graph of ``space`` does)."""
+    vertex_of = {mask: v for v, mask in enumerate(graph.masks)}
+    return lambda frame: [vertex_of[mask] for mask in polar.apartment_of_frame(space, frame)]
+
+
+def count_apartments(space: PolarSpace, budget: int) -> tuple[int, bool]:
+    """(number of distinct frame apartments, whether every frame was
+    enumerated within ``budget`` nodes); the frames are streamed and each
+    apartment is kept as an int over the maximals, bit v for vertex v."""
+    apartment = frame_vertices(space, dual_polar_graph(space))
+    keys: set[int] = set()
+    _, complete = polar.enumerate_frames(
+        space, budget=budget, visit=lambda frame: keys.add(sum(1 << v for v in apartment(frame)))
+    )
+    return len(keys), complete
 
 
 # -- statement verifiers ------------------------------------------------------
@@ -598,6 +626,7 @@ def verify_theorem2(
     if graph is None:
         graph = dual_polar_graph(space)
     cube = hypercube(m)
+    apartment = frame_vertices(space, graph)
     violations: list[dict] = []
 
     def validate(assignment: tuple[int, ...], key: int, new: bool) -> None:
@@ -605,15 +634,13 @@ def verify_theorem2(
             return
         order = _vertices_by_mask(cube, assignment)
         try:
-            witness = _witness_from_images(
-                space, [graph.labels[i] for i in order], [graph.masks[i] for i in order]
-            )
+            _, faces = _witness_from_images(space, [graph.masks[i] for i in order])
             if m == space.n:
-                frame = witness.to_frame(space)
+                frame = _frame_of_points(space, [space.points[q.bit_length() - 1] for q in faces])
         except CounterexampleError as exc:
             violations.append(exc.as_violation())
             return
-        if m == space.n and set(polar.apartment_of_frame(space, frame)) != witness.member_set():
+        if m == space.n and sum(1 << v for v in apartment(frame)) != key:
             violations.append(
                 {"statement": "theorem2", "kind": "frame_roundtrip_mismatch", "image": _bits(key)}
             )
@@ -624,17 +651,9 @@ def verify_theorem2(
 
     apartments = None
     if m == space.n and mode == "exhaustive" and stats["complete"]:
-        # each apartment as an int over the maximals, like the image keys
-        index = dual_polar_graph(space).index
-        members: set[int] = set()
-        _, frames_complete = polar.enumerate_frames(
-            space, budget=budget,
-            visit=lambda frame: members.add(sum(
-                1 << index[s] for s in polar.apartment_of_frame(space, frame)
-            )),
-        )
+        count, frames_complete = count_apartments(space, budget)
         if frames_complete:
-            apartments = len(members)
+            apartments = count
             if apartments != stats["distinct_images"]:
                 violations.append(
                     {

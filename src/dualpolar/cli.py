@@ -175,15 +175,17 @@ def cmd_count(args) -> int:
             "singular_by_dim": [len(polar.enumerate_singular(space, k)) for k in range(space.n)]
         }
     elif args.what == "frames":
-        frames, complete = polar.enumerate_frames(space, budget=args.budget)
-        counts = {"frames": len(frames)}
+        frames = 0
+
+        def visit(frame):
+            nonlocal frames
+            frames += 1
+
+        _, complete = polar.enumerate_frames(space, budget=args.budget, visit=visit)
+        counts = {"frames": frames}
     elif args.what == "apartments":
-        frames, complete = polar.enumerate_frames(space, budget=args.budget)
-        counts = {
-            "apartments": len(
-                {frozenset(polar.apartment_of_frame(space, f)) for f in frames}
-            )
-        }
+        count, complete = apartments.count_apartments(space, args.budget)
+        counts = {"apartments": count}
     else:
         m = _require_m(args)
         graph = graphs.dual_polar_graph(space)

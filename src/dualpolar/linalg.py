@@ -1,8 +1,9 @@
-"""Exact linear algebra over prime fields GF(p).
+"""Exact linear algebra over prime fields GF(p): row reduction and nullspaces.
 
 Vectors are tuples of ints reduced mod p.  A subspace is stored as the
 reduced row echelon form of any spanning set, so two equal row spaces are
-equal (and hash equal) as Python values.  All values are immutable.
+equal (and hash equal) as Python values.  All values are immutable.  Meets,
+joins and containments of subspaces are taken on point masks in ``polar``.
 """
 
 from __future__ import annotations
@@ -93,54 +94,6 @@ def rref(field: GF, rows: Iterable[Sequence[int]], width: int) -> Subspace:
 
 def zero_subspace(width: int) -> Subspace:
     return Subspace((), width)
-
-
-def _check_ambient(a: Subspace, b: Subspace) -> None:
-    if a.width != b.width:
-        raise ValueError(f"ambient mismatch: {a.width} != {b.width}")
-
-
-def sum_span(field: GF, a: Subspace, b: Subspace) -> Subspace:
-    """RREF basis of a + b."""
-    _check_ambient(a, b)
-    return rref(field, a.rows + b.rows, a.width)
-
-
-def intersect(field: GF, a: Subspace, b: Subspace) -> Subspace:
-    """RREF basis of a ∩ b, via the Zassenhaus block construction."""
-    _check_ambient(a, b)
-    w = a.width
-    if a.rank == 0 or b.rank == 0:
-        return zero_subspace(w)
-    zeros = (0,) * w
-    block = [row + row for row in a.rows] + [row + zeros for row in b.rows]
-    red = rref(field, block, 2 * w)
-    meet = [row[w:] for row in red.rows if not any(row[:w])]
-    return rref(field, meet, w)
-
-
-def reduce_vector(field: GF, sub: Subspace, v: Sequence[int]) -> tuple[int, ...]:
-    """Residual of v after elimination against the RREF rows of ``sub``."""
-    if len(v) != sub.width:
-        raise ValueError(f"vector length {len(v)} != ambient width {sub.width}")
-    p = field.p
-    vec = [x % p for x in v]
-    for row in sub.rows:
-        lead = next(j for j, x in enumerate(row) if x)
-        coeff = vec[lead]
-        if coeff:
-            vec = [(x - coeff * y) % p for x, y in zip(vec, row)]
-    return tuple(vec)
-
-
-def contains(field: GF, sub: Subspace, v: Sequence[int]) -> bool:
-    """True iff v lies in the row space of ``sub``."""
-    return not any(reduce_vector(field, sub, v))
-
-
-def contains_subspace(field: GF, outer: Subspace, inner: Subspace) -> bool:
-    _check_ambient(outer, inner)
-    return all(contains(field, outer, row) for row in inner.rows)
 
 
 def nullspace(field: GF, rows: Iterable[Sequence[int]], width: int) -> Subspace:

@@ -8,9 +8,8 @@ one step above a base subspace lifts to a graph embedding by spanning.
 
 The checks run on the point masks the dual polar graphs keep for their
 vertices: meet = AND, containment = subset test, and residue collinearity and
-spans are read off perps, the AND of ``collinear_masks()[x] | 1 << x`` over
-the points x of a subspace.  Subspaces in RREF are only built for results and
-violation payloads.
+spans are read off perps (``polar.perp_mask``).  Subspaces in RREF are only
+built for results and violation payloads.
 """
 
 from __future__ import annotations
@@ -18,18 +17,19 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from operator import and_, or_
+from operator import or_
 
 from . import polar
 from .apartments import (
     DEFAULT_BUDGET,
     _witness_from_images,
+    frame_vertices,
     search_isometric_embeddings,
     search_stats,
 )
 from .graphs import DenseGraph, _bits, dual_polar_graph
-from .linalg import Subspace, rref, sum_span
-from .polar import Point, PolarSpace, mask_rank, point_mask, subspace_of_mask
+from .linalg import Subspace, rref
+from .polar import Point, PolarSpace, mask_rank, perp_mask, point_mask, subspace_of_mask
 from .reporting import CounterexampleError, make_report, subspace_json
 
 
@@ -85,12 +85,6 @@ def _image_masks(emb: GraphEmbedding) -> list[int]:
     return [masks[a] for a in emb.assignment]
 
 
-def _perp(space: PolarSpace, mask: int) -> int:
-    """Point mask of the perp of the subspace spanned by the points of ``mask``."""
-    collinear = space.collinear_masks()
-    return reduce(and_, (collinear[x] | 1 << x for x in _bits(mask)), (1 << len(space.points)) - 1)
-
-
 # -- search -------------------------------------------------------------------
 
 
@@ -132,8 +126,9 @@ def verify_lemma5(emb: GraphEmbedding) -> Subspace:
     """The base subspace shared by the whole image of a graph embedding.
 
     Computed from one opposite source pair and checked to have projective
-    dimension n' - n - 1, to be independent of the pair, and to lie in every
-    image; failures raise CounterexampleError.
+    dimension n' - n - 1 and to be independent of the pair; failures raise
+    CounterexampleError.  Every vertex of a dual polar graph has an opposite
+    vertex, so the pair check already puts the base in every image.
     """
     space = emb.dst_space
     n, n_prime = emb.src_space.n, space.n
@@ -155,11 +150,6 @@ def verify_lemma5(emb: GraphEmbedding) -> Subspace:
                 {"kind": "base_depends_on_opposite_pair", "pair": [i, j],
                  "other": subspace_json(subspace_of_mask(space, other))},
             )
-    for v, img in enumerate(imgs):
-        if base & ~img:
-            raise CounterexampleError(
-                "lemma5", {"kind": "image_missing_base", "vertex": v}
-            )
     return subspace_of_mask(space, base)
 
 
@@ -171,8 +161,11 @@ def _point_images(
     ``perp_of`` maps masks to their perps: pass one dict through a verifier
     call, since the g(p) of different embeddings repeat.
 
-    Each g(p) lies in the image W of every maximal M through p, and W is its
-    own perp, so g spans W over M exactly when the perps of the g(p) meet in W.
+    Once each g(p) lies one step above the base B and g is injective, g spans
+    the image W of every maximal M over B, so that is not checked again: each
+    g(p) with p in M lies in W, and W/B has rank n, so the (p^n - 1)/(p - 1)
+    points of M go to as many distinct elements one step above B in W, which
+    are all of them.
     """
     space = emb.dst_space
     rank = space.n - emb.src_space.n + 1
@@ -197,15 +190,8 @@ def _point_images(
     for gp in g:
         perp = perp_of.get(gp)
         if perp is None:
-            perp = perp_of[gp] = _perp(space, gp)
+            perp = perp_of[gp] = perp_mask(space, gp)
         perps.append(perp)
-    for v, (pts, img) in enumerate(zip(members, imgs)):
-        if reduce(and_, (perps[p] for p in pts)) != img:
-            span = subspace_of_mask(space, reduce(or_, (g[p] for p in pts)))
-            raise CounterexampleError(
-                "theorem3",
-                {"kind": "image_not_spanned_by_point_map", "vertex": v, "span": subspace_json(span)},
-            )
     return base, g, perps
 
 
@@ -213,9 +199,9 @@ def induced_point_map(emb: GraphEmbedding) -> InducedPointMap:
     """Recover the point map: g(p) is the intersection of the images of all
     maximal singular subspaces containing p.
 
-    Validates that every g(p) lies one step above the base, that g is
-    injective, and that spanning g over any maximal singular subspace gives
-    back its image; failures raise CounterexampleError.
+    Validates that every g(p) lies one step above the base and that g is
+    injective, which makes g span the image of every maximal singular
+    subspace (see ``_point_images``); failures raise CounterexampleError.
     """
     space = emb.dst_space
     base, g, _ = _point_images(emb, {})
@@ -299,7 +285,7 @@ def check_frames_preserving(
     elif _off_pattern(pm.src_space.collinear_masks(), _frame_index_lists(pm.src_space, frames)):
         raise ValueError("frames must be frames of the source space")
     g = [point_mask(pm.dst_space, pm.assignment[pt]) for pt in pm.src_space.points]
-    perps = [_perp(pm.dst_space, gp) for gp in g]
+    perps = [perp_mask(pm.dst_space, gp) for gp in g]
     violations = _frame_violations(
         pm.src_space, g, perps, _frame_index_lists(pm.src_space, frames)
     )
@@ -331,7 +317,6 @@ def lift_frame_preserving_map(
     points; a non-singular span, a dimension defect, or a failed distance
     check raises LiftError naming the offending subspace.
     """
-    field = dst_space.field
     if base.rank != dst_space.n - src_space.n:
         raise LiftError(
             "base subspace has the wrong dimension",
@@ -339,32 +324,33 @@ def lift_frame_preserving_map(
         )
     src = dual_polar_graph(src_space)
     dst = dual_polar_graph(dst_space)
-    images = []
-    for v in range(src.num_vertices):
-        sub = src.labels[v]
-        span = reduce(
-            lambda a, b: sum_span(field, a, b),
-            (point_map[pt] for pt in polar.points_in_subspace(src_space, sub)),
-            base,
-        )
-        if span.rank != dst_space.n or not polar.is_singular(dst_space, span):
+    vertex_of = {mask: v for v, mask in enumerate(dst.masks)}
+    base_mask = point_mask(dst_space, base)
+    g = [point_mask(dst_space, point_map[pt]) for pt in src_space.points]
+    assignment = []
+    for v, members in enumerate(src.masks):
+        points = reduce(or_, (g[p] for p in _bits(members)), base_mask)
+        # the span S is maximal singular exactly when it is its own perp:
+        # then S lies in perp(S), and perp(S) has rank n'
+        perp = perp_mask(dst_space, points)
+        if points & ~perp or mask_rank(dst_space, perp) != dst_space.n:
             raise LiftError(
                 "span of point images is not maximal singular",
-                {"source": subspace_json(sub), "span": subspace_json(span)},
+                {"source": subspace_json(src.labels[v]),
+                 "span": subspace_json(subspace_of_mask(dst_space, points))},
             )
-        images.append(span)
-    if len(set(images)) != len(images):
+        assignment.append(vertex_of[perp])
+    if len(set(assignment)) != len(assignment):
         raise LiftError("lifted map is not injective", {})
-    assignment = tuple(dst.index[s] for s in images)
-    for i in range(len(images)):
-        for j in range(i + 1, len(images)):
+    for i in range(len(assignment)):
+        for j in range(i + 1, len(assignment)):
             d = dst.dist[assignment[i]][assignment[j]]
             if d != src.dist[i][j]:
                 raise LiftError(
                     "lifted map does not preserve distances",
                     {"pair": [i, j], "expected": src.dist[i][j], "got": d},
                 )
-    return GraphEmbedding(src_space, dst_space, src, dst, assignment)
+    return GraphEmbedding(src_space, dst_space, src, dst, tuple(assignment))
 
 
 def shifted_point_injection(
@@ -470,6 +456,7 @@ def verify_theorem3(
     if not frames_complete:
         frames_src = polar.sample_frames(src_space, 100, seed)
     frames_idx = _frame_index_lists(src_space, frames_src)
+    apartment = frame_vertices(src_space, dual_polar_graph(src_space))
     violations: list[dict] = []
     perp_of: dict[int, int] = {}
     visited = checked_apartments = 0
@@ -479,24 +466,17 @@ def verify_theorem3(
         first = visited < apartment_check_embeddings
         visited += 1
         try:
-            base = verify_lemma5(emb)
-            _, g, perps = _point_images(emb, perp_of)
+            verify_lemma5(emb)
+            base, g, perps = _point_images(emb, perp_of)
             violations.extend(_frame_violations(src_space, g, perps, frames_idx))
             if first:
                 for frame in frames_src[:apartment_checks]:
-                    # apartment_of_frame lists members by sign mask, so the
-                    # pushed members already carry a hypercube labelling
-                    order = [
-                        emb.assignment[emb.source.index[s]]
-                        for s in polar.apartment_of_frame(src_space, frame)
-                    ]
+                    # the members come by sign mask, so the pushed members
+                    # already carry a hypercube labelling
+                    masks = [emb.target.masks[emb.assignment[v]] for v in apartment(frame)]
                     checked_apartments += 1
                     try:
-                        transferred = _witness_from_images(
-                            dst_space,
-                            [emb.target.labels[i] for i in order],
-                            [emb.target.masks[i] for i in order],
-                        ).base == base
+                        transferred = _witness_from_images(dst_space, masks)[0] == base
                     except CounterexampleError:
                         transferred = False
                     if not transferred:

@@ -18,17 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .linalg import (
-    GF,
-    Subspace,
-    contains,
-    contains_subspace,
-    gf,
-    nullspace,
-    rref,
-    sum_span,
-    zero_subspace,
-)
+from .linalg import GF, Subspace, gf, nullspace, rref, zero_subspace
 
 SUPPORTED_PRIMES = (2, 3, 5)
 
@@ -250,6 +240,17 @@ def subspace_of_mask(space: PolarSpace, mask: int) -> Subspace:
     return rref(space.field, rows, space.dim)
 
 
+def perp_mask(space: PolarSpace, mask: int) -> int:
+    """Point mask of the perp of the subspace spanned by the points of ``mask``."""
+    collinear = space.collinear_masks()
+    perp = (1 << len(space.points)) - 1
+    while mask:
+        low = mask & -mask
+        perp &= collinear[low.bit_length() - 1] | low
+        mask ^= low
+    return perp
+
+
 def enumerate_singular(space: PolarSpace, k: int) -> tuple[Subspace, ...]:
     """All singular subspaces of projective dimension k, canonically sorted.
 
@@ -301,29 +302,14 @@ def star(space: PolarSpace, base: Subspace, k: int) -> tuple[Subspace, ...]:
     return tuple(s for s in enumerate_singular(space, k) if not inner & ~point_mask(space, s))
 
 
-def residue_collinear(space: PolarSpace, base: Subspace, a: Subspace, b: Subspace) -> bool:
-    """Collinearity in the residue geometry on the subspaces one step above base.
-
-    Both arguments must contain ``base`` and have projective dimension
-    projdim(base) + 1; they are collinear exactly when their span is singular
-    (of projective dimension projdim(base) + 2).
-    """
-    if a == b:
-        raise ValueError("residue collinearity is defined for distinct elements")
-    if a.rank != base.rank + 1 or b.rank != base.rank + 1:
-        raise ValueError("arguments must lie one step above the base subspace")
-    for side in (a, b):
-        if not all(contains(space.field, side, row) for row in base.rows):
-            raise ValueError("arguments must contain the base subspace")
-    return is_singular(space, sum_span(space.field, a, b))
-
-
 class ResidueSpace:
     """Point-line geometry of the residue of a singular subspace.
 
     Points are the singular subspaces one step above the base, lines are
     induced by the subspaces two steps above.  For a base of projective
     dimension m in a rank-n space this is a polar space of rank n - m - 1.
+    Two points are collinear when their span is singular, i.e. when one lies
+    in the perp of the other.
     """
 
     def __init__(self, space: PolarSpace, base: Subspace):
@@ -334,23 +320,18 @@ class ResidueSpace:
         self.base = base
         self.rank = space.n - m - 1
         self.points = star(space, base, m + 1)
-        index = {s: i for i, s in enumerate(self.points)}
-        self._lines = []
-        for upper in star(space, base, m + 2):
-            members = tuple(
-                sorted(index[s] for s in self.points if contains_subspace(space.field, upper, s))
-            )
-            self._lines.append(members)
-        self._masks = self._collinearity_masks()
-
-    def _collinearity_masks(self) -> list[int]:
-        masks = [0] * len(self.points)
-        for i in range(len(self.points)):
-            for j in range(i + 1, len(self.points)):
-                if residue_collinear(self.space, self.base, self.points[i], self.points[j]):
-                    masks[i] |= 1 << j
-                    masks[j] |= 1 << i
-        return masks
+        masks = [point_mask(space, s) for s in self.points]
+        self._lines = [
+            tuple(i for i, mask in enumerate(masks) if not mask & ~upper)
+            for upper in (point_mask(space, s) for s in star(space, base, m + 2))
+        ]
+        self._masks = [0] * len(masks)
+        for i, mask in enumerate(masks):
+            perp = perp_mask(space, mask)
+            for j in range(i + 1, len(masks)):
+                if not masks[j] & ~perp:
+                    self._masks[i] |= 1 << j
+                    self._masks[j] |= 1 << i
 
     def point_count(self) -> int:
         return len(self.points)
@@ -460,16 +441,28 @@ def is_frame(space: PolarSpace, points: Sequence[Sequence[int]]) -> Frame | None
     non-collinear partner among the others."""
     if len(points) != 2 * space.n:
         raise ValueError(f"a frame needs exactly {2 * space.n} points")
-    pts = sorted({normalize_point(space.field, pt) for pt in points})
-    if len(pts) != 2 * space.n:
+    if any(len(pt) != space.dim for pt in points):
+        raise ValueError("vectors must have length 2n")
+    idx = sorted({space.point_index[normalize_point(space.field, pt)] for pt in points})
+    if len(idx) != 2 * space.n:
         raise ValueError("frame points must be distinct")
+    return _frame_of_indices(space, idx)
+
+
+def _frame_of_indices(space: PolarSpace, idx: list[int]) -> Frame | None:
+    """``is_frame`` on the points with these increasing indices, with the
+    partners read off ``collinear_masks()``."""
+    collinear = space.collinear_masks()
+    chosen = 0
+    for i in idx:
+        chosen |= 1 << i
     sigma = []
-    for i, a in enumerate(pts):
-        partners = [j for j, b in enumerate(pts) if j != i and form_value(space, a, b) != 0]
-        if len(partners) != 1:
+    for i in idx:
+        partners = chosen & ~collinear[i] & ~(1 << i)
+        if partners.bit_count() != 1:
             return None
-        sigma.append(partners[0])
-    return Frame(tuple(pts), tuple(sigma))
+        sigma.append(idx.index(partners.bit_length() - 1))
+    return Frame(tuple(space.points[i] for i in idx), tuple(sigma))
 
 
 def enumerate_frames(
@@ -477,55 +470,46 @@ def enumerate_frames(
 ) -> tuple[list[Frame], bool]:
     """All frames up to set equality, by backtracking over hyperbolic pairs.
 
-    Pairs are chosen with lexicographically increasing anchors inside the
-    perp of everything chosen so far, which generates each frame exactly
-    once.  Returns (frames, complete); complete is False when the node
-    budget ran out first.  With ``visit``, each frame is passed to it as
-    soon as it is found and the returned list is empty.
+    Pairs are chosen with increasing anchors inside the perp of everything
+    chosen so far, which generates each frame exactly once; the perp is the
+    AND of ``collinear_masks()[x] | 1 << x`` over the chosen points x.
+    Returns (frames, complete); complete is False when the node budget ran
+    out first.  With ``visit``, each frame is passed to it as soon as it is
+    found and the returned list is empty.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
-    field = space.field
-    pts = space.points
+    collinear = space.collinear_masks()
     frames: list[Frame] = []
     emit = frames.append if visit is None else visit
     nodes = 0
     exhausted = False
 
-    def descend(chosen: list[int], cands: list[int], last_anchor: int) -> None:
+    def descend(chosen: list[int], cands: int, last_anchor: int) -> None:
         nonlocal nodes, exhausted
-        if exhausted:
-            return
         if len(chosen) == 2 * space.n:
-            frame = is_frame(space, sorted(pts[i] for i in chosen))
-            assert frame is not None
-            emit(frame)
+            emit(_frame_of_indices(space, sorted(chosen)))
             return
-        for ai, a in enumerate(cands):
-            if a <= last_anchor:
-                continue
-            for b in cands[ai + 1 :]:
-                if form_value(space, pts[a], pts[b]) == 0:
-                    continue
+        anchors = cands >> (last_anchor + 1) << (last_anchor + 1)
+        while anchors:
+            low = anchors & -anchors
+            anchors ^= low
+            a = low.bit_length() - 1
+            a_perp = collinear[a] | low
+            partners = cands & ~a_perp & ~(low - 1)
+            while partners:
+                high = partners & -partners
+                partners ^= high
                 nodes += 1
                 if nodes > budget:
                     exhausted = True
                     return
-                nxt = chosen + [a, b]
-                if len(nxt) == 2 * space.n:
-                    descend(nxt, [], a)
-                else:
-                    w = perp_subspace(
-                        space, rref(field, [pts[i] for i in nxt], space.dim)
-                    )
-                    sub_cands = sorted(
-                        space.point_index[q] for q in points_in_subspace(space, w)
-                    )
-                    descend(nxt, sub_cands, a)
+                b = high.bit_length() - 1
+                descend(chosen + [a, b], cands & a_perp & (collinear[b] | high), a)
                 if exhausted:
                     return
 
-    descend([], list(range(len(pts))), -1)
+    descend([], (1 << len(space.points)) - 1, -1)
     return frames, not exhausted
 
 
@@ -571,20 +555,18 @@ def sample_frames(space: PolarSpace, count: int, seed: int) -> list[Frame]:
     return list(out.values())
 
 
-def apartment_of_frame(space: PolarSpace, frame: Frame) -> tuple[Subspace, ...]:
-    """The 2^n maximal singular subspaces spanned by one point per sigma pair.
+def apartment_of_frame(space: PolarSpace, frame: Frame) -> tuple[int, ...]:
+    """Point masks of the 2^n maximal singular subspaces spanned by one point
+    per sigma pair.
 
     Entry ``mask`` takes the second point of pair k exactly when bit k of
     ``mask`` is set; this labeling is an isometric copy of the hypercube.
+    A maximal is its own perp, so each entry is the AND of the perps
+    ``collinear_masks()[x] | 1 << x`` of its n points x.
     """
-    pairs = frame.pairs()
-    members = []
-    for mask in range(1 << space.n):
-        sel = [
-            frame.points[pair[(mask >> k) & 1]] for k, pair in enumerate(pairs)
-        ]
-        sub = rref(space.field, sel, space.dim)
-        assert sub.rank == space.n and is_singular(space, sub)
-        members.append(sub)
-    assert len(set(members)) == 1 << space.n
+    collinear, index = space.collinear_masks(), space.point_index
+    perps = [collinear[index[pt]] | 1 << index[pt] for pt in frame.points]
+    members = [(1 << len(space.points)) - 1]
+    for i, j in frame.pairs():
+        members = [m & perps[i] for m in members] + [m & perps[j] for m in members]
     return tuple(members)

@@ -2,7 +2,9 @@ import dataclasses
 import gc
 import random
 import weakref
+from functools import reduce
 from math import factorial, prod
+from operator import and_
 
 import numpy as np
 import pytest
@@ -10,9 +12,12 @@ import pytest
 from dualpolar import apartments
 from dualpolar.apartments import (
     Embedding,
+    _base_from_masks,
     _shuffle,
     _source_plan,
+    _vertices_by_mask,
     base_subspace,
+    frame_vertices,
     is_apartment,
     is_isometric_embedding,
     recover_frame,
@@ -23,14 +28,17 @@ from dualpolar.apartments import (
     verify_theorem2,
 )
 from dualpolar.graphs import dual_polar_graph, graph_from_edges, hypercube, iter_geodesics
-from dualpolar.linalg import contains, intersect, rref
+from dualpolar.linalg import rref
 from dualpolar.polar import (
     PolarSpace,
     apartment_of_frame,
     enumerate_frames,
+    frame_count,
     sample_frames,
+    subspace_of_mask,
 )
 from dualpolar.reporting import CounterexampleError
+from reference import contains, intersect, witness_from_images
 
 SP42 = PolarSpace(2, 2)
 SP62 = PolarSpace(3, 2)
@@ -40,14 +48,16 @@ G62 = dual_polar_graph(SP62)
 G43 = dual_polar_graph(SP43)
 
 
+def frame_apartment(space, frame):
+    """The members of a frame apartment as subspaces, by sign mask."""
+    return [subspace_of_mask(space, mask) for mask in apartment_of_frame(space, frame)]
+
+
 def frame_apartment_embedding(space, graph, frame):
     """The canonical labeling of a frame apartment as an Embedding of H_n."""
-    members = apartment_of_frame(space, frame)
+    vertices = frame_vertices(space, graph)(frame)
     cube = hypercube(space.n)
-    assignment = [0] * cube.num_vertices
-    for v, lab in enumerate(cube.labels):
-        assignment[v] = graph.index[members[lab.mask]]
-    return Embedding(cube, graph, tuple(assignment))
+    return Embedding(cube, graph, tuple(vertices[lab.mask] for lab in cube.labels))
 
 
 def test_is_isometric_embedding_identity_and_constant():
@@ -164,7 +174,7 @@ def test_recover_frame_every_h2_embedding_sp42():
 
 def test_is_apartment_accepts_frame_apartments():
     frames, _ = enumerate_frames(SP42)
-    members = apartment_of_frame(SP42, frames[3])
+    members = frame_apartment(SP42, frames[3])
     witness = is_apartment(SP42, members)
     assert witness is not None
     assert witness.m == 2
@@ -199,7 +209,7 @@ def test_is_apartment_raises_when_its_search_runs_out(monkeypatch):
         return [], search_stats(mode, budget, 0, 1, expansions=budget, complete=False)
 
     monkeypatch.setattr(apartments, "search_isometric_embeddings", exhausted)
-    members = apartment_of_frame(SP42, enumerate_frames(SP42)[0][0])
+    members = frame_apartment(SP42, enumerate_frames(SP42)[0][0])
     with pytest.raises(RuntimeError, match="budget"):
         is_apartment(SP42, members)
 
@@ -208,7 +218,7 @@ def test_is_apartment_star_restriction_of_sp62_frame():
     # the apartment members through one frame point form an apartment of the
     # star of that point, with the point as base
     frame = sample_frames(SP62, 1, seed=12)[0]
-    members = apartment_of_frame(SP62, frame)
+    members = frame_apartment(SP62, frame)
     p0 = frame.points[0]
     chosen = [s for s in members if contains(SP62.field, s, p0)]
     assert len(chosen) == 4
@@ -289,18 +299,24 @@ def _sp_order(m, q):
 
 
 @pytest.mark.parametrize(
-    "n,q,m", [(2, 2, 1), (2, 2, 2), (3, 2, 1), (2, 3, 1), (2, 3, 2)],
-    ids=["sp42-h1", "sp42-h2", "sp62-h1", "sp43-h1", "sp43-h2"],
+    "n,q,m", [(2, 2, 1), (2, 2, 2), (3, 2, 1), (2, 3, 1), (2, 3, 2), (2, 5, 2)],
+    ids=["sp42-h1", "sp42-h2", "sp62-h1", "sp43-h1", "sp43-h2", "sp45-h2"],
 )
 def test_theorem2_counts_match_the_closed_form(n, q, m):
     # the images of H_m are the apartments of the stars of the singular
-    # (n-m)-spaces, each reached once per automorphism of H_m
+    # (n-m)-spaces, each reached once per automorphism of H_m; for m = n
+    # they are the frame apartments, one per frame
     per_image = 2**m * factorial(m)
     images = _singular(n, n - m, q) * _sp_order(m, q) // (per_image * (q - 1) ** m)
-    report = verify_theorem2(PolarSpace(n, q), m)
+    space = PolarSpace(n, q)
+    report = verify_theorem2(space, m)
     assert report["complete"] and report["violations"] == []
     assert report["counts"]["distinct_images"] == images
     assert report["counts"]["embeddings"] == images * per_image
+    if m == n:
+        assert report["counts"]["apartments"] == frame_count(space) == images
+    else:
+        assert report["counts"]["apartments"] is None
 
 
 def test_verify_theorem2_argument_check():
@@ -324,7 +340,7 @@ def test_labelled_and_unlabelled_validation_agree():
     cases += [(SP62, G62, f) for f in sample_frames(SP62, 100, seed=21)]
     for space, graph, frame in cases:
         labelled = recover_frame(space, frame_apartment_embedding(space, graph, frame))
-        unlabelled = is_apartment(space, apartment_of_frame(space, frame))
+        unlabelled = is_apartment(space, frame_apartment(space, frame))
         assert labelled.base == unlabelled.base
         assert set(labelled.residue_frame) == set(unlabelled.residue_frame)
 
@@ -493,3 +509,77 @@ def test_shuffle_makes_the_draws_of_random_shuffle():
             ref.shuffle(want)
             assert got == want
             assert mine.getstate() == ref.getstate()
+
+
+# -- the rref reference for the witness ------------------------------------------
+
+
+def _labelled(graph, order):
+    """The Embedding of H_m whose image of sign mask x is vertex order[x]."""
+    cube = hypercube(len(order).bit_length() - 1)
+    return Embedding(cube, graph, tuple(order[lab.mask] for lab in cube.labels))
+
+
+def _labellings():
+    """Hypercube labellings, as (space, graph, vertex of each sign mask):
+    frame apartments of Sp(4,2), Sp(4,3) and Sp(6,2), H_2 over a point of
+    Sp(6,2) and edges of Sp(4,2)."""
+    cases = [(SP42, G42, frame_vertices(SP42, G42)(f)) for f in enumerate_frames(SP42)[0]]
+    cases += [(SP43, G43, frame_vertices(SP43, G43)(f)) for f in sample_frames(SP43, 30, seed=3)]
+    cases += [(SP62, G62, frame_vertices(SP62, G62)(f)) for f in sample_frames(SP62, 30, seed=3)]
+    embs = search_hypercube_embeddings(2, G62, mode="sample", budget=3_000, seed=4)[0][:30]
+    embs += search_hypercube_embeddings(1, G42)[0][:30]
+    for emb in embs:
+        space = SP62 if emb.target is G62 else SP42
+        cases.append((space, emb.target, _vertices_by_mask(emb.source, emb.assignment)))
+    return cases
+
+
+def _perturbed_labellings(count, seed):
+    """Seeded copies of the labellings: unchanged, two images swapped, or one
+    image replaced by a random vertex."""
+    cases = _labellings()
+    rng = random.Random(seed)
+    for k in range(count):
+        space, graph, order = cases[rng.randrange(len(cases))]
+        order = list(order)
+        if k % 3 == 1:
+            i, j = rng.sample(range(len(order)), 2)
+            order[i], order[j] = order[j], order[i]
+        elif k % 3 == 2:
+            order[rng.randrange(len(order))] = rng.randrange(graph.num_vertices)
+        yield space, graph, order
+
+
+def test_mask_witness_matches_the_reference():
+    kinds = set()
+    for space, graph, order in _perturbed_labellings(600, seed=19):
+        try:
+            witness = recover_frame(space, _labelled(graph, order))
+            got = (witness.base, witness.residue_frame)
+        except CounterexampleError as exc:
+            got = exc.as_violation()
+        try:
+            want = witness_from_images(space, [graph.labels[v] for v in order])
+        except CounterexampleError as exc:
+            want = exc.as_violation()
+        assert got == want
+        kinds.add(got.get("kind") if isinstance(got, dict) else "ok")
+    # the perturbations reach both verdicts and several violation kinds
+    assert "ok" in kinds and len(kinds) >= 4
+
+
+def test_pair_meets_catch_every_image_missing_the_base():
+    # the base is the meet of the images at sign masks 0 and 2^m - 1; when it
+    # misses an image, or the meet of all the images differs from it, the
+    # dimension or opposite-pair check has already raised
+    caught = 0
+    for space, graph, order in _perturbed_labellings(600, seed=19):
+        masks = [graph.masks[v] for v in order]
+        base = masks[0] & masks[-1]
+        if any(base & ~img for img in masks) or reduce(and_, masks) != base:
+            with pytest.raises(CounterexampleError) as info:
+                _base_from_masks(space, masks, "theorem2")
+            assert info.value.details["kind"] in ("base_dimension", "base_depends_on_opposite_pair")
+            caught += 1
+    assert caught

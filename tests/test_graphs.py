@@ -19,8 +19,8 @@ from dualpolar.graphs import (
     sample_geodesic,
     verify_lemma2,
 )
-from dualpolar.linalg import intersect
 from dualpolar.polar import PolarSpace
+from reference import intersect
 
 SP42 = PolarSpace(2, 2)
 SP62 = PolarSpace(3, 2)

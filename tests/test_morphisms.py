@@ -3,21 +3,21 @@ import json
 import random
 import weakref
 from functools import reduce
-from operator import or_
+from operator import and_, or_
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualpolar import morphisms, polar
-from dualpolar.linalg import contains_subspace, intersect, rref, sum_span
+from dualpolar.graphs import dual_polar_graph
+from dualpolar.linalg import rref
 from dualpolar.morphisms import (
     GraphEmbedding,
     InducedPointMap,
     LiftError,
     _frame_index_lists,
     _frame_violations,
-    _perp,
     _point_images,
     check_frames_preserving,
     induced_point_map,
@@ -34,13 +34,16 @@ from dualpolar.polar import (
     empty_subspace,
     enumerate_frames,
     enumerate_singular,
+    perp_mask,
     perp_subspace,
     point_mask,
     points_in_subspace,
-    residue_collinear,
     star,
+    subspace_of_mask,
 )
 from dualpolar.reporting import CounterexampleError, subspace_json
+import reference
+from reference import contains_subspace, intersect, residue_collinear, sum_span
 
 SP42 = PolarSpace(2, 2)
 SP62 = PolarSpace(3, 2)
@@ -197,9 +200,9 @@ def test_a_verifier_call_takes_each_perp_once(monkeypatch, run):
 
     def counting(space, mask):
         taken.append(mask)
-        return _perp(space, mask)
+        return perp_mask(space, mask)
 
-    monkeypatch.setattr(morphisms, "_perp", counting)
+    monkeypatch.setattr(morphisms, "perp_mask", counting)
     assert run()["violations"] == []
     assert taken and len(taken) == len(set(taken))
 
@@ -271,8 +274,8 @@ def test_perp_of_points_decides_their_span(data):
     space, w, chosen = data
     mask = reduce(or_, (1 << space.point_index[pt] for pt in chosen))
     span = rref(space.field, chosen, space.dim)
-    assert _perp(space, mask) == point_mask(space, perp_subspace(space, span))
-    assert (_perp(space, mask) == point_mask(space, w)) == (span == w)
+    assert perp_mask(space, mask) == point_mask(space, perp_subspace(space, span))
+    assert (perp_mask(space, mask) == point_mask(space, w)) == (span == w)
 
 
 @st.composite
@@ -293,7 +296,7 @@ def residue_points(draw):
 @given(residue_points())
 def test_mask_residue_collinearity_agrees_with_polar(data):
     space, base, a, b = data
-    collinear = not point_mask(space, b) & ~_perp(space, point_mask(space, a))
+    collinear = not point_mask(space, b) & ~perp_mask(space, point_mask(space, a))
     assert collinear == residue_collinear(space, base, a, b)
 
 
@@ -444,8 +447,93 @@ def test_frame_check_matches_the_per_frame_reference(src, dst, mode, budget):
             g[i], g[j] = g[j], g[i]
         elif k % 3 == 2:
             g[rng.randrange(len(g))] = pool[rng.randrange(len(pool))]
-        perps = [_perp(dst, gp) for gp in g]
+        perps = [perp_mask(dst, gp) for gp in g]
         got = _frame_violations(src, g, perps, frames_idx)
         assert got == reference_frame_violations(src, g, perps, frames)
         verdicts.add(bool(got))
     assert verdicts == {False, True}
+
+
+@pytest.mark.parametrize(
+    "src,dst,mode,budget",
+    [(SP42, SP62, "sample", 40_000), (SP42, SP42, "exhaustive", 100_000), (SP43, SP43, "sample", 20_000)],
+    ids=["sp42-sp62", "sp42-sp42", "sp43-sp43"],
+)
+def test_earlier_checks_catch_what_the_dropped_checks_would(src, dst, mode, budget):
+    # lemma5 no longer checks that the base lies in every image, nor the
+    # point map that g spans every image: on the perturbed embeddings where
+    # either would fail, the base or point-image checks have raised first
+    embs, _ = search_dualpolar_embeddings(src, dst, mode=mode, budget=budget, seed=6)
+    missing = unspanned = 0
+    for emb in _perturbed(embs, 300, seed=17):
+        imgs = [emb.target.masks[a] for a in emb.assignment]
+        i0, j0 = _reference_opposite_pairs(emb.source)[0]
+        base = imgs[i0] & imgs[j0]
+        if any(base & ~img for img in imgs):
+            with pytest.raises(CounterexampleError) as info:
+                verify_lemma5(emb)
+            assert info.value.details["kind"] in ("base_dimension", "base_depends_on_opposite_pair")
+            missing += 1
+        g = [reduce(and_, (img for sub, img in zip(emb.source.masks, imgs) if sub >> p & 1))
+             for p in range(len(src.points))]
+        spans = [
+            reduce(lambda a, b: sum_span(dst.field, a, b),
+                   (subspace_of_mask(dst, g[p]) for p in range(len(g)) if sub >> p & 1))
+            for sub in emb.source.masks
+        ]
+        if any(span != emb.image_of(v) for v, span in enumerate(spans)):
+            with pytest.raises(CounterexampleError) as info:
+                induced_point_map(emb)
+            assert info.value.details["kind"] in ("point_image_defect", "point_map_not_injective")
+            unspanned += 1
+    assert missing and unspanned
+
+
+# -- the rref reference for the spanning lift -------------------------------------
+
+
+def _lift_outcome(src, dst, base, point_map):
+    try:
+        return lift_frame_preserving_map(src, dst, base, point_map).assignment
+    except LiftError as exc:
+        return str(exc), exc.details
+
+
+def _reference_lift_outcome(src, dst, base, point_map):
+    images = reference.lift_images(src, dst, base, point_map)
+    if isinstance(images, tuple):
+        sub, span = images
+        return ("span of point images is not maximal singular",
+                {"source": subspace_json(sub), "span": subspace_json(span)})
+    graph, source = dual_polar_graph(dst), dual_polar_graph(src)
+    assignment = tuple(graph.index[s] for s in images)
+    if len(set(assignment)) != len(assignment):
+        return "lifted map is not injective", {}
+    for i in range(len(images)):
+        for j in range(i + 1, len(images)):
+            d = graph.dist[assignment[i]][assignment[j]]
+            if d != source.dist[i][j]:
+                return ("lifted map does not preserve distances",
+                        {"pair": [i, j], "expected": source.dist[i][j], "got": d})
+    return assignment
+
+
+@pytest.mark.parametrize("dst", [SP42, SP62], ids=["sp42-sp42", "sp42-sp62"])
+def test_mask_lift_matches_the_reference(dst):
+    base, point_map = shifted_point_injection(SP42, dst)
+    targets = star(dst, base, base.rank) if base.rank else enumerate_singular(dst, 0)
+    rng = random.Random(29)
+    outcomes = set()
+    for k in range(120):
+        broken = dict(point_map)
+        a, b = rng.sample(SP42.points, 2)
+        if k % 4 == 1:
+            broken[a], broken[b] = broken[b], broken[a]
+        elif k % 4 == 2:
+            broken[a] = broken[b]
+        elif k % 4 == 3:
+            broken[a] = targets[rng.randrange(len(targets))]
+        got = _lift_outcome(SP42, dst, base, broken)
+        assert got == _reference_lift_outcome(SP42, dst, base, broken)
+        outcomes.add(got[0] if isinstance(got[0], str) else "ok")
+    assert "ok" in outcomes and len(outcomes) >= 2

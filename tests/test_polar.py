@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualpolar.linalg import contains, contains_subspace, intersect, rref, zero_subspace
+from dualpolar.linalg import rref, zero_subspace
 from dualpolar.polar import (
     PolarSpace,
     ResidueSpace,
@@ -25,11 +25,12 @@ from dualpolar.polar import (
     point_mask,
     points_in_subspace,
     projdim,
-    residue_collinear,
     sample_frames,
     star,
     subspace_of_mask,
 )
+import reference
+from reference import contains, contains_subspace, intersect, residue_collinear
 
 
 def isotropic_count(n, k, q):
@@ -291,6 +292,25 @@ def test_enumerate_frames_streams_each_frame_once(n, p, budget):
         assert len(listed) == order // (2**n * factorial(n) * (p - 1) ** n)
 
 
+@pytest.mark.parametrize(
+    "n,p,budget",
+    [(2, 2, 10**7), (2, 3, 10**7), (3, 2, 3_000), (2, 5, 3_000)],
+    ids=["sp42", "sp43", "sp62-partial", "sp45-partial"],
+)
+def test_mask_frames_match_the_reference(n, p, budget):
+    space = PolarSpace(n, p)
+    assert enumerate_frames(space, budget=budget) == reference.enumerate_frames(space, budget=budget)
+
+
+@pytest.mark.parametrize("space", [SP42, SP43], ids=["sp42", "sp43"])
+def test_apartment_of_frame_matches_the_reference(space):
+    frames, complete = enumerate_frames(space)
+    assert complete
+    for frame in frames:
+        members = reference.apartment_of_frame(space, frame)
+        assert apartment_of_frame(space, frame) == tuple(point_mask(space, s) for s in members)
+
+
 def test_enumerate_frames_budget_flag():
     frames, complete = enumerate_frames(SP42, budget=10)
     assert not complete
@@ -320,7 +340,7 @@ def test_apartment_of_standard_frame():
     e1, f1 = (1, 0, 0, 0), (0, 1, 0, 0)
     e2, f2 = (0, 0, 1, 0), (0, 0, 0, 1)
     expected = {
-        rref(SP42.field, [a, b], 4)
+        point_mask(SP42, rref(SP42.field, [a, b], 4))
         for a in (e1, f1)
         for b in (e2, f2)
     }
@@ -334,8 +354,8 @@ def test_apartment_members_take_one_point_per_pair():
         assert len(members) == 1 << SP42.n
         for member in members:
             for i, j in frame.pairs():
-                a = contains(SP42.field, member, frame.points[i])
-                b = contains(SP42.field, member, frame.points[j])
+                a = member >> SP42.point_index[frame.points[i]] & 1
+                b = member >> SP42.point_index[frame.points[j]] & 1
                 assert a != b
 
 
@@ -406,6 +426,25 @@ def test_point_residue_of_sp62_is_rank2_polar_space():
     assert report["ok"], report
 
 
+@pytest.mark.parametrize(
+    "space,base",
+    [(SP62, rref(SP62.field, [SP62.points[0]], 6)), (SP62, empty_subspace(SP62)),
+     (SP43, empty_subspace(SP43))],
+    ids=["sp62-point", "sp62-empty", "sp43-empty"],
+)
+def test_residue_space_matches_the_reference(space, base):
+    # lines by containment, collinearity by a singular span, both on rref
+    residue = ResidueSpace(space, base)
+    pts = residue.points
+    for i, a in enumerate(pts):
+        want = sum(1 << j for j, b in enumerate(pts) if j != i and residue_collinear(space, base, a, b))
+        assert residue.collinear_mask(i) == want
+    assert residue.line_index_sets() == [
+        tuple(i for i, s in enumerate(pts) if contains_subspace(space.field, upper, s))
+        for upper in star(space, base, projdim(base) + 2)
+    ]
+
+
 def test_residue_space_rejects_rank_one():
     line = enumerate_singular(SP42, 0)[0]
     with pytest.raises(ValueError):
@@ -428,7 +467,7 @@ def test_rank_four_desk_scale():
     from dualpolar.apartments import is_apartment
 
     for frame in sample_frames(space, 2, seed=8):
-        members = apartment_of_frame(space, frame)
+        members = [subspace_of_mask(space, mask) for mask in apartment_of_frame(space, frame)]
         witness = is_apartment(space, members)
         assert witness is not None and witness.m == 4
         assert witness.base.rank == 0
