@@ -10,7 +10,11 @@ as an apartment exactly when such a decomposition exists.
 
 from __future__ import annotations
 
+import marshal
+import os
 import random
+import signal
+import threading
 import time
 from dataclasses import dataclass
 from functools import reduce
@@ -35,6 +39,8 @@ from .polar import PolarSpace, mask_rank, perp_mask, point_mask, subspace_of_mas
 from .reporting import CounterexampleError, make_report, subspace_json
 
 DEFAULT_BUDGET = 10_000_000
+# root branches per chunk dealt to a worker process
+_CHUNK = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,6 +162,108 @@ def _branch_search(dst_nbrs, dst_adj, at_dist, plan, nsrc, root_img, budget, rng
     return expansions, complete
 
 
+def _pool_size(workers: int, chunks: int) -> int:
+    """Worker processes for a search of ``chunks`` root chunks: never more
+    than the CPUs this process may run on, and none where ``os.fork`` is
+    missing or another thread runs (a forked child would inherit that
+    thread's locks in whatever state they are)."""
+    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return min(workers, cpus, chunks)
+
+
+def _write_record(out, record) -> None:
+    data = marshal.dumps(record)
+    out.write(len(data).to_bytes(8, "little") + data)
+    out.flush()
+
+
+def _read_record(reader):
+    """The next record ``_write_record`` wrote, or None at the end of the
+    pipe.  The record is read whole and then unmarshalled, because
+    ``marshal.load`` on a file makes one ``readinto`` call per value."""
+    head = reader.read(8)
+    if len(head) < 8:
+        return None
+    size = int.from_bytes(head, "little")
+    data = reader.read(size)
+    return marshal.loads(data) if len(data) == size else None
+
+
+def _serve_chunks(branch, roots, fd: int) -> None:
+    """Body of a forked worker: one record per root of ``roots`` to ``fd``,
+    either ``branch(root)`` or the text of the exception it raised.  Leaves
+    through ``os._exit``, never back into the caller's stack."""
+    code = 1
+    try:
+        with os.fdopen(fd, "wb") as out:
+            for root in roots:
+                try:
+                    record = branch(root)
+                except Exception as exc:
+                    _write_record(out, f"{type(exc).__name__}: {exc}")
+                    break
+                _write_record(out, record)
+            else:
+                code = 0
+    finally:
+        os._exit(code)
+
+
+def _forked_branches(branch, nroots: int, nprocs: int, replay) -> None:
+    """Run ``branch(root)`` -> (expansions, complete, flat leaf images) for
+    every root in ``nprocs`` forked children and pass each result to
+    ``replay`` in root order, in this process.
+
+    Chunk c of ``_CHUNK`` roots goes to child c % nprocs.  Each child writes
+    its records in root order to its own pipe, so the parent reads root r
+    from the child that owns it, and a pipe's buffer holds back a child that
+    gets ahead.  The children inherit the search's tables by fork, so
+    nothing is sent to them.  A child that raises or dies makes this raise
+    RuntimeError naming its root; whatever raises, every child is killed
+    and reaped and every pipe closed.
+    """
+    readers: list = []
+    pids: list[int] = []
+    try:
+        for c in range(nprocs):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                os.close(r)
+                for reader in readers:
+                    os.close(reader.fileno())
+                _serve_chunks(branch, [
+                    root for root in range(nroots) if root // _CHUNK % nprocs == c
+                ], w)
+            pids.append(pid)
+            os.close(w)
+            readers.append(os.fdopen(r, "rb"))
+        for root in range(nroots):
+            record = _read_record(readers[root // _CHUNK % nprocs])
+            if not isinstance(record, tuple):
+                raise RuntimeError(
+                    f"search branch at root {root} failed in a worker process: "
+                    f"{record or 'it exited without a result'}"
+                )
+            replay(*record)
+    finally:
+        for reader in readers:
+            reader.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def search_stats(
     mode: str,
     budget: int,
@@ -192,10 +300,12 @@ def search_isometric_embeddings(
     """All (or budget-bounded) isometric embeddings of ``src`` into ``dst``.
 
     The node budget is split over the root-placement branches up front and
-    sample mode only permutes candidate order per branch.  The branches run
-    one after another; ``workers`` is only recorded in the stats, so the
-    result set is the same for every worker count.  Expansions count vertex
-    placements.
+    sample mode only permutes candidate order per branch.  With ``workers``
+    above 1 the branches run in up to that many forked processes (see
+    ``_forked_branches``), capped by the CPUs this process may use; their
+    results come back to this process and are replayed in root order, so
+    the embeddings, their order and the stats other than ``workers`` are the
+    same for every worker count.  Expansions count vertex placements.
 
     Without ``visit`` the embeddings come back as a list.  With it, each one
     is streamed as ``visit(assignment, key, new)`` the moment it is found and
@@ -252,14 +362,32 @@ def search_isometric_embeddings(
             keys.add(key)
         visit(tuple([imgs[k] for k in plan_pos]), key, new)
 
+    def branch(root: int, on_leaf) -> tuple[int, bool]:
+        return _branch_search(
+            nbrs, dst.adj, at_dist, plan, nsrc, root, shares[root], rngs[root], on_leaf
+        )
+
     expansions = 0
     complete = True
-    for root in range(nv):
-        exp, comp = _branch_search(
-            nbrs, dst.adj, at_dist, plan, nsrc, root, shares[root], rngs[root], leaf
-        )
-        expansions += exp
-        complete = complete and comp
+    nprocs = _pool_size(workers, -(-nv // _CHUNK))
+    if nprocs > 1:
+        def record(root: int) -> tuple[int, bool, list[int]]:
+            flat: list[int] = []
+            return *branch(root, flat.extend), flat
+
+        def replay(exp: int, comp: bool, flat: list[int]) -> None:
+            nonlocal expansions, complete
+            for i in range(0, len(flat), nsrc):
+                leaf(flat[i:i + nsrc])
+            expansions += exp
+            complete = complete and comp
+
+        _forked_branches(record, nv, nprocs, replay)
+    else:
+        for root in range(nv):
+            exp, comp = branch(root, leaf)
+            expansions += exp
+            complete = complete and comp
     stats = search_stats(mode, budget, seed, workers, found, len(keys), expansions, complete)
     return embeddings, stats
 
@@ -504,14 +632,37 @@ def frame_vertices(space: PolarSpace, graph: DenseGraph):
 
 def count_apartments(space: PolarSpace, budget: int) -> tuple[int, bool]:
     """(number of distinct frame apartments, whether every frame was
-    enumerated within ``budget`` nodes); the frames are streamed and each
-    apartment is kept as an int over the maximals, bit v for vertex v."""
-    apartment = frame_vertices(space, dual_polar_graph(space))
-    keys: set[int] = set()
-    _, complete = polar.enumerate_frames(
-        space, budget=budget, visit=lambda frame: keys.add(sum(1 << v for v in apartment(frame)))
-    )
-    return len(keys), complete
+    enumerated within ``budget`` nodes), with nothing kept per apartment.
+
+    Each frame is round-tripped instead: the members of its apartment on
+    either side of a pair must meet in exactly that side's frame point.
+    That recovers the frame from its apartment, a left inverse of
+    frame -> apartment, so distinct frames have distinct apartments and the
+    frames are counted.  A frame that fails raises CounterexampleError.
+    """
+    index = space.point_index
+    # the sign masks on each side of pair k, first point's side first
+    sides = [
+        [[mask for mask in range(1 << space.n) if mask >> k & 1 == side] for side in (0, 1)]
+        for k in range(space.n)
+    ]
+    frames = 0
+
+    def roundtrip(frame: polar.Frame) -> None:
+        nonlocal frames
+        members = polar.apartment_of_frame(space, frame)
+        for pair, masks in zip(frame.pairs(), sides):
+            for i, side in zip(pair, masks):
+                if reduce(and_, map(members.__getitem__, side)) != 1 << index[frame.points[i]]:
+                    raise CounterexampleError(
+                        "theorem2",
+                        {"kind": "frame_roundtrip_mismatch",
+                         "frame": [list(pt) for pt in frame.points], "point": list(frame.points[i])},
+                    )
+        frames += 1
+
+    _, complete = polar.enumerate_frames(space, budget=budget, visit=roundtrip)
+    return frames, complete
 
 
 # -- statement verifiers ------------------------------------------------------
@@ -651,7 +802,11 @@ def verify_theorem2(
 
     apartments = None
     if m == space.n and mode == "exhaustive" and stats["complete"]:
-        count, frames_complete = count_apartments(space, budget)
+        try:
+            count, frames_complete = count_apartments(space, budget)
+        except CounterexampleError as exc:
+            violations.append(exc.as_violation())
+            frames_complete = False
         if frames_complete:
             apartments = count
             if apartments != stats["distinct_images"]:

@@ -48,7 +48,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--budget", type=int, default=apartments.DEFAULT_BUDGET,
                        help="node-expansion budget")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=int, default=1,
+                       help="forked processes for the embedding search, at most one "
+                            "per usable CPU; the report is the same for any count")
         p.add_argument("--output", type=str, default=None,
                        help="output file/directory (default: $DUALPOLAR_OUTPUT_DIR or cwd)")
         p.add_argument("--format", choices=("json", "dot"), default="json")
@@ -168,6 +170,7 @@ def cmd_count(args) -> int:
     space = PolarSpace(args.n, args.p)
     complete = True
     expansions = 0
+    violations: list[dict] = []
     if args.what == "points":
         counts = {"points": len(space.points)}
     elif args.what == "singular":
@@ -184,7 +187,11 @@ def cmd_count(args) -> int:
         _, complete = polar.enumerate_frames(space, budget=args.budget, visit=visit)
         counts = {"frames": frames}
     elif args.what == "apartments":
-        count, complete = apartments.count_apartments(space, args.budget)
+        try:
+            count, complete = apartments.count_apartments(space, args.budget)
+        except reporting.CounterexampleError as exc:
+            count, complete = None, False
+            violations.append(exc.as_violation())
         counts = {"apartments": count}
     else:
         m = _require_m(args)
@@ -204,7 +211,7 @@ def cmd_count(args) -> int:
         seed=args.seed,
         workers=args.workers,
         counts=counts,
-        violations=[],
+        violations=violations,
         complete=complete,
         expansions=expansions,
         elapsed=time.perf_counter() - start,

@@ -80,6 +80,11 @@ def _opposite_pairs(graph: DenseGraph) -> tuple[tuple[int, int], ...]:
     )
 
 
+def _members(graph: DenseGraph) -> list[list[int]]:
+    """Point indices of each vertex of a dual polar graph."""
+    return [_bits(mask) for mask in graph.masks]
+
+
 def _image_masks(emb: GraphEmbedding) -> list[int]:
     masks = emb.target.masks
     return [masks[a] for a in emb.assignment]
@@ -154,12 +159,14 @@ def verify_lemma5(emb: GraphEmbedding) -> Subspace:
 
 
 def _point_images(
-    emb: GraphEmbedding, perp_of: dict[int, int]
+    emb: GraphEmbedding, members: list[list[int]], perp_of: dict[int, int]
 ) -> tuple[int, list[int], list[int]]:
     """Masks of the base and of every g(p), in ``src_space.points`` order, and
     the perp of every g(p); the checks are those of ``induced_point_map``.
-    ``perp_of`` maps masks to their perps: pass one dict through a verifier
-    call, since the g(p) of different embeddings repeat.
+    ``members`` lists the point indices of each source vertex
+    (``_members(emb.source)``) and ``perp_of`` maps masks to their perps:
+    pass one of each through a verifier call, since every embedding has the
+    same source and the g(p) of different embeddings repeat.
 
     Once each g(p) lies one step above the base B and g is injective, g spans
     the image W of every maximal M over B, so that is not checked again: each
@@ -172,7 +179,6 @@ def _point_images(
     imgs = _image_masks(emb)
     i0, j0 = _opposite_pairs(emb.source)[0]
     base = imgs[i0] & imgs[j0]
-    members = [_bits(mask) for mask in emb.source.masks]
     g = [(1 << len(space.points)) - 1] * len(emb.src_space.points)
     for pts, img in zip(members, imgs):
         for p in pts:
@@ -204,7 +210,7 @@ def induced_point_map(emb: GraphEmbedding) -> InducedPointMap:
     subspace (see ``_point_images``); failures raise CounterexampleError.
     """
     space = emb.dst_space
-    base, g, _ = _point_images(emb, {})
+    base, g, _ = _point_images(emb, _members(emb.source), {})
     assignment = {pt: subspace_of_mask(space, gp) for pt, gp in zip(emb.src_space.points, g)}
     return InducedPointMap(emb.src_space, space, subspace_of_mask(space, base), assignment)
 
@@ -456,7 +462,9 @@ def verify_theorem3(
     if not frames_complete:
         frames_src = polar.sample_frames(src_space, 100, seed)
     frames_idx = _frame_index_lists(src_space, frames_src)
-    apartment = frame_vertices(src_space, dual_polar_graph(src_space))
+    src = dual_polar_graph(src_space)
+    apartment = frame_vertices(src_space, src)
+    members = _members(src)
     violations: list[dict] = []
     perp_of: dict[int, int] = {}
     visited = checked_apartments = 0
@@ -467,7 +475,7 @@ def verify_theorem3(
         visited += 1
         try:
             verify_lemma5(emb)
-            base, g, perps = _point_images(emb, perp_of)
+            base, g, perps = _point_images(emb, members, perp_of)
             violations.extend(_frame_violations(src_space, g, perps, frames_idx))
             if first:
                 for frame in frames_src[:apartment_checks]:
@@ -532,6 +540,7 @@ def verify_chow(
     start = time.perf_counter()
     frames, frames_complete = polar.enumerate_frames(space, budget=10**6)
     masks = space.collinear_masks()
+    members = _members(dual_polar_graph(space))
     violations: list[dict] = []
     perp_of: dict[int, int] = {}
 
@@ -539,7 +548,7 @@ def verify_chow(
         try:
             if len(set(emb.assignment)) != emb.source.num_vertices:
                 raise CounterexampleError("chow", {"kind": "not_a_bijection"})
-            base, g, _ = _point_images(emb, perp_of)
+            base, g, _ = _point_images(emb, members, perp_of)
             if base:
                 raise CounterexampleError("chow", {"kind": "nonempty_base"})
             perm = [gp.bit_length() - 1 for gp in g]

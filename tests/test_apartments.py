@@ -482,6 +482,18 @@ def test_visitor_streams_what_the_list_holds(case):
         seen.add(key)
 
 
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("case", SEARCH_CASES.values(), ids=SEARCH_CASES.keys())
+def test_forked_search_streams_what_one_worker_streams(case, workers):
+    streamed, forked = [], []
+    _, stats = search_isometric_embeddings(*case, visit=lambda *found: streamed.append(found))
+    _, forked_stats = search_isometric_embeddings(
+        *case, workers=workers, visit=lambda *found: forked.append(found)
+    )
+    assert forked == streamed
+    assert forked_stats == {**stats, "workers": workers}
+
+
 def test_search_frees_its_visitor_when_it_returns():
     class Visitor:
         def __call__(self, assignment, key, new):

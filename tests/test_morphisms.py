@@ -18,6 +18,7 @@ from dualpolar.morphisms import (
     LiftError,
     _frame_index_lists,
     _frame_violations,
+    _members,
     _point_images,
     check_frames_preserving,
     induced_point_map,
@@ -215,8 +216,8 @@ def test_chow_names_the_first_pair_whose_collinearity_breaks(monkeypatch):
     assert (masks[0] >> 1 & 1) != (masks[7] >> 1 & 1)
     found = []
 
-    def swapped(emb, perp_of):
-        base, g, perps = _point_images(emb, perp_of)
+    def swapped(emb, members, perp_of):
+        base, g, perps = _point_images(emb, members, perp_of)
         g, perps = list(g), list(perps)
         for seq in (g, perps):
             seq[swap[0]], seq[swap[1]] = seq[swap[1]], seq[swap[0]]
@@ -435,8 +436,8 @@ def test_frame_check_matches_the_per_frame_reference(src, dst, mode, budget):
     frames, complete = enumerate_frames(src)
     assert embs and complete
     frames_idx = _frame_index_lists(src, frames)
-    perp_of = {}
-    images = [_point_images(emb, perp_of)[1] for emb in embs]
+    members, perp_of = _members(embs[0].source), {}
+    images = [_point_images(emb, members, perp_of)[1] for emb in embs]
     pool = [gp for g in images for gp in g]
     rng = random.Random(23)
     verdicts = set()
