@@ -4,7 +4,7 @@ import random
 import weakref
 from functools import reduce
 from math import factorial, prod
-from operator import and_
+from operator import and_, or_
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from dualpolar.apartments import (
     _shuffle,
     _source_plan,
     _vertices_by_mask,
+    _witness_from_images,
     base_subspace,
     frame_vertices,
     is_apartment,
@@ -34,6 +35,7 @@ from dualpolar.polar import (
     apartment_of_frame,
     enumerate_frames,
     frame_count,
+    is_frame,
     sample_frames,
     subspace_of_mask,
 )
@@ -46,6 +48,7 @@ SP43 = PolarSpace(2, 3)
 G42 = dual_polar_graph(SP42)
 G62 = dual_polar_graph(SP62)
 G43 = dual_polar_graph(SP43)
+G45 = dual_polar_graph(PolarSpace(2, 5))
 
 
 def frame_apartment(space, frame):
@@ -455,7 +458,26 @@ SEARCH_CASES = {
     # a budget below the 40 vertices leaves some root branches no budget
     "sp43-sp43-b30": (G43, G43, "exhaustive", 30, 0),
     "sp43-sp43-b30-sample": (G43, G43, "sample", 30, 2),
+    # H_1: the first placement is already the last level
+    "h1-sp42": (hypercube(1), G42, "exhaustive", 10**5, 0),
+    "h1-sp43-b100-sample": (hypercube(1), G43, "sample", 100, 1),
+    # a one-vertex source: every leaf is a root
+    "k1-sp42": (graph_from_edges([0], []), G42, "exhaustive", 100, 0),
+    "k1-sp42-b7-sample": (graph_from_edges([0], []), G42, "sample", 7, 3),
+    # budgets that run out part way through the last level of every root
+    "h2-sp43-b1000": (hypercube(2), G43, "exhaustive", 1_000, 0),
+    "h2-sp45-b1000-sample": (hypercube(2), G45, "sample", 1_000, 3),
 }
+
+
+def assert_streamed_keys(streamed):
+    """Each streamed key is the image of its assignment, and ``new`` is set
+    exactly at the first embedding of each key."""
+    seen = set()
+    for assignment, key, new in streamed:
+        assert key == reduce(or_, [1 << v for v in assignment])
+        assert new == (key not in seen)
+        seen.add(key)
 
 
 @pytest.mark.parametrize("case", SEARCH_CASES.values(), ids=SEARCH_CASES.keys())
@@ -475,11 +497,7 @@ def test_visitor_streams_what_the_list_holds(case):
     )
     assert none == [] and streamed_stats == stats
     assert [a for a, _, _ in streamed] == [e.assignment for e in embs]
-    seen = set()
-    for assignment, key, new in streamed:
-        assert key == sum(1 << v for v in assignment)
-        assert new == (key not in seen)
-        seen.add(key)
+    assert_streamed_keys(streamed)
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -491,6 +509,7 @@ def test_forked_search_streams_what_one_worker_streams(case, workers):
         *case, workers=workers, visit=lambda *found: forked.append(found)
     )
     assert forked == streamed
+    assert_streamed_keys(forked)
     assert forked_stats == {**stats, "workers": workers}
 
 
@@ -579,6 +598,33 @@ def test_mask_witness_matches_the_reference():
         kinds.add(got.get("kind") if isinstance(got, dict) else "ok")
     # the perturbations reach both verdicts and several violation kinds
     assert "ok" in kinds and len(kinds) >= 4
+
+
+def test_full_rank_witness_is_a_frame_apartment():
+    # verify_theorem2 neither recovers a frame from an image that passes the
+    # decomposition with m = n nor round-trips it: its faces are a frame, and
+    # the apartment of that frame is the image
+    witness_kinds = {
+        "base_dimension", "base_depends_on_opposite_pair", "face_intersection_defect",
+        "face_subspaces_collide", "residue_frame_condition", "image_not_spanned_by_faces",
+        "membership_equivalence",
+    }
+    passed, failed = set(), 0
+    for space, graph, order in _perturbed_labellings(600, seed=23):
+        if len(order) != 1 << space.n:
+            continue
+        masks = [graph.masks[v] for v in order]
+        try:
+            _, faces = _witness_from_images(space, masks)
+        except CounterexampleError as exc:
+            assert exc.details["kind"] in witness_kinds
+            failed += 1
+            continue
+        frame = is_frame(space, [space.points[q.bit_length() - 1] for q in faces])
+        assert frame is not None
+        assert set(apartment_of_frame(space, frame)) == set(masks)
+        passed.add(space)
+    assert passed >= {SP42, SP62} and failed
 
 
 def test_pair_meets_catch_every_image_missing_the_base():
