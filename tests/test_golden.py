@@ -1,0 +1,58 @@
+"""Golden reports: fast CLI runs whose reports, less the volatile keys, and
+exit codes are pinned under ``tests/golden/``.
+
+The report schema and the exit codes are the contract, so a refactor must
+reproduce these files exactly.  After a change that is meant to alter a
+report, rewrite them with ``PYTHONPATH=src python tests/test_golden.py`` and
+review the diff.
+"""
+
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from dualpolar.cli import main
+from dualpolar.reporting import strip_volatile
+
+GOLDEN = Path(__file__).parent / "golden"
+
+COMMANDS = {
+    "theorem2_sp42_m2": ["verify", "theorem2", "--p", "2", "--n", "2", "--m", "2"],
+    "theorem2_sp62_m3_sample": ["verify", "theorem2", "--p", "2", "--n", "3", "--m", "3",
+                                "--mode", "sample", "--budget", "500", "--seed", "11"],
+    "theorem3_sp42_sp42": ["verify", "theorem3", "--p", "2", "--n", "2"],
+    "lemma5_sp42_sp62_sample": ["verify", "lemma5", "--p", "2", "--n", "2", "--n-prime", "3",
+                                "--mode", "sample", "--budget", "2000", "--seed", "7"],
+    "chow_sp42": ["verify", "chow", "--p", "2", "--n", "2"],
+    "lemma1_sp42": ["verify", "lemma1", "--p", "2", "--n", "2"],
+    "lemma2_m4": ["verify", "lemma2", "--m", "4"],
+    "count_embeddings_sp42_m2": ["count", "embeddings", "--p", "2", "--n", "2", "--m", "2"],
+    "count_frames_sp42": ["count", "frames", "--p", "2", "--n", "2"],
+    "count_apartments_sp42": ["count", "apartments", "--p", "2", "--n", "2"],
+}
+
+
+def run(argv: list[str], out: Path) -> dict:
+    """The exit code and the stripped report of one CLI run into ``out``."""
+    code = main(argv + ["--output", str(out)])
+    (written,) = out.glob("*.json")
+    return {"argv": argv, "exit_code": code,
+            "report": strip_volatile(json.loads(written.read_text()))}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_report_matches_golden(name, tmp_path):
+    golden = json.loads((GOLDEN / f"{name}.json").read_text())
+    assert run(COMMANDS[name], tmp_path) == golden
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in COMMANDS.items():
+        with tempfile.TemporaryDirectory() as out:
+            result = run(argv, Path(out))
+        (GOLDEN / f"{name}.json").write_text(json.dumps(result, sort_keys=True, indent=1) + "\n")
+        print(f"wrote {name}: exit {result['exit_code']}", file=sys.stderr)
