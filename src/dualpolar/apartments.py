@@ -35,7 +35,6 @@ from .graphs import (
     geodesic_count,
     hypercube,
     iter_geodesics,
-    meet_graph,
     sample_geodesic,
 )
 from .linalg import Subspace
@@ -307,6 +306,30 @@ def search_stats(
         "embeddings": embeddings,
         "distinct_images": distinct_images,
     }
+
+
+def search_report(
+    statement: str, instance: dict, stats: dict, violations: list, start: float, **counts
+) -> dict:
+    """The report of a verifier that ran one embedding search since
+    ``start`` (a ``time.perf_counter`` reading): its mode, budget, seed,
+    workers, expansions, completeness and the embeddings and
+    distinct_images counts are the search's ``stats``, and ``counts`` add
+    the verifier's own."""
+    return make_report(
+        statement=statement,
+        instance=instance,
+        mode=stats["mode"],
+        budget=stats["budget"],
+        seed=stats["seed"],
+        workers=stats["workers"],
+        counts={"embeddings": stats["embeddings"],
+                "distinct_images": stats["distinct_images"], **counts},
+        violations=violations,
+        complete=stats["complete"],
+        expansions=stats["expansions"],
+        elapsed=time.perf_counter() - start,
+    )
 
 
 def search_isometric_embeddings(
@@ -616,9 +639,13 @@ def is_apartment(space: PolarSpace, members) -> ApartmentWitness | None:
     Returns None when the set cannot even be relabeled as an isometrically
     embedded hypercube (wrong size, or no distance-preserving labeling).  If
     a labeling exists but its decomposition fails validation, that failure
-    is a counterexample to the characterization and raises instead.  If the
-    labelling search runs out of its budget without finding a labelling,
-    RuntimeError is raised: an unfinished search decides nothing.
+    is a counterexample to the characterization and raises instead.
+
+    The labelling needs no search.  Member 0 (in RREF order) takes sign mask
+    0 and its i-th neighbor bit i; every other member takes the bits of the
+    neighbors it is closer to than to member 0, which in a hypercube are the
+    bits of its sign mask.  The set is a hypercube exactly when member 0 has
+    m neighbors and every distance is the popcount of the XOR of the labels.
     """
     unique = sorted(set(members), key=lambda s: s.rows)
     for s in unique:
@@ -629,14 +656,19 @@ def is_apartment(space: PolarSpace, members) -> ApartmentWitness | None:
     if size != 1 << m or not 1 <= m <= space.n:
         return None
     masks = [point_mask(space, s) for s in unique]
-    found, stats = search_isometric_embeddings(
-        hypercube(m), meet_graph(space, unique, masks), mode="exhaustive", budget=10**6
-    )
-    if not found:
-        if not stats["complete"]:
-            raise RuntimeError("the labelling search ran out of its budget")
+    dist = [[space.n - mask_rank(space, a & b) for b in masks] for a in masks]
+    nbrs = [v for v in range(size) if dist[0][v] == 1]
+    if len(nbrs) != m:
         return None
-    order = _vertices_by_mask(found[0].source, found[0].assignment)
+    labels = [
+        sum(1 << i for i, u in enumerate(nbrs) if dist[v][u] < dist[0][v]) for v in range(size)
+    ]
+    if any(dist[v][w] != (labels[v] ^ labels[w]).bit_count()
+           for v in range(size) for w in range(v)):
+        return None
+    order = [0] * size
+    for v, label in enumerate(labels):
+        order[label] = v
     return _apartment_witness(space, [unique[i] for i in order], [masks[i] for i in order])
 
 
@@ -778,15 +810,13 @@ def verify_theorem2(
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
     workers: int = 1,
-    graph: DenseGraph | None = None,
 ) -> dict:
     """Search for embedded hypercubes H_m and validate that every distinct
     image is an apartment over a base of projective dimension n - m - 1.
 
     Each image is decomposed as soon as the search first finds it, in the
-    hypercube labelling of that embedding, on the point masks the graph keeps
-    for its vertices (so a given ``graph`` must be a dual polar graph of
-    ``space`` or a ``meet_graph``).
+    hypercube labelling of that embedding, on the point masks the dual polar
+    graph keeps for its vertices.
 
     With m = n in exhaustive mode the distinct images are also counted
     against the frame-defined apartments (``count_apartments``).  An image
@@ -800,8 +830,7 @@ def verify_theorem2(
     if not 1 <= m <= space.n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={space.n}")
     start = time.perf_counter()
-    if graph is None:
-        graph = dual_polar_graph(space)
+    graph = dual_polar_graph(space)
     cube = hypercube(m)
     violations: list[dict] = []
 
@@ -836,22 +865,7 @@ def verify_theorem2(
                         "apartments": apartments,
                     }
                 )
-
-    counts = {
-        "embeddings": stats["embeddings"],
-        "distinct_images": stats["distinct_images"],
-        "apartments": apartments,
-    }
-    return make_report(
-        statement="theorem2",
-        instance={"p": space.p, "n": space.n, "m": m},
-        mode=mode,
-        budget=budget,
-        seed=seed,
-        workers=workers,
-        counts=counts,
-        violations=violations,
-        complete=stats["complete"],
-        expansions=stats["expansions"],
-        elapsed=time.perf_counter() - start,
+    return search_report(
+        "theorem2", {"p": space.p, "n": space.n, "m": m}, stats, violations, start,
+        apartments=apartments,
     )

@@ -286,17 +286,6 @@ def sample_geodesic(graph: DenseGraph, v: int, w: int, counts: Sequence[int], rn
     return path[::-1]
 
 
-def _shortest_path(graph: DenseGraph, v: int, w: int) -> list[int]:
-    """One geodesic from v to w (first neighbor in index order at each step)."""
-    path = [v]
-    dw = graph.dist[w]
-    while path[-1] != w:
-        u = path[-1]
-        nxt = next(t for t in _bits(graph.adj[u]) if dw[t] == dw[u] - 1)
-        path.append(nxt)
-    return path
-
-
 def verify_lemma2(m_max: int = 8, geodesic_m_max: int = 6) -> dict:
     """Check the two hypercube facts behind the embedding analysis.
 
@@ -322,7 +311,7 @@ def verify_lemma2(m_max: int = 8, geodesic_m_max: int = 6) -> dict:
             w = v ^ (nv - 1)
             for u in range(nv):
                 checks += 1
-                path = _shortest_path(graph, v, u) + _shortest_path(graph, u, w)[1:]
+                path = next(iter_geodesics(graph, v, u)) + next(iter_geodesics(graph, u, w))[1:]
                 ok = (
                     len(path) == m + 1
                     and u in path

@@ -25,6 +25,7 @@ from .apartments import (
     _witness_from_images,
     frame_vertices,
     search_isometric_embeddings,
+    search_report,
     search_stats,
 )
 from .graphs import DenseGraph, _bits, dual_polar_graph
@@ -271,13 +272,12 @@ def check_frames_preserving(
     frames=None,
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
-    sample_count: int = 200,
 ) -> dict:
     """Check that the point map carries frames to residue frames over its base.
 
     Source frames are enumerated exhaustively when the budget allows,
-    otherwise seeded samples are used (at most as many as the space has) and
-    the report is marked incomplete; for each frame the images must be
+    otherwise 200 seeded samples are used (at most as many as the space
+    has) and the report is marked incomplete; for each frame the images must be
     residue-collinear exactly off the partner involution.  Given ``frames``
     must be frames of the source space, or ValueError is raised.
     """
@@ -286,7 +286,7 @@ def check_frames_preserving(
     if frames is None:
         frames, complete = polar.enumerate_frames(pm.src_space, budget=budget)
         if not complete:
-            count = min(sample_count, polar.frame_count(pm.src_space))
+            count = min(200, polar.frame_count(pm.src_space))
             frames = polar.sample_frames(pm.src_space, count, seed)
     elif _off_pattern(pm.src_space.collinear_masks(), _frame_index_lists(pm.src_space, frames)):
         raise ValueError("frames must be frames of the source space")
@@ -393,6 +393,11 @@ def shifted_point_injection(
 # -- statement verifiers --------------------------------------------------------
 
 
+def _pair_instance(src_space: PolarSpace, dst_space: PolarSpace) -> dict:
+    return {"p": src_space.p, "n": src_space.n, "m": None,
+            "p_prime": dst_space.p, "n_prime": dst_space.n}
+
+
 def verify_lemma5_bulk(
     src_space: PolarSpace,
     dst_space: PolarSpace,
@@ -418,24 +423,7 @@ def verify_lemma5_bulk(
     _, stats = search_dualpolar_embeddings(
         src_space, dst_space, mode, budget, seed, workers, visit=check
     )
-    counts = {
-        "embeddings": stats["embeddings"],
-        "distinct_images": stats["distinct_images"],
-    }
-    return make_report(
-        statement="lemma5",
-        instance={"p": src_space.p, "n": src_space.n, "m": None,
-                  "p_prime": dst_space.p, "n_prime": dst_space.n},
-        mode=mode,
-        budget=budget,
-        seed=seed,
-        workers=workers,
-        counts=counts,
-        violations=violations,
-        complete=stats["complete"],
-        expansions=stats["expansions"],
-        elapsed=time.perf_counter() - start,
-    )
+    return search_report("lemma5", _pair_instance(src_space, dst_space), stats, violations, start)
 
 
 def verify_theorem3(
@@ -445,16 +433,13 @@ def verify_theorem3(
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
     workers: int = 1,
-    apartment_checks: int = 2,
-    apartment_check_embeddings: int = 50,
 ) -> dict:
     """Search for graph embeddings and validate the induced-point-map picture.
 
     Every found embedding must yield a base subspace (pair-independent, in
     every image), an induced point map spanning back to the embedding, and a
-    frames-to-residue-frames point map.  For the first
-    ``apartment_check_embeddings`` embeddings, ``apartment_checks`` frame
-    apartments are also pushed through the embedding and decomposed, in the
+    frames-to-residue-frames point map.  For the first 50 embeddings, the
+    first two frame apartments are also pushed through the embedding and decomposed, in the
     sign-mask labelling they come with, as apartments over the same base.
     """
     start = time.perf_counter()
@@ -471,14 +456,14 @@ def verify_theorem3(
 
     def check(emb: GraphEmbedding) -> None:
         nonlocal visited, checked_apartments
-        first = visited < apartment_check_embeddings
+        first = visited < 50
         visited += 1
         try:
             verify_lemma5(emb)
             base, g, perps = _point_images(emb, members, perp_of)
             violations.extend(_frame_violations(src_space, g, perps, frames_idx))
             if first:
-                for frame in frames_src[:apartment_checks]:
+                for frame in frames_src[:2]:
                     # the members come by sign mask, so the pushed members
                     # already carry a hypercube labelling
                     masks = [emb.target.masks[emb.assignment[v]] for v in apartment(frame)]
@@ -499,25 +484,9 @@ def verify_theorem3(
     _, stats = search_dualpolar_embeddings(
         src_space, dst_space, mode, budget, seed, workers, visit=check
     )
-    counts = {
-        "embeddings": stats["embeddings"],
-        "distinct_images": stats["distinct_images"],
-        "frames_checked": len(frames_src),
-        "apartments_checked": checked_apartments,
-    }
-    return make_report(
-        statement="theorem3",
-        instance={"p": src_space.p, "n": src_space.n, "m": None,
-                  "p_prime": dst_space.p, "n_prime": dst_space.n},
-        mode=mode,
-        budget=budget,
-        seed=seed,
-        workers=workers,
-        counts=counts,
-        violations=violations,
-        complete=stats["complete"],
-        expansions=stats["expansions"],
-        elapsed=time.perf_counter() - start,
+    return search_report(
+        "theorem3", _pair_instance(src_space, dst_space), stats, violations, start,
+        frames_checked=len(frames_src), apartments_checked=checked_apartments,
     )
 
 
@@ -574,21 +543,8 @@ def verify_chow(
     _, stats = search_dualpolar_embeddings(
         space, space, "exhaustive", budget, seed, workers, visit=check
     )
-    counts = {
-        "embeddings": stats["embeddings"],
-        "distinct_images": stats["distinct_images"],
-        "frames_checked": len(frames),
-    }
-    return make_report(
-        statement="chow",
-        instance={"p": space.p, "n": space.n, "m": None},
-        mode="exhaustive",
-        budget=budget,
-        seed=seed,
-        workers=workers,
-        counts=counts,
-        violations=violations,
-        complete=stats["complete"] and frames_complete,
-        expansions=stats["expansions"],
-        elapsed=time.perf_counter() - start,
+    return search_report(
+        "chow", {"p": space.p, "n": space.n, "m": None},
+        {**stats, "complete": stats["complete"] and frames_complete}, violations, start,
+        frames_checked=len(frames),
     )

@@ -12,6 +12,7 @@ import pytest
 from dualpolar import apartments
 from dualpolar.apartments import (
     Embedding,
+    _apartment_witness,
     _base_from_masks,
     _shuffle,
     _source_plan,
@@ -28,7 +29,13 @@ from dualpolar.apartments import (
     verify_lemma1,
     verify_theorem2,
 )
-from dualpolar.graphs import dual_polar_graph, graph_from_edges, hypercube, iter_geodesics
+from dualpolar.graphs import (
+    dual_polar_graph,
+    graph_from_edges,
+    hypercube,
+    iter_geodesics,
+    meet_graph,
+)
 from dualpolar.linalg import rref
 from dualpolar.polar import (
     PolarSpace,
@@ -36,6 +43,7 @@ from dualpolar.polar import (
     enumerate_frames,
     frame_count,
     is_frame,
+    point_mask,
     sample_frames,
     subspace_of_mask,
 )
@@ -207,14 +215,43 @@ def test_is_apartment_rejects_non_isometric_squares():
     assert is_apartment(SP42, members) is None
 
 
-def test_is_apartment_raises_when_its_search_runs_out(monkeypatch):
-    def exhausted(src, dst, mode, budget, *args, **kwargs):
-        return [], search_stats(mode, budget, 0, 1, expansions=budget, complete=False)
+def searched_apartment(space, members):
+    """The reference for ``is_apartment``: label the set by an exhaustive
+    hypercube search on its meet graph and decompose the labelling of the
+    first embedding found."""
+    unique = sorted(set(members), key=lambda s: s.rows)
+    size = len(unique)
+    m = size.bit_length() - 1
+    if size != 1 << m or not 1 <= m <= space.n:
+        return None
+    masks = [point_mask(space, s) for s in unique]
+    found, stats = search_isometric_embeddings(hypercube(m), meet_graph(space, unique, masks))
+    assert stats["complete"]
+    if not found:
+        return None
+    order = _vertices_by_mask(found[0].source, found[0].assignment)
+    return _apartment_witness(space, [unique[i] for i in order], [masks[i] for i in order])
 
-    monkeypatch.setattr(apartments, "search_isometric_embeddings", exhausted)
-    members = frame_apartment(SP42, enumerate_frames(SP42)[0][0])
-    with pytest.raises(RuntimeError, match="budget"):
-        is_apartment(SP42, members)
+
+def test_is_apartment_labels_as_the_search_does():
+    # frame apartments and H_2 squares, with two members swapped or one
+    # replaced, and seeded random sets of 1, 2, 4 and 8 maximals
+    cases = [(space, [graph.labels[v] for v in order])
+             for space, graph, order in _perturbed_labellings(1500, seed=23)]
+    rng = random.Random(29)
+    for space, graph in ((SP42, G42), (SP43, G43), (SP62, G62)):
+        for size in (1, 2, 4, 8):
+            for _ in range(50):
+                cases.append((space, rng.sample(graph.labels, size)))
+    verdicts = set()
+    for space, members in cases:
+        got, want = is_apartment(space, members), searched_apartment(space, members)
+        verdicts.add(got is None)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert (got.base, got.residue_frame, got.members) == (
+                want.base, want.residue_frame, want.members)
+    assert verdicts == {True, False}
 
 
 def test_is_apartment_star_restriction_of_sp62_frame():

@@ -34,12 +34,6 @@ def _assert_no_children() -> None:
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """Let the pool fork two workers whatever the host's CPU count."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-
-
 def _search(workers, visit=None):
     return search_hypercube_embeddings(
         2, G62, mode="sample", budget=5_000, seed=3, workers=workers, visit=visit
