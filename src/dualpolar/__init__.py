@@ -3,12 +3,7 @@ recognition of apartments via isometric hypercube embeddings."""
 
 from .apartments import (
     ApartmentWitness,
-    Embedding,
-    base_subspace,
     is_apartment,
-    is_isometric_embedding,
-    recover_frame,
-    search_hypercube_embeddings,
     search_isometric_embeddings,
     verify_lemma1,
     verify_theorem2,
@@ -18,7 +13,6 @@ from .graphs import (
     HypercubeVertex,
     all_pairs_distances,
     dual_polar_graph,
-    geodesics_between,
     hypercube,
     verify_lemma2,
 )
@@ -44,10 +38,8 @@ from .polar import (
     apartment_of_frame,
     check_polar_axioms,
     enumerate_frames,
-    enumerate_points,
     enumerate_singular,
     form_value,
-    is_collinear,
     is_frame,
     perp_subspace,
     projdim,

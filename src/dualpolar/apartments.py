@@ -46,39 +46,6 @@ DEFAULT_BUDGET = 10_000_000
 _CHUNK = 4
 
 
-@dataclass(frozen=True, eq=False)
-class Embedding:
-    """An injective, distance-preserving vertex map between two graphs."""
-
-    source: DenseGraph
-    target: DenseGraph
-    assignment: tuple[int, ...]
-
-    def image_labels(self) -> list:
-        return [self.target.labels[i] for i in self.assignment]
-
-
-def is_isometric_embedding(mapping, src: DenseGraph, dst: DenseGraph) -> bool:
-    """True iff ``mapping`` (vertex -> vertex) is injective and preserves all
-    pairwise distances."""
-    if isinstance(mapping, dict):
-        if sorted(mapping) != list(range(src.num_vertices)):
-            return False
-        arr = [mapping[i] for i in range(src.num_vertices)]
-    else:
-        arr = list(mapping)
-        if len(arr) != src.num_vertices:
-            return False
-    if len(set(arr)) != len(arr):
-        return False
-    for i in range(len(arr)):
-        di, si = dst.dist[arr[i]], src.dist[i]
-        for j in range(i + 1, len(arr)):
-            if di[arr[j]] != si[j]:
-                return False
-    return True
-
-
 def _source_plan(src: DenseGraph):
     """BFS assignment order from vertex 0, plus per-step distance constraints.
 
@@ -284,6 +251,14 @@ def _forked_branches(branch, nroots: int, nprocs: int, replay) -> None:
             os.waitpid(pid, 0)
 
 
+def _check_search_args(mode: str, budget: int) -> None:
+    """Raise ValueError unless ``mode`` and ``budget`` are a valid search's."""
+    if mode not in ("exhaustive", "sample"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if budget <= 0:
+        raise ValueError("budget must be positive")
+
+
 def search_stats(
     mode: str,
     budget: int,
@@ -339,9 +314,11 @@ def search_isometric_embeddings(
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
     workers: int = 1,
-    visit=None,
-) -> tuple[list[Embedding], dict]:
-    """All (or budget-bounded) isometric embeddings of ``src`` into ``dst``.
+    *,
+    visit,
+) -> tuple[None, dict]:
+    """Stream all (or budget-bounded) isometric embeddings of ``src`` into
+    ``dst`` to ``visit``; returns (None, stats).
 
     The node budget is split over the root-placement branches up front and
     sample mode only permutes candidate order per branch.  With ``workers``
@@ -351,24 +328,19 @@ def search_isometric_embeddings(
     the embeddings, their order and the stats other than ``workers`` are the
     same for every worker count.  Expansions count vertex placements.
 
-    Without ``visit`` the embeddings come back as a list.  With it, each one
-    is streamed as ``visit(assignment, key, new)`` the moment it is found and
-    the list comes back empty: ``assignment`` is the tuple of target vertices
-    of the source vertices, ``key`` the image as an int (bit v set for each
-    target vertex v in it) and ``new`` whether this is the first embedding
-    with that image.  The stats are the same either way.
+    Each embedding is streamed as ``visit(assignment, key, new)`` the moment
+    it is found: ``assignment`` is the tuple of target vertices of the source
+    vertices, ``key`` the image as an int (bit v set for each target vertex v
+    in it) and ``new`` whether this is the first embedding with that image.
     """
-    if mode not in ("exhaustive", "sample"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if budget <= 0:
-        raise ValueError("budget must be positive")
+    _check_search_args(mode, budget)
     if not src.connected:
         raise ValueError("source graph is disconnected; only connected sources are supported")
     order, plan = _source_plan(src)
     nsrc = src.num_vertices
     nv = dst.num_vertices
     if nv == 0:
-        return [], search_stats(mode, budget, seed, workers)
+        return None, search_stats(mode, budget, seed, workers)
     nbrs = tuple(tuple(_bits(mask)) for mask in dst.adj)
     # bit u of at_dist[v][d] is set when dst.dist[v][u] == d, so distances
     # the target lacks (beyond its diameter, or unreachable) get empty masks
@@ -386,10 +358,6 @@ def search_isometric_embeddings(
     else:
         rngs = [None] * nv
 
-    embeddings: list[Embedding] = []
-    if visit is None:
-        def visit(assignment, key, new):
-            embeddings.append(Embedding(src, dst, assignment))
     # position in the plan of each source vertex
     plan_pos = sorted(range(nsrc), key=order.__getitem__)
     # the assignment of a leaf's images; itemgetter of two or more positions
@@ -436,26 +404,7 @@ def search_isometric_embeddings(
             exp, comp = branch(root, leaf)
             expansions += exp
             complete = complete and comp
-    stats = search_stats(mode, budget, seed, workers, found, len(keys), expansions, complete)
-    return embeddings, stats
-
-
-def search_hypercube_embeddings(
-    m: int,
-    graph: DenseGraph,
-    mode: str = "exhaustive",
-    budget: int = DEFAULT_BUDGET,
-    seed: int = 0,
-    workers: int = 1,
-    visit=None,
-) -> tuple[list[Embedding], dict]:
-    """Isometric embeddings of the hypercube H_m into ``graph``, listed or
-    streamed to ``visit`` as in ``search_isometric_embeddings``.
-
-    m may exceed the target diameter; the distance constraints then prune
-    everything and the search returns no embeddings.
-    """
-    return search_isometric_embeddings(hypercube(m), graph, mode, budget, seed, workers, visit)
+    return None, search_stats(mode, budget, seed, workers, found, len(keys), expansions, complete)
 
 
 # -- decomposition of embedded hypercubes ------------------------------------
@@ -483,17 +432,18 @@ class ApartmentWitness:
     def member_set(self) -> frozenset[Subspace]:
         return frozenset(self.members)
 
-    def to_frame(self, space: PolarSpace) -> polar.Frame:
-        """The recovered point frame; only defined when the base is empty."""
+    def to_frame(self, space: PolarSpace) -> polar.Frame | None:
+        """The point frame of a full-rank witness (empty base).
+
+        It is None only for a witness built by hand.  For one that
+        ``is_apartment`` returns, ``_witness_from_images`` has checked that
+        the 2n faces are distinct single points, each collinear with every
+        other except its partner, which is what ``polar.is_frame`` asks of a
+        frame.
+        """
         if self.base.rank != 0:
             raise ValueError("frame points exist only for full-rank witnesses")
-        pts = [q.rows[0] for q in self.residue_frame]
-        frame = polar.is_frame(space, pts)
-        if frame is None:
-            raise CounterexampleError(
-                "theorem2", {"kind": "recovered_points_not_a_frame", "points": pts}
-            )
-        return frame
+        return polar.is_frame(space, [q.rows[0] for q in self.residue_frame])
 
 
 def _vertices_by_mask(cube: DenseGraph, assignment: Sequence[int]) -> list[int]:
@@ -508,11 +458,7 @@ def _vertices_by_mask(cube: DenseGraph, assignment: Sequence[int]) -> list[int]:
     return order
 
 
-def _images_by_mask(emb: Embedding) -> list[Subspace]:
-    return [emb.target.labels[i] for i in _vertices_by_mask(emb.source, emb.assignment)]
-
-
-def _base_from_masks(space: PolarSpace, masks: Sequence[int], statement: str) -> int:
+def _base_from_masks(space: PolarSpace, masks: Sequence[int]) -> int:
     """Point mask of the base of a labelled hypercube given by its images'
     point masks, indexed by sign mask.
 
@@ -526,7 +472,7 @@ def _base_from_masks(space: PolarSpace, masks: Sequence[int], statement: str) ->
     rank = mask_rank(space, base)
     if rank != space.n - m:
         raise CounterexampleError(
-            statement,
+            "theorem2",
             {
                 "kind": "base_dimension",
                 "expected_rank": space.n - m,
@@ -538,22 +484,11 @@ def _base_from_masks(space: PolarSpace, masks: Sequence[int], statement: str) ->
         other = masks[x] & masks[x ^ full]
         if other != base:
             raise CounterexampleError(
-                statement,
+                "theorem2",
                 {"kind": "base_depends_on_opposite_pair", "mask": x,
                  "other": subspace_json(subspace_of_mask(space, other))},
             )
     return base
-
-
-def base_subspace(space: PolarSpace, emb: Embedding) -> Subspace:
-    """The singular subspace common to every image of an embedded hypercube.
-
-    Computed as the intersection of one opposite image pair and checked to
-    have projective dimension n - m - 1 and to be independent of the pair
-    chosen, which puts it in every image; failures raise CounterexampleError.
-    """
-    masks = [point_mask(space, s) for s in _images_by_mask(emb)]
-    return subspace_of_mask(space, _base_from_masks(space, masks, "lemma3"))
 
 
 def _witness_from_images(space: PolarSpace, masks: Sequence[int]) -> tuple[int, list[int]]:
@@ -567,7 +502,7 @@ def _witness_from_images(space: PolarSpace, masks: Sequence[int]) -> tuple[int, 
     exactly when their perps meet in it.
     """
     m = (len(masks) - 1).bit_length()
-    base = _base_from_masks(space, masks, "theorem2")
+    base = _base_from_masks(space, masks)
     faces: list[int] = []
     for s in range(2 * m):
         bit = s % m
@@ -620,17 +555,6 @@ def _apartment_witness(
         residue_frame=tuple(subspace_of_mask(space, q) for q in faces),
         members=tuple(images),
     )
-
-
-def recover_frame(space: PolarSpace, emb: Embedding) -> ApartmentWitness:
-    """Decompose a valid embedded hypercube into base and residue frame.
-
-    Every postcondition failure raises CounterexampleError; on hypercubes of
-    full rank (m = n) the residue frame consists of single points forming a
-    frame of the space.
-    """
-    images = _images_by_mask(emb)
-    return _apartment_witness(space, images, [point_mask(space, s) for s in images])
 
 
 def is_apartment(space: PolarSpace, members) -> ApartmentWitness | None:

@@ -196,8 +196,8 @@ def cmd_count(args) -> int:
     else:
         m = _require_m(args)
         graph = graphs.dual_polar_graph(space)
-        _, stats = apartments.search_hypercube_embeddings(
-            m, graph, mode=args.mode, budget=args.budget,
+        _, stats = apartments.search_isometric_embeddings(
+            graphs.hypercube(m), graph, mode=args.mode, budget=args.budget,
             seed=args.seed, workers=args.workers, visit=lambda *found: None,
         )
         counts = {"embeddings": stats["embeddings"], "distinct_images": stats["distinct_images"]}

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -139,7 +138,6 @@ def graph_from_edges(labels: Sequence, edges, require_connected: bool = False) -
     )
 
 
-@lru_cache(maxsize=None)
 def hypercube(m: int) -> DenseGraph:
     """The hypercube graph H_m: 2^m sign sets, adjacent when they share m-1 members."""
     if m < 1:
@@ -249,28 +247,6 @@ def iter_geodesics(graph: DenseGraph, v: int, w: int) -> Iterator[list[int]]:
                 path.pop()
 
     return walk()
-
-
-def geodesics_between(
-    graph: DenseGraph,
-    v: int,
-    w: int,
-    budget: int | None = None,
-    seed: int = 0,
-) -> tuple[list[list[int]], bool]:
-    """Geodesic vertex paths from v to w.
-
-    All of them (flagged complete) when their number fits the budget;
-    otherwise ``budget`` uniform seeded samples, flagged partial.  A path is
-    the vertex list including both endpoints; v == w yields [[v]].
-    """
-    total, counts = geodesic_count(graph, v, w)
-    if budget is None or total <= budget:
-        paths = list(iter_geodesics(graph, v, w))
-        assert len(paths) == total
-        return paths, True
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return [sample_geodesic(graph, v, w, counts, rng) for _ in range(budget)], False
 
 
 def sample_geodesic(graph: DenseGraph, v: int, w: int, counts: Sequence[int], rng) -> list[int]:

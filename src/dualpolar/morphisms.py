@@ -22,6 +22,7 @@ from operator import or_
 from . import polar
 from .apartments import (
     DEFAULT_BUDGET,
+    _check_search_args,
     _witness_from_images,
     frame_vertices,
     search_isometric_embeddings,
@@ -101,28 +102,26 @@ def search_dualpolar_embeddings(
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
     workers: int = 1,
-    visit=None,
-) -> tuple[list[GraphEmbedding], dict]:
-    """Backtracking search for isometric embeddings between dual polar graphs.
+    *,
+    visit,
+) -> tuple[None, dict]:
+    """Backtracking search for isometric embeddings between dual polar graphs,
+    each passed to ``visit`` as a ``GraphEmbedding`` as soon as it is found;
+    returns (None, stats) as ``search_isometric_embeddings`` does.
 
-    Without ``visit`` the embeddings come back as a list; with it, each one
-    is passed to ``visit`` as soon as it is found and the list comes back
-    empty.  A source of larger diameter admits none, and that case returns
-    empty immediately.
+    A source of larger diameter admits none, and that case returns as soon
+    as its arguments are checked.
     """
-    src = dual_polar_graph(src_space)
+    _check_search_args(mode, budget)
     if src_space.n > dst_space.n:
-        return [], search_stats(mode, budget, seed, workers)
-    dst = dual_polar_graph(dst_space)
-    found: list[GraphEmbedding] = []
-    emit = found.append if visit is None else visit
-    _, stats = search_isometric_embeddings(
+        return None, search_stats(mode, budget, seed, workers)
+    src, dst = dual_polar_graph(src_space), dual_polar_graph(dst_space)
+    return search_isometric_embeddings(
         src, dst, mode, budget, seed, workers,
-        visit=lambda assignment, key, new: emit(
+        visit=lambda assignment, key, new: visit(
             GraphEmbedding(src_space, dst_space, src, dst, assignment)
         ),
     )
-    return found, stats
 
 
 # -- decomposition ------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .linalg import GF, Subspace, gf, nullspace, rref, zero_subspace
+from .linalg import GF, Subspace, gf, nullspace, rref
 
 SUPPORTED_PRIMES = (2, 3, 5)
 
@@ -141,24 +141,6 @@ def form_value(space: PolarSpace, u: Sequence[int], v: Sequence[int]) -> int:
     for i in range(space.n):
         acc += u[2 * i] * v[2 * i + 1] - u[2 * i + 1] * v[2 * i]
     return acc % space.p
-
-
-def is_collinear(space: PolarSpace, a: Sequence[int], b: Sequence[int]) -> bool:
-    """Collinearity of distinct points: the form vanishes on them."""
-    pa = normalize_point(space.field, a)
-    pb = normalize_point(space.field, b)
-    if pa == pb:
-        raise ValueError("collinearity is defined for distinct points")
-    return form_value(space, pa, pb) == 0
-
-
-def enumerate_points(space: PolarSpace) -> tuple[Point, ...]:
-    """All normalized points, sorted lexicographically (stable ids)."""
-    return space.points
-
-
-def empty_subspace(space: PolarSpace) -> Subspace:
-    return zero_subspace(space.dim)
 
 
 def is_singular(space: PolarSpace, sub: Subspace) -> bool:

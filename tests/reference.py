@@ -4,6 +4,8 @@ the point-mask code of ``dualpolar`` is tested against.
 Meets come from the Zassenhaus block construction, joins and containments
 from row reduction, and frames, frame apartments and the hypercube witness
 from those, as the package computed them before it moved to point masks.
+Isometry of a vertex map is checked pair by pair, and ``collect`` keeps what
+an embedding search streams to its visitor.
 """
 
 from functools import reduce
@@ -70,6 +72,31 @@ def contains(field: GF, sub: Subspace, v: Sequence[int]) -> bool:
 def contains_subspace(field: GF, outer: Subspace, inner: Subspace) -> bool:
     _check_ambient(outer, inner)
     return all(contains(field, outer, row) for row in inner.rows)
+
+
+# -- graph embeddings -------------------------------------------------------------
+
+
+def is_isometric_embedding(mapping: Sequence[int], src, dst) -> bool:
+    """True iff ``mapping`` (the target vertex of each source vertex) is
+    injective and preserves every pairwise distance."""
+    arr = list(mapping)
+    if len(arr) != src.num_vertices or len(set(arr)) != len(arr):
+        return False
+    return all(
+        dst.dist[arr[i]][arr[j]] == src.dist[i][j]
+        for i in range(len(arr))
+        for j in range(i + 1, len(arr))
+    )
+
+
+def collect(search, *args, **kwargs) -> tuple[list, dict]:
+    """(first argument of every visitor call, in order; stats) of an embedding
+    search: the assignments of ``search_isometric_embeddings``, the
+    GraphEmbeddings of ``search_dualpolar_embeddings``."""
+    found: list = []
+    _, stats = search(*args, visit=lambda first, *rest: found.append(first), **kwargs)
+    return found, stats
 
 
 # -- polar geometry ---------------------------------------------------------------

@@ -13,11 +13,11 @@ import pytest
 
 from dualpolar.apartments import (
     is_apartment,
-    search_hypercube_embeddings,
+    search_isometric_embeddings,
     verify_lemma1,
     verify_theorem2,
 )
-from dualpolar.graphs import dual_polar_graph, verify_lemma2
+from dualpolar.graphs import dual_polar_graph, hypercube, verify_lemma2
 from dualpolar.linalg import rref
 from dualpolar.morphisms import (
     check_frames_preserving,
@@ -39,7 +39,7 @@ from dualpolar.polar import (
     subspace_of_mask,
 )
 from dualpolar.reporting import strip_volatile
-from reference import intersect
+from reference import collect, intersect
 
 SP42 = PolarSpace(2, 2)
 SP62 = PolarSpace(3, 2)
@@ -165,8 +165,11 @@ def test_criterion_08_theorem2_h3_in_sp62():
 
 def test_criterion_09_negative_control():
     with criterion(9, "no H_3 embeds isometrically into the diameter-2 graph of Sp(4,2)"):
-        embeddings, stats = search_hypercube_embeddings(3, dual_polar_graph(SP42))
+        embeddings, stats = collect(
+            search_isometric_embeddings, hypercube(3), dual_polar_graph(SP42)
+        )
         assert stats["complete"]
+        assert stats["embeddings"] == 0 == stats["distinct_images"]
         assert embeddings == []
 
 

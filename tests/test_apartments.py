@@ -11,19 +11,14 @@ import pytest
 
 from dualpolar import apartments
 from dualpolar.apartments import (
-    Embedding,
     _apartment_witness,
     _base_from_masks,
     _shuffle,
     _source_plan,
     _vertices_by_mask,
     _witness_from_images,
-    base_subspace,
     frame_vertices,
     is_apartment,
-    is_isometric_embedding,
-    recover_frame,
-    search_hypercube_embeddings,
     search_isometric_embeddings,
     search_stats,
     verify_lemma1,
@@ -38,6 +33,7 @@ from dualpolar.graphs import (
 )
 from dualpolar.linalg import rref
 from dualpolar.polar import (
+    Frame,
     PolarSpace,
     apartment_of_frame,
     enumerate_frames,
@@ -48,7 +44,7 @@ from dualpolar.polar import (
     subspace_of_mask,
 )
 from dualpolar.reporting import CounterexampleError
-from reference import contains, intersect, witness_from_images
+from reference import collect, contains, intersect, is_isometric_embedding, witness_from_images
 
 SP42 = PolarSpace(2, 2)
 SP62 = PolarSpace(3, 2)
@@ -64,99 +60,113 @@ def frame_apartment(space, frame):
     return [subspace_of_mask(space, mask) for mask in apartment_of_frame(space, frame)]
 
 
-def frame_apartment_embedding(space, graph, frame):
-    """The canonical labeling of a frame apartment as an Embedding of H_n."""
-    vertices = frame_vertices(space, graph)(frame)
-    cube = hypercube(space.n)
-    return Embedding(cube, graph, tuple(vertices[lab.mask] for lab in cube.labels))
+def labelled_witness(space, graph, order):
+    """The witness of the hypercube labelling whose image of sign mask x is
+    vertex order[x] of ``graph``."""
+    return _apartment_witness(
+        space, [graph.labels[v] for v in order], [graph.masks[v] for v in order]
+    )
+
+
+def cube_embeddings(m, graph, **kwargs):
+    """(vertex of each sign mask, of every embedding of H_m into ``graph``
+    the search streams; its stats)."""
+    cube = hypercube(m)
+    found, stats = collect(search_isometric_embeddings, cube, graph, **kwargs)
+    return [_vertices_by_mask(cube, a) for a in found], stats
 
 
 def test_is_isometric_embedding_identity_and_constant():
+    # the oracle the search is checked against
     g = hypercube(2)
     assert is_isometric_embedding(list(range(4)), g, g)
     assert not is_isometric_embedding([0, 0, 0, 0], g, g)
 
 
 def test_frame_apartment_is_isometric():
+    # hypercube vertex v has sign mask v, so the members by sign mask are
+    # the assignment
     frames, _ = enumerate_frames(SP42)
     for frame in frames[:10]:
-        emb = frame_apartment_embedding(SP42, G42, frame)
-        assert is_isometric_embedding(emb.assignment, emb.source, emb.target)
+        assert is_isometric_embedding(frame_vertices(SP42, G42)(frame), hypercube(2), G42)
 
 
 def test_search_m1_gives_ordered_edges():
-    embs, stats = search_hypercube_embeddings(1, G42)
+    embs, stats = collect(search_isometric_embeddings, hypercube(1), G42)
     assert stats["complete"]
-    assert stats["embeddings"] == 2 * len(G42.edges())
-    assert stats["embeddings"] % 2 == 0
+    assert stats["embeddings"] == len(embs) == 2 * len(G42.edges())
+    assert {tuple(sorted(a)) for a in embs} == set(G42.edges())
 
 
 def test_search_m2_sp42_image_count_is_frame_count():
-    embs, stats = search_hypercube_embeddings(2, G42)
+    _, stats = collect(search_isometric_embeddings, hypercube(2), G42)
     assert stats["complete"]
     frames, _ = enumerate_frames(SP42)
     assert stats["distinct_images"] == len(frames)
     # raw count is inflated by exactly the hypercube automorphisms
-    assert stats["embeddings"] % (2**2 * 2) == 0
     assert stats["embeddings"] == stats["distinct_images"] * 8
 
 
 def test_search_sample_mode_is_seed_deterministic():
-    a, sa = search_hypercube_embeddings(2, G62, mode="sample", budget=2_000, seed=9)
-    b, sb = search_hypercube_embeddings(2, G62, mode="sample", budget=2_000, seed=9)
-    assert [e.assignment for e in a] == [e.assignment for e in b]
+    cube = hypercube(2)
+    a, sa = collect(search_isometric_embeddings, cube, G62, mode="sample", budget=2_000, seed=9)
+    b, sb = collect(search_isometric_embeddings, cube, G62, mode="sample", budget=2_000, seed=9)
+    assert a == b
     assert sa == sb
-    c, _ = search_hypercube_embeddings(2, G62, mode="sample", budget=2_000, seed=10)
-    assert [e.assignment for e in a] != [e.assignment for e in c]
+    c, _ = collect(search_isometric_embeddings, cube, G62, mode="sample", budget=2_000, seed=10)
+    assert a != c
 
 
 def test_search_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        search_hypercube_embeddings(2, G42, mode="other")
+        collect(search_isometric_embeddings, hypercube(2), G42, mode="other")
     with pytest.raises(ValueError):
-        search_hypercube_embeddings(2, G42, budget=0)
+        collect(search_isometric_embeddings, hypercube(2), G42, budget=0)
+    with pytest.raises(TypeError, match="visit"):
+        search_isometric_embeddings(hypercube(2), G42)
 
 
 def test_search_rejects_a_disconnected_source():
     two_edges = graph_from_edges(list(range(4)), [(0, 1), (2, 3)])
     with pytest.raises(ValueError, match="disconnected"):
-        search_isometric_embeddings(two_edges, G42)
+        collect(search_isometric_embeddings, two_edges, G42)
 
 
 def test_no_hypercube_above_rank():
-    embs, stats = search_hypercube_embeddings(3, G42)
-    assert stats["complete"]
+    # H_3 has a larger diameter than the graph: the distance constraints
+    # prune every branch
+    embs, stats = collect(search_isometric_embeddings, hypercube(3), G42)
+    assert stats["complete"] and stats["expansions"] > 0
+    assert stats["embeddings"] == 0 == stats["distinct_images"]
     assert embs == []
 
 
 def test_base_subspace_full_rank_is_empty():
     frames, _ = enumerate_frames(SP42)
-    emb = frame_apartment_embedding(SP42, G42, frames[0])
-    assert base_subspace(SP42, emb).rank == 0
+    order = frame_vertices(SP42, G42)(frames[0])
+    assert _base_from_masks(SP42, [G42.masks[v] for v in order]) == 0
 
 
 def test_base_subspace_m2_in_sp62_is_a_point():
-    embs, stats = search_hypercube_embeddings(2, G62, mode="sample", budget=3_000, seed=4)
-    assert embs
-    for emb in embs[:25]:
-        base = base_subspace(SP62, emb)
+    orders, _ = cube_embeddings(2, G62, mode="sample", budget=3_000, seed=4)
+    assert orders
+    for order in orders[:25]:
+        base = subspace_of_mask(SP62, _base_from_masks(SP62, [G62.masks[v] for v in order]))
         assert base.rank == 1
-        for v in range(4):
-            assert contains(SP62.field, emb.target.labels[emb.assignment[v]], base.rows[0])
+        for v in order:
+            assert contains(SP62.field, G62.labels[v], base.rows[0])
 
 
 def test_base_subspace_raises_on_garbage():
     # duplicate opposite images make the base the whole maximal
-    emb = Embedding(hypercube(2), G42, (0, 1, 2, 0))
     with pytest.raises(CounterexampleError):
-        base_subspace(SP42, emb)
+        _base_from_masks(SP42, [G42.masks[v] for v in (0, 1, 2, 0)])
 
 
 def test_recover_frame_roundtrip_on_frame_apartments():
     frames, _ = enumerate_frames(SP42)
     for frame in frames[:20]:
-        emb = frame_apartment_embedding(SP42, G42, frame)
-        witness = recover_frame(SP42, emb)
+        witness = labelled_witness(SP42, G42, frame_vertices(SP42, G42)(frame))
         assert witness.base.rank == 0
         recovered = witness.to_frame(SP42)
         assert set(recovered.points) == set(frame.points)
@@ -164,10 +174,9 @@ def test_recover_frame_roundtrip_on_frame_apartments():
 
 
 def test_recover_frame_m1_faces_are_the_images():
-    embs, _ = search_hypercube_embeddings(1, G42)
-    emb = embs[0]
-    witness = recover_frame(SP42, emb)
-    images = [emb.target.labels[i] for i in emb.assignment]
+    orders, _ = cube_embeddings(1, G42)
+    witness = labelled_witness(SP42, G42, orders[0])
+    images = [G42.labels[v] for v in orders[0]]
     assert witness.residue_frame[0] == images[0]
     assert witness.residue_frame[1] == images[1]
     assert witness.base == intersect(SP42.field, images[0], images[1])
@@ -175,10 +184,10 @@ def test_recover_frame_m1_faces_are_the_images():
 
 
 def test_recover_frame_every_h2_embedding_sp42():
-    embs, stats = search_hypercube_embeddings(2, G42)
-    assert stats["complete"]
-    for emb in embs:
-        witness = recover_frame(SP42, emb)
+    orders, stats = cube_embeddings(2, G42)
+    assert stats["complete"] and len(orders) == stats["embeddings"]
+    for order in orders:
+        witness = labelled_witness(SP42, G42, order)
         assert witness.base.rank == 0
         assert len(witness.residue_frame) == 4
 
@@ -225,12 +234,11 @@ def searched_apartment(space, members):
     if size != 1 << m or not 1 <= m <= space.n:
         return None
     masks = [point_mask(space, s) for s in unique]
-    found, stats = search_isometric_embeddings(hypercube(m), meet_graph(space, unique, masks))
+    orders, stats = cube_embeddings(m, meet_graph(space, unique, masks))
     assert stats["complete"]
-    if not found:
+    if not orders:
         return None
-    order = _vertices_by_mask(found[0].source, found[0].assignment)
-    return _apartment_witness(space, [unique[i] for i in order], [masks[i] for i in order])
+    return _apartment_witness(space, [unique[i] for i in orders[0]], [masks[i] for i in orders[0]])
 
 
 def test_is_apartment_labels_as_the_search_does():
@@ -379,17 +387,17 @@ def test_labelled_and_unlabelled_validation_agree():
     cases = [(SP42, G42, f) for f in frames]
     cases += [(SP62, G62, f) for f in sample_frames(SP62, 100, seed=21)]
     for space, graph, frame in cases:
-        labelled = recover_frame(space, frame_apartment_embedding(space, graph, frame))
+        labelled = labelled_witness(space, graph, frame_vertices(space, graph)(frame))
         unlabelled = is_apartment(space, frame_apartment(space, frame))
         assert labelled.base == unlabelled.base
         assert set(labelled.residue_frame) == set(unlabelled.residue_frame)
 
 
 def test_labelled_and_unlabelled_validation_agree_over_a_point_base():
-    embs, _ = search_hypercube_embeddings(2, G62, mode="sample", budget=3_000, seed=4)
-    for emb in embs[:25]:
-        labelled = recover_frame(SP62, emb)
-        unlabelled = is_apartment(SP62, emb.image_labels())
+    orders, _ = cube_embeddings(2, G62, mode="sample", budget=3_000, seed=4)
+    for order in orders[:25]:
+        labelled = labelled_witness(SP62, G62, order)
+        unlabelled = is_apartment(SP62, [G62.labels[v] for v in order])
         assert labelled.base == unlabelled.base and labelled.base.rank == 1
         assert set(labelled.residue_frame) == set(unlabelled.residue_frame)
 
@@ -397,15 +405,15 @@ def test_labelled_and_unlabelled_validation_agree_over_a_point_base():
 @pytest.mark.parametrize("space,graph", [(SP42, G42), (SP62, G62)])
 def test_labelled_validation_rejects_swapped_images(space, graph):
     frame = sample_frames(space, 1, seed=12)[0]
-    emb = frame_apartment_embedding(space, graph, frame)
+    order = frame_vertices(space, graph)(frame)
     # sign masks 0 and 1 are adjacent, and no hypercube automorphism swaps
     # them while fixing the rest
-    swapped = list(emb.assignment)
+    swapped = list(order)
     swapped[0], swapped[1] = swapped[1], swapped[0]
     with pytest.raises(CounterexampleError):
-        recover_frame(space, Embedding(emb.source, graph, tuple(swapped)))
+        labelled_witness(space, graph, swapped)
     # the same members, unlabelled, are still an apartment
-    assert is_apartment(space, emb.image_labels()) is not None
+    assert is_apartment(space, [graph.labels[v] for v in order]) is not None
 
 
 # -- the per-candidate reference search ----------------------------------------
@@ -459,7 +467,7 @@ def reference_search(src, dst, mode, budget, seed):
         rngs = [random.Random(int(c.generate_state(2, np.uint64)[0])) for c in children]
     else:
         rngs = [None] * nv
-    embeddings, expansions, complete = [], 0, True
+    assignments, expansions, complete = [], 0, True
     for root in range(nv):
         found, exp, comp = _reference_branch(
             nbrs, dst.dist, plan, nsrc, root, shares[root], rngs[root]
@@ -470,10 +478,10 @@ def reference_search(src, dst, mode, budget, seed):
             assignment = [0] * nsrc
             for k, v in enumerate(order):
                 assignment[v] = imgs[k]
-            embeddings.append(Embedding(src, dst, tuple(assignment)))
-    distinct = len({tuple(sorted(e.assignment)) for e in embeddings})
-    stats = search_stats(mode, budget, seed, 1, len(embeddings), distinct, expansions, complete)
-    return embeddings, stats
+            assignments.append(tuple(assignment))
+    distinct = len({tuple(sorted(a)) for a in assignments})
+    stats = search_stats(mode, budget, seed, 1, len(assignments), distinct, expansions, complete)
+    return assignments, stats
 
 
 SEARCH_CASES = {
@@ -519,21 +527,20 @@ def assert_streamed_keys(streamed):
 
 @pytest.mark.parametrize("case", SEARCH_CASES.values(), ids=SEARCH_CASES.keys())
 def test_mask_pruned_search_matches_the_reference(case):
-    embs, stats = search_isometric_embeddings(*case)
+    embs, stats = collect(search_isometric_embeddings, *case)
     ref, ref_stats = reference_search(*case)
-    assert [e.assignment for e in embs] == [e.assignment for e in ref]
+    assert embs == ref
     assert stats == ref_stats
 
 
 @pytest.mark.parametrize("case", SEARCH_CASES.values(), ids=SEARCH_CASES.keys())
 def test_visitor_streams_what_the_list_holds(case):
-    embs, stats = search_isometric_embeddings(*case)
+    # the visitor gets the reference's list, in order, each assignment with
+    # its image key and first-time flag
     streamed = []
-    none, streamed_stats = search_isometric_embeddings(
-        *case, visit=lambda *found: streamed.append(found)
-    )
-    assert none == [] and streamed_stats == stats
-    assert [a for a, _, _ in streamed] == [e.assignment for e in embs]
+    returned, _ = search_isometric_embeddings(*case, visit=lambda *found: streamed.append(found))
+    assert returned is None
+    assert [a for a, _, _ in streamed] == reference_search(*case)[0]
     assert_streamed_keys(streamed)
 
 
@@ -559,7 +566,7 @@ def test_search_frees_its_visitor_when_it_returns():
     ref = weakref.ref(visitor)
     gc.disable()
     try:
-        search_hypercube_embeddings(2, G42, visit=visitor)
+        search_isometric_embeddings(hypercube(2), G42, visit=visitor)
         del visitor
         # no reference cycle keeps the search's state, and so the visitor
         # and its set of image keys, alive until a garbage collection
@@ -582,12 +589,6 @@ def test_shuffle_makes_the_draws_of_random_shuffle():
 # -- the rref reference for the witness ------------------------------------------
 
 
-def _labelled(graph, order):
-    """The Embedding of H_m whose image of sign mask x is vertex order[x]."""
-    cube = hypercube(len(order).bit_length() - 1)
-    return Embedding(cube, graph, tuple(order[lab.mask] for lab in cube.labels))
-
-
 def _labellings():
     """Hypercube labellings, as (space, graph, vertex of each sign mask):
     frame apartments of Sp(4,2), Sp(4,3) and Sp(6,2), H_2 over a point of
@@ -595,11 +596,9 @@ def _labellings():
     cases = [(SP42, G42, frame_vertices(SP42, G42)(f)) for f in enumerate_frames(SP42)[0]]
     cases += [(SP43, G43, frame_vertices(SP43, G43)(f)) for f in sample_frames(SP43, 30, seed=3)]
     cases += [(SP62, G62, frame_vertices(SP62, G62)(f)) for f in sample_frames(SP62, 30, seed=3)]
-    embs = search_hypercube_embeddings(2, G62, mode="sample", budget=3_000, seed=4)[0][:30]
-    embs += search_hypercube_embeddings(1, G42)[0][:30]
-    for emb in embs:
-        space = SP62 if emb.target is G62 else SP42
-        cases.append((space, emb.target, _vertices_by_mask(emb.source, emb.assignment)))
+    orders = cube_embeddings(2, G62, mode="sample", budget=3_000, seed=4)[0][:30]
+    cases += [(SP62, G62, order) for order in orders]
+    cases += [(SP42, G42, order) for order in cube_embeddings(1, G42)[0][:30]]
     return cases
 
 
@@ -623,7 +622,7 @@ def test_mask_witness_matches_the_reference():
     kinds = set()
     for space, graph, order in _perturbed_labellings(600, seed=19):
         try:
-            witness = recover_frame(space, _labelled(graph, order))
+            witness = labelled_witness(space, graph, order)
             got = (witness.base, witness.residue_frame)
         except CounterexampleError as exc:
             got = exc.as_violation()
@@ -664,6 +663,25 @@ def test_full_rank_witness_is_a_frame_apartment():
     assert passed >= {SP42, SP62} and failed
 
 
+def test_to_frame_of_an_accepted_full_rank_labelling_is_its_frame():
+    # ApartmentWitness.to_frame has no failure branch: the faces of every
+    # full-rank labelling the decomposition accepts form a frame, and its
+    # apartment is the labelling's image
+    accepted = set()
+    for space, graph, order in _perturbed_labellings(600, seed=31):
+        if len(order) != 1 << space.n:
+            continue
+        try:
+            witness = labelled_witness(space, graph, order)
+        except CounterexampleError:
+            continue
+        frame = witness.to_frame(space)
+        assert isinstance(frame, Frame)
+        assert set(apartment_of_frame(space, frame)) == {graph.masks[v] for v in order}
+        accepted.add(space)
+    assert accepted == {SP42, SP43, SP62}
+
+
 def test_pair_meets_catch_every_image_missing_the_base():
     # the base is the meet of the images at sign masks 0 and 2^m - 1; when it
     # misses an image, or the meet of all the images differs from it, the
@@ -674,7 +692,7 @@ def test_pair_meets_catch_every_image_missing_the_base():
         base = masks[0] & masks[-1]
         if any(base & ~img for img in masks) or reduce(and_, masks) != base:
             with pytest.raises(CounterexampleError) as info:
-                _base_from_masks(space, masks, "theorem2")
+                _base_from_masks(space, masks)
             assert info.value.details["kind"] in ("base_dimension", "base_depends_on_opposite_pair")
             caught += 1
     assert caught

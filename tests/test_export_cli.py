@@ -1,7 +1,7 @@
 import json
 import tracemalloc
 
-from dualpolar.apartments import search_hypercube_embeddings
+from dualpolar.apartments import search_isometric_embeddings
 from dualpolar.cli import main
 from dualpolar.export import (
     dump_json,
@@ -180,7 +180,9 @@ def test_cli_count_embeddings_reports_search_expansions(tmp_path):
                  "--output", str(tmp_path)])
     assert code == 0
     report = json.loads((tmp_path / "count_embeddings_p2_n2.json").read_text())
-    _, stats = search_hypercube_embeddings(2, dual_polar_graph(SP42))
+    _, stats = search_isometric_embeddings(
+        hypercube(2), dual_polar_graph(SP42), visit=lambda *found: None
+    )
     assert report["expansions"] > 0
     assert report["expansions"] == stats["expansions"]
 

@@ -2,6 +2,7 @@ import gc
 import math
 import random
 import weakref
+from collections import Counter
 from itertools import combinations, permutations
 
 import numpy as np
@@ -13,9 +14,9 @@ from dualpolar.graphs import (
     all_pairs_distances,
     dual_polar_graph,
     geodesic_count,
-    geodesics_between,
     graph_from_edges,
     hypercube,
+    iter_geodesics,
     sample_geodesic,
     verify_lemma2,
 )
@@ -175,19 +176,18 @@ def test_triangle_inequality(graph):
 
 def test_geodesics_trivial_cases():
     g = hypercube(2)
-    paths, complete = geodesics_between(g, 1, 1)
-    assert complete and paths == [[1]]
-    paths, complete = geodesics_between(g, 0, 1)
-    assert complete and paths == [[0, 1]]
+    assert list(iter_geodesics(g, 1, 1)) == [[1]]
+    assert geodesic_count(g, 1, 1)[0] == 1
+    assert list(iter_geodesics(g, 0, 1)) == [[0, 1]]
+    assert geodesic_count(g, 0, 1)[0] == 1
 
 
 def test_geodesics_antipodal_hypercube_counts():
     # coordinate-permutation oracle: m! geodesics between opposite vertices
     for m in (2, 3, 4):
         g = hypercube(m)
-        paths, complete = geodesics_between(g, 0, (1 << m) - 1)
-        assert complete
-        assert len(paths) == math.factorial(m)
+        paths = list(iter_geodesics(g, 0, (1 << m) - 1))
+        assert len(paths) == geodesic_count(g, 0, (1 << m) - 1)[0] == math.factorial(m)
     oracle = set()
     for perm in permutations(range(3)):
         path, x = [0], 0
@@ -195,40 +195,42 @@ def test_geodesics_antipodal_hypercube_counts():
             x |= 1 << b
             path.append(x)
         oracle.add(tuple(path))
-    got, _ = geodesics_between(hypercube(3), 0, 7)
-    assert {tuple(p) for p in got} == oracle
+    assert {tuple(p) for p in iter_geodesics(hypercube(3), 0, 7)} == oracle
 
 
 def test_geodesics_budget_sampling():
     g = hypercube(4)
-    paths, complete = geodesics_between(g, 0, 15, budget=5, seed=1)
-    assert not complete
-    assert len(paths) == 5
+    _, counts = geodesic_count(g, 0, 15)
+
+    def draws(seed):
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        return [sample_geodesic(g, 0, 15, counts, rng) for _ in range(5)]
+
+    paths = draws(1)
     for path in paths:
         assert len(path) == 5
         assert path[0] == 0 and path[-1] == 15
         for a, b in zip(path, path[1:]):
             assert g.dist[a][b] == 1
-    again, _ = geodesics_between(g, 0, 15, budget=5, seed=1)
-    assert paths == again
+    assert paths == draws(1)
 
 
 def test_sampled_geodesics_draw_from_one_stream():
+    # successive draws from one stream are uniform over the geodesics
     g = dual_polar_graph(SP62)
     v, w = 0, next(u for u in range(g.num_vertices) if g.dist[0][u] == 3)
-    paths, complete = geodesics_between(g, v, w, budget=4, seed=9)
-    assert not complete
-    _, counts = geodesic_count(g, v, w)
+    total, counts = geodesic_count(g, v, w)
     rng = np.random.default_rng(np.random.SeedSequence(9))
-    assert paths == [sample_geodesic(g, v, w, counts, rng) for _ in range(4)]
+    drawn = Counter(tuple(sample_geodesic(g, v, w, counts, rng)) for _ in range(50 * total))
+    assert set(drawn) == {tuple(p) for p in iter_geodesics(g, v, w)}
+    assert 25 <= min(drawn.values()) and max(drawn.values()) <= 80
 
 
 def test_geodesic_count_matches_enumeration():
     g = dual_polar_graph(SP62)
     for v, w in [(0, 1), (0, 50), (3, 100)]:
         total, _ = geodesic_count(g, v, w)
-        paths, complete = geodesics_between(g, v, w)
-        assert complete and len(paths) == total
+        assert len(list(iter_geodesics(g, v, w))) == total
 
 
 def test_verify_lemma2_small():

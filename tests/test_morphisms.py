@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from dualpolar import morphisms, polar
 from dualpolar.graphs import dual_polar_graph
-from dualpolar.linalg import rref
+from dualpolar.linalg import rref, zero_subspace
 from dualpolar.morphisms import (
     GraphEmbedding,
     InducedPointMap,
@@ -27,12 +27,12 @@ from dualpolar.morphisms import (
     shifted_point_injection,
     verify_chow,
     verify_lemma5,
+    verify_lemma5_bulk,
     verify_theorem3,
 )
 from dualpolar.polar import (
     Frame,
     PolarSpace,
-    empty_subspace,
     enumerate_frames,
     enumerate_singular,
     perp_mask,
@@ -44,7 +44,7 @@ from dualpolar.polar import (
 )
 from dualpolar.reporting import CounterexampleError, subspace_json
 import reference
-from reference import contains_subspace, intersect, residue_collinear, sum_span
+from reference import collect, contains_subspace, intersect, residue_collinear, sum_span
 
 SP42 = PolarSpace(2, 2)
 SP62 = PolarSpace(3, 2)
@@ -138,12 +138,24 @@ def test_lift_rejects_wrong_base_rank():
 
 
 def test_search_larger_source_is_empty():
-    embs, stats = search_dualpolar_embeddings(SP62, SP42)
-    assert embs == [] and stats["complete"]
+    embs, stats = collect(search_dualpolar_embeddings, SP62, SP42)
+    assert stats["complete"]
+    assert stats["embeddings"] == 0 == stats["distinct_images"]
+    assert embs == []
+
+
+def test_search_larger_source_checks_mode_and_budget():
+    # a source of larger rank returns before any search, but not before its
+    # arguments are checked, as for equal ranks
+    for src, dst in ((SP62, SP42), (SP42, SP42)):
+        with pytest.raises(ValueError, match="unknown mode"):
+            verify_lemma5_bulk(src, dst, mode="bogus")
+        with pytest.raises(ValueError, match="budget"):
+            verify_lemma5_bulk(src, dst, budget=-1)
 
 
 def test_search_same_rank_finds_bijections():
-    embs, stats = search_dualpolar_embeddings(SP42, SP42, budget=100_000)
+    embs, stats = collect(search_dualpolar_embeddings, SP42, SP42, budget=100_000)
     assert stats["complete"]
     assert stats["embeddings"] == 720
     for emb in embs[:40]:
@@ -154,8 +166,8 @@ def test_search_same_rank_finds_bijections():
 
 
 def test_cross_rank_sample_found_embeddings_validate():
-    embs, stats = search_dualpolar_embeddings(
-        SP42, SP62, mode="sample", budget=40_000, seed=6
+    embs, stats = collect(
+        search_dualpolar_embeddings, SP42, SP62, mode="sample", budget=40_000, seed=6
     )
     assert embs, "sampled search found nothing"
     frames, _ = enumerate_frames(SP42)
@@ -237,7 +249,7 @@ def test_chow_names_the_first_pair_whose_collinearity_breaks(monkeypatch):
 
 
 def test_counterexample_payloads_are_jsonable():
-    emb_list, _ = search_dualpolar_embeddings(SP42, SP42, budget=50_000)
+    emb_list, _ = collect(search_dualpolar_embeddings, SP42, SP42, budget=50_000)
     bad = emb_list[0]
     # a constant map has full-rank opposite-pair intersections
     constant = type(bad)(
@@ -284,7 +296,7 @@ def residue_points(draw):
     space = draw(st.sampled_from([SP42, SP62, SP43, SP45]))
     k = draw(st.integers(-1, space.n - 2))
     if k < 0:
-        base = empty_subspace(space)
+        base = zero_subspace(space.dim)
     else:
         layer = enumerate_singular(space, k)
         base = layer[draw(st.integers(0, len(layer) - 1))]
@@ -395,7 +407,7 @@ def _perturbed(embs, count, seed):
     ids=["sp42-sp62", "sp42-sp42", "sp43-sp43"],
 )
 def test_mask_verifiers_match_the_reference(src, dst, mode, budget):
-    embs, _ = search_dualpolar_embeddings(src, dst, mode=mode, budget=budget, seed=6)
+    embs, _ = collect(search_dualpolar_embeddings, src, dst, mode=mode, budget=budget, seed=6)
     assert embs
     kinds = set()
     for emb in _perturbed(embs, 300, seed=17):
@@ -432,7 +444,7 @@ def reference_frame_violations(space, g, perps, frames):
     ids=["sp42-sp62", "chow-sp43"],
 )
 def test_frame_check_matches_the_per_frame_reference(src, dst, mode, budget):
-    embs, _ = search_dualpolar_embeddings(src, dst, mode=mode, budget=budget, seed=6)
+    embs, _ = collect(search_dualpolar_embeddings, src, dst, mode=mode, budget=budget, seed=6)
     frames, complete = enumerate_frames(src)
     assert embs and complete
     frames_idx = _frame_index_lists(src, frames)
@@ -464,7 +476,7 @@ def test_earlier_checks_catch_what_the_dropped_checks_would(src, dst, mode, budg
     # lemma5 no longer checks that the base lies in every image, nor the
     # point map that g spans every image: on the perturbed embeddings where
     # either would fail, the base or point-image checks have raised first
-    embs, _ = search_dualpolar_embeddings(src, dst, mode=mode, budget=budget, seed=6)
+    embs, _ = collect(search_dualpolar_embeddings, src, dst, mode=mode, budget=budget, seed=6)
     missing = unspanned = 0
     for emb in _perturbed(embs, 300, seed=17):
         imgs = [emb.target.masks[a] for a in emb.assignment]

@@ -12,12 +12,9 @@ from dualpolar.polar import (
     ResidueSpace,
     apartment_of_frame,
     check_polar_axioms,
-    empty_subspace,
     enumerate_frames,
-    enumerate_points,
     enumerate_singular,
     form_value,
-    is_collinear,
     is_frame,
     is_singular,
     mask_rank,
@@ -55,7 +52,7 @@ SP45 = PolarSpace(2, 5)
 def test_point_counts_match_closed_form():
     for space in (SP42, SP62, SP43):
         expected = (space.p ** (2 * space.n) - 1) // (space.p - 1)
-        assert len(enumerate_points(space)) == expected
+        assert len(space.points) == expected
     assert len(SP42.points) == 15
     assert len(SP62.points) == 63
     assert len(SP43.points) == 40
@@ -131,10 +128,13 @@ def test_form_value_hyperbolic_pairs():
 
 
 def test_is_collinear_examples():
-    assert is_collinear(SP42, (1, 0, 0, 0), (0, 0, 1, 0))
-    assert not is_collinear(SP42, (1, 0, 0, 0), (0, 1, 0, 0))
-    with pytest.raises(ValueError):
-        is_collinear(SP42, (1, 0, 0, 0), (1, 0, 0, 0))
+    # collinearity is the vanishing of the form, and collinear_masks records it
+    e1, f1, e2 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)
+    assert form_value(SP42, e1, e2) == 0
+    assert form_value(SP42, e1, f1) != 0
+    row = SP42.collinear_masks()[SP42.point_index[e1]]
+    assert row >> SP42.point_index[e2] & 1
+    assert not row >> SP42.point_index[f1] & 1
 
 
 def test_noncollinear_count_is_q_to_2n_minus_1():
@@ -145,7 +145,7 @@ def test_noncollinear_count_is_q_to_2n_minus_1():
 
 
 def test_perp_subspace():
-    whole = perp_subspace(SP42, empty_subspace(SP42))
+    whole = perp_subspace(SP42, zero_subspace(SP42.dim))
     assert whole.rank == 4
     pt = rref(SP42.field, [(1, 0, 0, 0)], 4)
     perp = perp_subspace(SP42, pt)
@@ -369,7 +369,7 @@ def test_sample_frames_deterministic_and_valid():
 
 
 def test_star_of_empty_subspace_is_all_maximals():
-    got = star(SP42, empty_subspace(SP42), 1)
+    got = star(SP42, zero_subspace(SP42.dim), 1)
     assert got == enumerate_singular(SP42, 1)
 
 
@@ -402,19 +402,19 @@ def test_residue_collinear_inside_common_maximal():
         rref(SP62.field, [pt], 6)
         for pt in points_in_subspace(SP62, maximal)
     ]
-    base = empty_subspace(SP62)
+    base = zero_subspace(SP62.dim)
     # any two points of one maximal span a singular line
     assert residue_collinear(SP62, base, lines[0], lines[1])
 
 
 def test_residue_collinear_reduces_to_collinearity_for_empty_base():
-    base = empty_subspace(SP42)
+    base = zero_subspace(SP42.dim)
     pts = SP42.points
     for a, b in combinations(pts[:8], 2):
         lhs = residue_collinear(
             SP42, base, rref(SP42.field, [a], 4), rref(SP42.field, [b], 4)
         )
-        assert lhs == is_collinear(SP42, a, b)
+        assert lhs == (form_value(SP42, a, b) == 0)
 
 
 def test_point_residue_of_sp62_is_rank2_polar_space():
@@ -428,8 +428,8 @@ def test_point_residue_of_sp62_is_rank2_polar_space():
 
 @pytest.mark.parametrize(
     "space,base",
-    [(SP62, rref(SP62.field, [SP62.points[0]], 6)), (SP62, empty_subspace(SP62)),
-     (SP43, empty_subspace(SP43))],
+    [(SP62, rref(SP62.field, [SP62.points[0]], 6)), (SP62, zero_subspace(SP62.dim)),
+     (SP43, zero_subspace(SP43.dim))],
     ids=["sp62-point", "sp62-empty", "sp43-empty"],
 )
 def test_residue_space_matches_the_reference(space, base):

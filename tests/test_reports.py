@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 from dualpolar import polar
-from dualpolar.apartments import DEFAULT_BUDGET, search_hypercube_embeddings, verify_theorem2
+from dualpolar.apartments import DEFAULT_BUDGET, search_isometric_embeddings, verify_theorem2
 from dualpolar.cli import COUNT_KINDS, VERIFY_STATEMENTS, main
-from dualpolar.graphs import dual_polar_graph
+from dualpolar.graphs import dual_polar_graph, hypercube
 from dualpolar.morphisms import (
     check_frames_preserving,
     induced_point_map,
@@ -20,6 +20,7 @@ from dualpolar.morphisms import (
     verify_theorem3,
 )
 from dualpolar.polar import PolarSpace
+from reference import collect
 
 SP42 = PolarSpace(2, 2)
 SP43 = PolarSpace(2, 3)
@@ -29,8 +30,9 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 def _hypercube_search(space, m, mode="exhaustive", budget=DEFAULT_BUDGET, seed=0):
     def run(workers):
-        return search_hypercube_embeddings(
-            m, dual_polar_graph(space), mode, budget, seed, workers, visit=lambda *found: None
+        return search_isometric_embeddings(
+            hypercube(m), dual_polar_graph(space), mode, budget, seed, workers,
+            visit=lambda *found: None,
         )[1]
     return run
 
@@ -100,5 +102,5 @@ def test_every_report_has_the_readme_keys(tmp_path):
         assert main(argv + ["--output", str(out)]) in (0, 2)
         (written,) = out.glob("*.json")
         assert set(json.loads(written.read_text())) == keys, argv
-    emb = search_dualpolar_embeddings(SP42, SP42)[0][0]
+    emb = collect(search_dualpolar_embeddings, SP42, SP42)[0][0]
     assert set(check_frames_preserving(induced_point_map(emb))) == keys

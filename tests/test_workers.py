@@ -11,14 +11,15 @@ import pytest
 from dualpolar import apartments, polar
 from dualpolar.apartments import (
     count_apartments,
-    search_hypercube_embeddings,
+    search_isometric_embeddings,
     verify_theorem2,
 )
 from dualpolar.cli import main
-from dualpolar.graphs import dual_polar_graph
+from dualpolar.graphs import dual_polar_graph, hypercube
 from dualpolar.morphisms import verify_chow, verify_lemma5_bulk, verify_theorem3
 from dualpolar.polar import PolarSpace
 from dualpolar.reporting import CounterexampleError, strip_volatile
+from reference import collect
 
 SP42 = PolarSpace(2, 2)
 SP62 = PolarSpace(3, 2)
@@ -34,9 +35,9 @@ def _assert_no_children() -> None:
         os.waitpid(-1, os.WNOHANG)
 
 
-def _search(workers, visit=None):
-    return search_hypercube_embeddings(
-        2, G62, mode="sample", budget=5_000, seed=3, workers=workers, visit=visit
+def _search(workers, visit):
+    return search_isometric_embeddings(
+        hypercube(2), G62, mode="sample", budget=5_000, seed=3, workers=workers, visit=visit
     )
 
 
@@ -51,39 +52,39 @@ def test_pool_forks_no_more_than_the_cap(monkeypatch):
         return pid
 
     monkeypatch.setattr(os, "fork", counting_fork)
-    found, stats = _search(10**6)
+    found, stats = collect(_search, 10**6)
     # the cap is never a million: 135 roots make 34 chunks of four
     cap = min(len(os.sched_getaffinity(0)), -(-G62.num_vertices // apartments._CHUNK))
     assert len(forks) <= cap
-    ref, ref_stats = _search(1)
-    assert [e.assignment for e in found] == [e.assignment for e in ref]
+    ref, ref_stats = collect(_search, 1)
+    assert found == ref
     assert stats == {**ref_stats, "workers": 10**6}
     _assert_no_children()
 
 
 def test_search_runs_in_process_without_fork(monkeypatch, two_cpus):
-    ref, ref_stats = _search(1)
+    ref, ref_stats = collect(_search, 1)
     monkeypatch.delattr(os, "fork")
-    found, stats = _search(2)
-    assert [e.assignment for e in found] == [e.assignment for e in ref]
+    found, stats = collect(_search, 2)
+    assert found == ref
     assert stats == {**ref_stats, "workers": 2}
 
 
 def test_search_runs_in_process_beside_another_thread(monkeypatch, two_cpus):
     forks = []
     monkeypatch.setattr(os, "fork", lambda: forks.append(1))
-    ref, ref_stats = _search(1)
+    ref, ref_stats = collect(_search, 1)
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        found, stats = _search(2)
+        found, stats = collect(_search, 2)
     finally:
         stop.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
     assert forks == []
-    assert [e.assignment for e in found] == [e.assignment for e in ref]
+    assert found == ref
     assert stats == {**ref_stats, "workers": 2}
 
 
