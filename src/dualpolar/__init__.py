@@ -1,6 +1,8 @@
 """Finite symplectic polar spaces, their dual polar graphs, and the metric
 recognition of apartments via isometric hypercube embeddings."""
 
+from types import ModuleType as _ModuleType
+
 from .apartments import (
     ApartmentWitness,
     is_apartment,
@@ -48,5 +50,6 @@ from .polar import (
 )
 from .reporting import CounterexampleError
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
 __version__ = "0.1.0"

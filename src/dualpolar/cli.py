@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from pathlib import Path
 
 from . import apartments, export, graphs, morphisms, polar, reporting
@@ -124,21 +125,19 @@ def _require_m(args) -> int:
 
 def cmd_verify(args) -> int:
     statement = args.statement
+    space = None if statement == "lemma2" else PolarSpace(args.n, args.p)
     if statement == "lemma2":
         report = graphs.verify_lemma2(m_max=args.m if args.m is not None else 8)
     elif statement == "lemma1":
-        space = PolarSpace(args.n, args.p)
         report = apartments.verify_lemma1(
             space, mode=args.mode, budget=args.budget, seed=args.seed
         )
     elif statement == "theorem2":
-        space = PolarSpace(args.n, args.p)
         report = apartments.verify_theorem2(
             space, _require_m(args), mode=args.mode, budget=args.budget,
             seed=args.seed, workers=args.workers,
         )
     elif statement in ("lemma5", "theorem3"):
-        space = PolarSpace(args.n, args.p)
         target = PolarSpace(args.n_prime if args.n_prime is not None else args.n, args.p)
         run = morphisms.verify_lemma5_bulk if statement == "lemma5" else morphisms.verify_theorem3
         report = run(
@@ -146,7 +145,6 @@ def cmd_verify(args) -> int:
             seed=args.seed, workers=args.workers,
         )
     else:
-        space = PolarSpace(args.n, args.p)
         report = morphisms.verify_chow(
             space, budget=args.budget, seed=args.seed, workers=args.workers
         )
@@ -164,13 +162,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_count(args) -> int:
-    import time
-
+    """Count one kind of object.  Every kind but ``embeddings`` is
+    enumerated exhaustively within the budget, whatever ``--mode`` says."""
     start = time.perf_counter()
     space = PolarSpace(args.n, args.p)
     complete = True
-    expansions = 0
     violations: list[dict] = []
+    search = None
     if args.what == "points":
         counts = {"points": len(space.points)}
     elif args.what == "singular":
@@ -194,31 +192,20 @@ def cmd_count(args) -> int:
             violations.append(exc.as_violation())
         counts = {"apartments": count}
     else:
-        m = _require_m(args)
-        graph = graphs.dual_polar_graph(space)
-        _, stats = apartments.search_isometric_embeddings(
-            graphs.hypercube(m), graph, mode=args.mode, budget=args.budget,
-            seed=args.seed, workers=args.workers, visit=lambda *found: None,
+        _, search = apartments.search_isometric_embeddings(
+            graphs.hypercube(_require_m(args)), graphs.dual_polar_graph(space),
+            mode=args.mode, budget=args.budget, seed=args.seed, workers=args.workers,
+            visit=lambda *found: None,
         )
-        counts = {"embeddings": stats["embeddings"], "distinct_images": stats["distinct_images"]}
-        complete = stats["complete"]
-        expansions = stats["expansions"]
+        counts = {}
     report = reporting.make_report(
-        statement=f"count_{args.what}",
-        instance={"p": args.p, "n": args.n, "m": getattr(args, "m", None)},
-        mode=args.mode,
-        budget=args.budget,
-        seed=args.seed,
-        workers=args.workers,
-        counts=counts,
-        violations=violations,
-        complete=complete,
-        expansions=expansions,
-        elapsed=time.perf_counter() - start,
+        f"count_{args.what}", {"p": args.p, "n": args.n, "m": args.m},
+        start, counts, violations=violations, complete=complete, mode="exhaustive",
+        budget=args.budget, seed=args.seed, workers=args.workers, search=search,
     )
     out = _out_dir(args)
     _write(out / f"count_{args.what}_p{args.p}_n{args.n}.json", reporting.report_json(report))
-    print(f"count {args.what}: {counts}")
+    print(f"count {args.what}: {report['counts']}")
     return reporting.exit_code_for(report)
 
 

@@ -298,15 +298,6 @@ def verify_lemma2(m_max: int = 8, geodesic_m_max: int = 6) -> dict:
                 if not ok:
                     violations.append({"m": m, "v": v, "u": u, "w": w, "path": path})
     return make_report(
-        statement="lemma2",
-        instance={"p": None, "n": None, "m": m_max},
-        mode="exhaustive",
-        budget=None,
-        seed=None,
-        workers=1,
-        counts={"checks": checks},
-        violations=violations,
-        complete=True,
-        expansions=checks,
-        elapsed=time.perf_counter() - start,
+        "lemma2", {"p": None, "n": None, "m": m_max}, start, {"checks": checks},
+        violations=violations, expansions=checks, mode="exhaustive",
     )

@@ -8,6 +8,7 @@ volatile fields and are excluded from determinism comparisons.
 from __future__ import annotations
 
 import json
+import time
 from datetime import datetime, timezone
 
 VOLATILE_KEYS = ("timestamp", "elapsed")
@@ -32,16 +33,33 @@ class CounterexampleError(Exception):
 def make_report(
     statement: str,
     instance: dict,
-    mode: str | None,
-    budget: int | None,
-    seed: int | None,
-    workers: int,
+    start: float,
     counts: dict,
-    violations: list,
-    complete: bool,
-    expansions: int,
-    elapsed: float,
+    *,
+    violations=(),
+    complete: bool = True,
+    expansions: int = 0,
+    mode: str | None = None,
+    budget: int | None = None,
+    seed: int | None = None,
+    workers: int = 1,
+    search: dict | None = None,
 ) -> dict:
+    """The report of a run that began at ``start`` (a ``time.perf_counter``
+    reading).
+
+    A run that made one embedding search passes its stats as ``search``
+    (see ``apartments.search_stats``): they give the report's mode, budget,
+    seed, workers and expansions, its ``embeddings`` and ``distinct_images``
+    counts ahead of ``counts``, and the completeness it ANDs with
+    ``complete``.
+    """
+    if search is not None:
+        mode, budget, seed = search["mode"], search["budget"], search["seed"]
+        workers, expansions = search["workers"], search["expansions"]
+        complete = complete and search["complete"]
+        counts = {"embeddings": search["embeddings"],
+                  "distinct_images": search["distinct_images"], **counts}
     return {
         "statement": statement,
         "instance": instance,
@@ -50,10 +68,10 @@ def make_report(
         "seed": seed,
         "workers": workers,
         "counts": counts,
-        "violations": violations,
+        "violations": list(violations),
         "complete": complete,
         "expansions": expansions,
-        "elapsed": elapsed,
+        "elapsed": time.perf_counter() - start,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
 

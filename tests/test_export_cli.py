@@ -1,7 +1,10 @@
 import json
 import tracemalloc
+from time import perf_counter
 
-from dualpolar.apartments import search_isometric_embeddings
+import pytest
+
+from dualpolar.apartments import search_isometric_embeddings, search_stats
 from dualpolar.cli import main
 from dualpolar.export import (
     dump_json,
@@ -47,17 +50,30 @@ def test_graph_json_and_dot():
 
 
 def test_report_helpers():
-    report = make_report(
-        statement="x", instance={}, mode="exhaustive", budget=1, seed=0,
-        workers=1, counts={}, violations=[], complete=True, expansions=0,
-        elapsed=0.5,
-    )
+    report = make_report("x", {}, perf_counter(), {"frames": 3}, budget=1)
+    assert report["mode"] is None and report["seed"] is None and report["workers"] == 1
+    assert report["violations"] == [] and report["expansions"] == 0
+    assert 0 <= report["elapsed"] < 60
     assert exit_code_for(report) == 0
     assert exit_code_for({**report, "violations": [{"kind": "boom"}]}) == 1
     assert exit_code_for({**report, "complete": False}) == 2
     stripped = strip_volatile(report)
     assert "elapsed" not in stripped and "timestamp" not in stripped
     assert report_json(report).endswith("\n")
+    # a search's stats give six fields and two counts
+    stats = search_stats("sample", 500, 11, 2, embeddings=40, distinct_images=5,
+                         expansions=77, complete=False)
+    searched = make_report("x", {}, perf_counter(), {"frames": 3}, mode="exhaustive",
+                           budget=1, seed=0, search=stats)
+    assert {key: searched[key] for key in stats if key in searched} == {
+        "mode": "sample", "budget": 500, "seed": 11, "workers": 2,
+        "expansions": 77, "complete": False,
+    }
+    assert searched["counts"] == {"embeddings": 40, "distinct_images": 5, "frames": 3}
+    # and their completeness is ANDed with the run's own
+    done = search_stats("exhaustive", 500, 0, 1)
+    assert make_report("x", {}, perf_counter(), {}, search=done)["complete"]
+    assert not make_report("x", {}, perf_counter(), {}, complete=False, search=done)["complete"]
 
 
 def test_cli_build_writes_files(tmp_path):
@@ -148,6 +164,18 @@ def test_cli_count_frames_and_apartments(tmp_path):
     assert main(["count", "apartments", "--p", "2", "--n", "2", "--output", str(tmp_path)]) == 0
     aparts = json.loads((tmp_path / "count_apartments_p2_n2.json").read_text())
     assert aparts["counts"]["apartments"] == 90
+
+
+@pytest.mark.parametrize("what,mode", [
+    ("points", "exhaustive"), ("singular", "exhaustive"), ("frames", "exhaustive"),
+    ("apartments", "exhaustive"), ("embeddings", "sample"),
+])
+def test_cli_count_reports_the_mode_that_ran(what, mode, tmp_path):
+    # every kind but embeddings is enumerated exhaustively whatever --mode asks for
+    assert main(["count", what, "--p", "2", "--n", "2", "--m", "2", "--mode", "sample",
+                 "--output", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / f"count_{what}_p2_n2.json").read_text())
+    assert report["mode"] == mode
 
 
 def test_cli_count_apartments_keeps_nothing_per_apartment(tmp_path):

@@ -31,6 +31,8 @@ COMMANDS = {
     "lemma2_m4": ["verify", "lemma2", "--m", "4"],
     "count_embeddings_sp42_m2": ["count", "embeddings", "--p", "2", "--n", "2", "--m", "2"],
     "count_frames_sp42": ["count", "frames", "--p", "2", "--n", "2"],
+    # --mode does not apply to frames, which are always enumerated exhaustively
+    "count_frames_sp42_sample": ["count", "frames", "--p", "2", "--n", "2", "--mode", "sample"],
     "count_apartments_sp42": ["count", "apartments", "--p", "2", "--n", "2"],
 }
 

@@ -84,6 +84,14 @@ def test_hypercube_distance_is_hamming_up_to_8():
                 assert row[y] == (x ^ y).bit_count()
 
 
+def test_hypercube_vertex_is_its_sign_mask():
+    # verify_theorem2 reads an assignment of hypercube(m) as indexed by sign mask
+    for m in range(1, 9):
+        g = hypercube(m)
+        assert [lab.mask for lab in g.labels] == list(range(1 << m))
+        assert all(lab.m == m for lab in g.labels)
+
+
 def test_hypercube_adjacency_is_one_member_swap():
     g = hypercube(4)
     for i, j in g.edges():
