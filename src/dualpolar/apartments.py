@@ -3,13 +3,13 @@
 The search engine backtracks over source vertices in BFS order.  The
 candidates for a vertex are one AND of distance masks per placed vertex, and
 each full placement is streamed to a visitor with its image as an int key,
-from this process or replayed from forked workers.  An image is decomposed
-in the hypercube labelling the search gave it, on the point masks of its
-members: the common base subspace, the 2m residue-frame subspaces obtained
-by intersecting the images of opposite hypercube faces, and the
-reconstruction of every image as a span.  A set of maximal singular
-subspaces is recognized as an apartment exactly when such a decomposition
-exists.
+from this process or replayed from one forked search process that runs
+beside the visitor's checks.  An image is decomposed in the hypercube
+labelling the search gave it, on the point masks of its members: the common
+base subspace, the 2m residue-frame subspaces obtained by intersecting the
+images of opposite hypercube faces, and the reconstruction of every image as
+a span.  A set of maximal singular subspaces is recognized as an apartment
+exactly when such a decomposition exists.
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ from .polar import PolarSpace, mask_rank, perp_mask, point_mask, subspace_of_mas
 from .reporting import CounterexampleError, make_report, subspace_json
 
 DEFAULT_BUDGET = 10_000_000
-# root branches per chunk dealt to a worker process
-_CHUNK = 4
 
 
 def _source_plan(src: DenseGraph):
@@ -149,18 +147,19 @@ def _branch_search(dst_nbrs, dst_adj, at_dist, plan, nsrc, root_img, budget, rng
     return expansions, complete
 
 
-def _pool_size(workers: int, chunks: int) -> int:
-    """Worker processes for a search of ``chunks`` root chunks: never more
-    than the CPUs this process may run on, and none where ``os.fork`` is
-    missing or another thread runs (a forked child would inherit that
-    thread's locks in whatever state they are)."""
+def _can_fork(workers: int) -> bool:
+    """Whether a search at ``workers`` runs its branches in a forked child:
+    only above one worker, where ``os.fork`` exists, no other thread runs (a
+    forked child would inherit that thread's locks in whatever state they
+    are) and this process may run on two CPUs or more, one for the search
+    and one for the checks."""
     if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
+        return False
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:
         cpus = os.cpu_count() or 1
-    return min(workers, cpus, chunks)
+    return cpus > 1
 
 
 def _write_record(out, record) -> None:
@@ -181,14 +180,14 @@ def _read_record(reader):
     return marshal.loads(data) if len(data) == size else None
 
 
-def _serve_chunks(branch, roots, fd: int) -> None:
-    """Body of a forked worker: one record per root of ``roots`` to ``fd``,
-    either ``branch(root)`` or the text of the exception it raised.  Leaves
-    through ``os._exit``, never back into the caller's stack."""
+def _serve_branches(branch, nroots: int, fd: int) -> None:
+    """Body of the forked child: one record per root to ``fd`` in root
+    order, either ``branch(root)`` or the text of the exception it raised.
+    Leaves through ``os._exit``, never back into the caller's stack."""
     code = 1
     try:
         with os.fdopen(fd, "wb") as out:
-            for root in roots:
+            for root in range(nroots):
                 try:
                     record = branch(root)
                 except Exception as exc:
@@ -201,54 +200,40 @@ def _serve_chunks(branch, roots, fd: int) -> None:
         os._exit(code)
 
 
-def _forked_branches(branch, nroots: int, nprocs: int, replay) -> None:
+def _forked_branches(branch, nroots: int, replay) -> None:
     """Run ``branch(root)`` -> (expansions, complete, flat leaf images) for
-    every root in ``nprocs`` forked children and pass each result to
-    ``replay`` in root order, in this process.
+    every root in one forked child and pass each result to ``replay`` in
+    root order, in this process, while the child searches on.
 
-    Chunk c of ``_CHUNK`` roots goes to child c % nprocs.  Each child writes
-    its records in root order to its own pipe, so the parent reads root r
-    from the child that owns it, and a pipe's buffer holds back a child that
-    gets ahead.  The children inherit the search's tables by fork, so
-    nothing is sent to them.  A child that raises or dies makes this raise
-    RuntimeError naming its root; whatever raises, every child is killed
-    and reaped and every pipe closed.
+    The child inherits the search's tables by fork, so nothing is sent to
+    it, and the pipe's buffer holds it back when it gets ahead.  A child
+    that raises or dies makes this raise RuntimeError naming its root;
+    whatever raises, the child is killed and reaped and the pipe closed.
     """
-    readers: list = []
-    pids: list[int] = []
+    r, w = os.pipe()
     try:
-        for c in range(nprocs):
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(r)
-                os.close(w)
-                raise
-            if pid == 0:
-                os.close(r)
-                for reader in readers:
-                    os.close(reader.fileno())
-                _serve_chunks(branch, [
-                    root for root in range(nroots) if root // _CHUNK % nprocs == c
-                ], w)
-            pids.append(pid)
-            os.close(w)
-            readers.append(os.fdopen(r, "rb"))
-        for root in range(nroots):
-            record = _read_record(readers[root // _CHUNK % nprocs])
-            if not isinstance(record, tuple):
-                raise RuntimeError(
-                    f"search branch at root {root} failed in a worker process: "
-                    f"{record or 'it exited without a result'}"
-                )
-            replay(*record)
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        os.close(r)
+        _serve_branches(branch, nroots, w)
+    try:
+        os.close(w)
+        with os.fdopen(r, "rb") as reader:
+            for root in range(nroots):
+                record = _read_record(reader)
+                if not isinstance(record, tuple):
+                    raise RuntimeError(
+                        f"search branch at root {root} failed in the forked search process: "
+                        f"{record or 'it exited without a result'}"
+                    )
+                replay(*record)
     finally:
-        for reader in readers:
-            reader.close()
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
 def _check_search_args(mode: str, budget: int) -> None:
@@ -298,11 +283,11 @@ def search_isometric_embeddings(
 
     The node budget is split over the root-placement branches up front and
     sample mode only permutes candidate order per branch.  With ``workers``
-    above 1 the branches run in up to that many forked processes (see
-    ``_forked_branches``), capped by the CPUs this process may use; their
-    results come back to this process and are replayed in root order, so
-    the embeddings, their order and the stats other than ``workers`` are the
-    same for every worker count.  Expansions count vertex placements.
+    above 1 the branches run, in root order, in one forked process beside
+    the visitor (see ``_forked_branches`` and ``_can_fork``), and their
+    results are replayed here in that order, so the embeddings, their order
+    and the stats other than ``workers`` are the same for every worker
+    count.  Expansions count vertex placements.
 
     Each embedding is streamed as ``visit(assignment, key, new)`` the moment
     it is found: ``assignment`` is the tuple of target vertices of the source
@@ -357,8 +342,7 @@ def search_isometric_embeddings(
 
     expansions = 0
     complete = True
-    nprocs = _pool_size(workers, -(-nv // _CHUNK))
-    if nprocs > 1:
+    if _can_fork(workers):
         def record(root: int) -> tuple[int, bool, list[int]]:
             flat: list[int] = []
             return *branch(root, lambda imgs, key: flat.extend(imgs)), flat
@@ -374,7 +358,7 @@ def search_isometric_embeddings(
             expansions += exp
             complete = complete and comp
 
-        _forked_branches(record, nv, nprocs, replay)
+        _forked_branches(record, nv, replay)
     else:
         for root in range(nv):
             exp, comp = branch(root, leaf)

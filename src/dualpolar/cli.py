@@ -50,8 +50,8 @@ def _build_parser() -> _Parser:
                        help="node-expansion budget")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--workers", type=int, default=1,
-                       help="forked processes for the embedding search, at most one "
-                            "per usable CPU; the report is the same for any count")
+                       help="above 1, run the embedding search in one forked process "
+                            "beside the checks; the report is the same for any count")
         p.add_argument("--output", type=str, default=None,
                        help="output file/directory (default: $DUALPOLAR_OUTPUT_DIR or cwd)")
         p.add_argument("--format", choices=("json", "dot"), default="json")
@@ -163,7 +163,8 @@ def cmd_verify(args) -> int:
 
 def cmd_count(args) -> int:
     """Count one kind of object.  Every kind but ``embeddings`` is
-    enumerated exhaustively within the budget, whatever ``--mode`` says."""
+    enumerated exhaustively within the budget in this process, whatever
+    ``--mode``, ``--seed`` and ``--workers`` say."""
     start = time.perf_counter()
     space = PolarSpace(args.n, args.p)
     complete = True
@@ -201,7 +202,7 @@ def cmd_count(args) -> int:
     report = reporting.make_report(
         f"count_{args.what}", {"p": args.p, "n": args.n, "m": args.m},
         start, counts, violations=violations, complete=complete, mode="exhaustive",
-        budget=args.budget, seed=args.seed, workers=args.workers, search=search,
+        budget=args.budget, search=search,
     )
     out = _out_dir(args)
     _write(out / f"count_{args.what}_p{args.p}_n{args.n}.json", reporting.report_json(report))

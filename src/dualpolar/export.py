@@ -45,14 +45,11 @@ def label_name(label) -> str:
     return f"n{digest}"
 
 
-def graph_to_json(graph: DenseGraph, include_dist: bool = False) -> dict:
-    out = {
+def graph_to_json(graph: DenseGraph) -> dict:
+    return {
         "vertices": [label_to_json(lab) for lab in graph.labels],
         "edges": [[i, j] for i, j in graph.edges()],
     }
-    if include_dist:
-        out["dist"] = [list(row) for row in graph.dist]
-    return out
 
 
 def graph_to_dot(graph: DenseGraph) -> str:

@@ -44,9 +44,6 @@ class DenseGraph:
     def neighbors(self, i: int) -> list[int]:
         return _bits(self.adj[i])
 
-    def degree(self, i: int) -> int:
-        return self.adj[i].bit_count()
-
     def edges(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(len(self.labels)) for j in _bits(self.adj[i]) if i < j]
 

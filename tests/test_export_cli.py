@@ -37,8 +37,6 @@ def test_graph_json_and_dot():
     assert len(payload["vertices"]) == 15
     assert all(i < j for i, j in payload["edges"])
     assert "dist" not in payload
-    with_dist = graph_to_json(g, include_dist=True)
-    assert len(with_dist["dist"]) == 15
 
     dot = graph_to_dot(g)
     assert dot.startswith("graph g {")
@@ -176,6 +174,15 @@ def test_cli_count_reports_the_mode_that_ran(what, mode, tmp_path):
                  "--output", str(tmp_path)]) == 0
     report = json.loads((tmp_path / f"count_{what}_p2_n2.json").read_text())
     assert report["mode"] == mode
+
+
+@pytest.mark.parametrize("what", ["points", "singular", "frames", "apartments"])
+def test_cli_count_reports_no_seed_or_workers_it_did_not_use(what, tmp_path):
+    # these kinds run in one process and draw nothing
+    assert main(["count", what, "--p", "2", "--n", "2", "--workers", "2", "--seed", "9",
+                 "--output", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / f"count_{what}_p2_n2.json").read_text())
+    assert report["workers"] == 1 and report["seed"] is None
 
 
 def test_cli_count_apartments_keeps_nothing_per_apartment(tmp_path):

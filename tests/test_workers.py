@@ -1,5 +1,5 @@
-"""The forked worker pool of the embedding search: its cap, its cleanup on
-failure, and reports that do not depend on the worker count."""
+"""The forked search process of the embedding search: when it forks, its
+cleanup on failure, and reports that do not depend on the worker count."""
 
 import json
 import os
@@ -41,8 +41,8 @@ def _search(workers, visit):
     )
 
 
-def test_pool_forks_no_more_than_the_cap(monkeypatch):
-    forks = []
+def _count_forks(monkeypatch) -> list[int]:
+    forks: list[int] = []
     real_fork = os.fork
 
     def counting_fork():
@@ -52,14 +52,30 @@ def test_pool_forks_no_more_than_the_cap(monkeypatch):
         return pid
 
     monkeypatch.setattr(os, "fork", counting_fork)
-    found, stats = collect(_search, 10**6)
-    # the cap is never a million: 135 roots make 34 chunks of four
-    cap = min(len(os.sched_getaffinity(0)), -(-G62.num_vertices // apartments._CHUNK))
-    assert len(forks) <= cap
+    return forks
+
+
+@pytest.mark.parametrize("workers", [2, 10**6])
+def test_search_forks_exactly_one_child(monkeypatch, two_cpus, workers):
     ref, ref_stats = collect(_search, 1)
+    forks = _count_forks(monkeypatch)
+    fds = _open_fds()
+    found, stats = collect(_search, workers)
+    assert len(forks) == 1
     assert found == ref
-    assert stats == {**ref_stats, "workers": 10**6}
+    assert stats == {**ref_stats, "workers": workers}
     _assert_no_children()
+    assert _open_fds() == fds
+
+
+def test_search_runs_in_process_on_one_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    ref, ref_stats = collect(_search, 1)
+    forks = _count_forks(monkeypatch)
+    found, stats = collect(_search, 2)
+    assert forks == []
+    assert found == ref
+    assert stats == {**ref_stats, "workers": 2}
 
 
 def test_search_runs_in_process_without_fork(monkeypatch, two_cpus):
