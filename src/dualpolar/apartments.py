@@ -255,11 +255,12 @@ def search_stats(
     complete: bool = True,
 ) -> dict:
     """The stats an embedding search returns; the defaults describe a search
-    that had nothing to explore."""
+    that had nothing to explore.  The seed is None outside sample mode, which
+    is the only mode that draws."""
     return {
         "mode": mode,
         "budget": budget,
-        "seed": seed,
+        "seed": seed if mode == "sample" else None,
         "workers": workers,
         "expansions": expansions,
         "complete": complete,
@@ -406,34 +407,33 @@ class ApartmentWitness:
         return polar.is_frame(space, [q.rows[0] for q in self.residue_frame])
 
 
-def _base_from_masks(space: PolarSpace, masks: Sequence[int]) -> int:
-    """Point mask of the base of a labelled hypercube given by its images'
-    point masks, indexed by sign mask.
+def _opposite_base(
+    space: PolarSpace, masks: Sequence[int], pairs: Sequence[tuple[int, int]], rank: int,
+    statement: str,
+) -> int:
+    """Point mask of the base of an image given by the point masks of its
+    members: the meet of the first of its opposite ``pairs``, checked to
+    have ``rank`` and to be the meet of every other pair; a failure raises
+    CounterexampleError for ``statement``.
 
-    Every sign mask is one side of the opposite pairs checked here, so once
-    each pair meets in the base, the base lies in every image and the meet of
-    all the images is the base; neither is checked again.
+    Every member is one side of an opposite pair, so once each pair meets in
+    the base, the base lies in every member and the meet of all of them is
+    the base; neither is checked again.
     """
-    m = (len(masks) - 1).bit_length()
-    full = len(masks) - 1
-    base = masks[0] & masks[full]
-    rank = mask_rank(space, base)
-    if rank != space.n - m:
+    i0, j0 = pairs[0]
+    base = masks[i0] & masks[j0]
+    if mask_rank(space, base) != rank:
         raise CounterexampleError(
-            "theorem2",
-            {
-                "kind": "base_dimension",
-                "expected_rank": space.n - m,
-                "got_rank": rank,
-                "base": subspace_json(subspace_of_mask(space, base)),
-            },
+            statement,
+            {"kind": "base_dimension", "expected_rank": rank,
+             "got": subspace_json(subspace_of_mask(space, base))},
         )
-    for x in range(1 << (m - 1)):
-        other = masks[x] & masks[x ^ full]
+    for i, j in pairs[1:]:
+        other = masks[i] & masks[j]
         if other != base:
             raise CounterexampleError(
-                "theorem2",
-                {"kind": "base_depends_on_opposite_pair", "mask": x,
+                statement,
+                {"kind": "base_depends_on_opposite_pair", "pair": [i, j],
                  "other": subspace_json(subspace_of_mask(space, other))},
             )
     return base
@@ -443,6 +443,11 @@ def _witness_from_images(space: PolarSpace, masks: Sequence[int]) -> tuple[int, 
     """Decompose a hypercube labelling given by the point masks of its images,
     indexed by sign mask: returns the masks of the base and of the residue
     frame, or raises CounterexampleError.
+
+    The base is that of the opposite pairs (x, x ^ (2^m - 1)) of antipodal
+    sign masks (``_opposite_base``), with lemma5's payloads.  It then lies in
+    every image, hence in every face, a meet of images, so a face is only
+    checked for its rank.
 
     Two faces over the base are residue-collinear exactly when their span is
     singular, i.e. when one lies in the perp of the other.  An image is
@@ -455,14 +460,16 @@ def _witness_from_images(space: PolarSpace, masks: Sequence[int]) -> tuple[int, 
     it would put them in each other's perp (a maximal is totally isotropic),
     and the residue-frame check has already rejected partners that are.
     """
-    m = (len(masks) - 1).bit_length()
-    base = _base_from_masks(space, masks)
+    full = len(masks) - 1
+    m = full.bit_length()
+    pairs = [(x, x ^ full) for x in range(len(masks) // 2)]
+    base = _opposite_base(space, masks, pairs, space.n - m, "theorem2")
     faces: list[int] = []
     for s in range(2 * m):
         bit = s % m
         want = 1 if s >= m else 0
         q = reduce(and_, (pm for mask, pm in enumerate(masks) if (mask >> bit) & 1 == want))
-        if mask_rank(space, q) != space.n - m + 1 or base & ~q:
+        if mask_rank(space, q) != space.n - m + 1:
             raise CounterexampleError(
                 "theorem2",
                 {"kind": "face_intersection_defect", "signed_index": s,

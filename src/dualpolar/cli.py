@@ -145,9 +145,7 @@ def cmd_verify(args) -> int:
             seed=args.seed, workers=args.workers,
         )
     else:
-        report = morphisms.verify_chow(
-            space, budget=args.budget, seed=args.seed, workers=args.workers
-        )
+        report = morphisms.verify_chow(space, budget=args.budget, workers=args.workers)
     out = _out_dir(args)
     name = f"report_{statement}_p{args.p}_n{args.n}"
     if statement in ("lemma5", "theorem3"):

@@ -23,6 +23,7 @@ from . import polar
 from .apartments import (
     DEFAULT_BUDGET,
     _check_search_args,
+    _opposite_base,
     _witness_from_images,
     frame_vertices,
     search_isometric_embeddings,
@@ -71,8 +72,10 @@ class InducedPointMap:
         return self.assignment[pt]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _opposite_pairs(graph: DenseGraph) -> tuple[tuple[int, int], ...]:
+    """The pairs (i, j), i < j, of vertices at the diameter.  A verifier asks
+    for one source graph's per embedding; older graphs are not kept alive."""
     return tuple(
         (i, j)
         for i in range(graph.num_vertices)
@@ -129,31 +132,17 @@ def search_dualpolar_embeddings(
 def verify_lemma5(emb: GraphEmbedding) -> Subspace:
     """The base subspace shared by the whole image of a graph embedding.
 
-    Computed from one opposite source pair and checked to have projective
-    dimension n' - n - 1 and to be independent of the pair; failures raise
-    CounterexampleError.  Every vertex of a dual polar graph has an opposite
-    vertex, so the pair check already puts the base in every image.
+    The meet of the images of the opposite source pairs, checked by
+    ``_opposite_base`` (as ``theorem2`` checks its antipodal pairs) to have
+    projective dimension n' - n - 1 and to be independent of the pair;
+    failures raise CounterexampleError.  Every vertex of a dual polar graph
+    has an opposite vertex, so the pair check already puts the base in every
+    image.
     """
     space = emb.dst_space
-    n, n_prime = emb.src_space.n, space.n
-    imgs = _image_masks(emb)
-    pairs = _opposite_pairs(emb.source)
-    i0, j0 = pairs[0]
-    base = imgs[i0] & imgs[j0]
-    if mask_rank(space, base) != n_prime - n:
-        raise CounterexampleError(
-            "lemma5",
-            {"kind": "base_dimension", "expected_rank": n_prime - n,
-             "got": subspace_json(subspace_of_mask(space, base))},
-        )
-    for i, j in pairs[1:]:
-        other = imgs[i] & imgs[j]
-        if other != base:
-            raise CounterexampleError(
-                "lemma5",
-                {"kind": "base_depends_on_opposite_pair", "pair": [i, j],
-                 "other": subspace_json(subspace_of_mask(space, other))},
-            )
+    base = _opposite_base(
+        space, _image_masks(emb), _opposite_pairs(emb.source), space.n - emb.src_space.n, "lemma5"
+    )
     return subspace_of_mask(space, base)
 
 
@@ -239,17 +228,12 @@ def _off_pattern(rc_masks: list[int], frames_idx) -> list[list[int]]:
     return out
 
 
-def _frame_violations(
-    space: PolarSpace, g: list[int], perps: list[int], frames_idx
-) -> list[dict]:
-    """Frames of ``space`` whose point images (masks ``g`` with perps
-    ``perps``) break the residue-frame collinearity pattern; ``frames_idx``
-    must hold frames of ``space``.
+def _residue_collinear_masks(g: list[int], perps: list[int]) -> list[int]:
+    """Bit j of entry i: are the point images ``g[i]`` and ``g[j]`` (with
+    perps ``perps``) residue-collinear over their base.
 
     Two images over the base are residue-collinear exactly when their span is
-    singular, i.e. when one lies in the perp of the other.  A frame's points
-    are collinear exactly off its partners, so when the images are
-    residue-collinear exactly where the points are collinear, no frame breaks.
+    singular, i.e. when one lies in the perp of the other.
     """
     rc_masks = [0] * len(g)
     for i in range(len(g)):
@@ -257,6 +241,21 @@ def _frame_violations(
             if not g[j] & ~perps[i]:
                 rc_masks[i] |= 1 << j
                 rc_masks[j] |= 1 << i
+    return rc_masks
+
+
+def _frame_violations(
+    space: PolarSpace, g: list[int], perps: list[int], frames_idx
+) -> list[dict]:
+    """Frames of ``space`` whose point images (masks ``g`` with perps
+    ``perps``) break the residue-frame collinearity pattern; ``frames_idx``
+    must hold frames of ``space``.
+
+    A frame's points are collinear exactly off its partners, so when the
+    images are residue-collinear exactly where the points are collinear, no
+    frame breaks.
+    """
+    rc_masks = _residue_collinear_masks(g, perps)
     if rc_masks == space.collinear_masks():
         return []
     return [
@@ -277,7 +276,8 @@ def check_frames_preserving(
     otherwise 200 seeded samples are used (at most as many as the space
     has) and the report is marked incomplete; for each frame the images must be
     residue-collinear exactly off the partner involution.  Given ``frames``
-    must be frames of the source space, or ValueError is raised.
+    must be frames of the source space, or ValueError is raised.  The report
+    carries ``seed`` only when frames were sampled.
     """
     start = time.perf_counter()
     complete = True
@@ -298,7 +298,7 @@ def check_frames_preserving(
         {"p": pm.src_space.p, "n": pm.src_space.n, "m": None, "n_prime": pm.dst_space.n},
         start, {"frames": len(frames)}, violations=violations, complete=complete,
         expansions=len(frames), mode="exhaustive" if complete else "sample",
-        budget=budget, seed=seed,
+        budget=budget, seed=None if complete else seed,
     )
 
 
@@ -488,24 +488,31 @@ def verify_theorem3(
 def verify_chow(
     space: PolarSpace,
     budget: int = DEFAULT_BUDGET,
-    seed: int = 0,
     workers: int = 1,
 ) -> dict:
     """Exhaustively match the self-embeddings of a dual polar graph with the
-    collineations of its polar space.
+    collineations of its polar space: the induced point map of every
+    embedding found must preserve collinearity both ways, and a violation
+    names the first pair (i, j), i < j, of point indices that it breaks.
 
-    Every embedding found must be a bijection whose induced point map is a
-    collinearity-preserving bijection of the points carrying frames to
-    frames.  ``_point_images`` has already required every g(p) to be a
-    single point (rank n' - n + 1 = 1) and g to be injective, so g permutes
-    the points and that is not checked again.  The residue collinearity of
-    single points is their collinearity, and a frame is defined by the
-    collinearity of its points: once each pair of points is checked, no frame
-    can break, and the frames are enumerated only for the count and
-    completeness they report.
+    Nothing else can fail, so nothing else is checked.  An isometric
+    embedding is injective, and its source and target are the same finite
+    graph, so it is a bijection.  Opposite images in the rank-n target meet
+    in 0, so the base is empty, and ``_point_images`` has required each g(p)
+    to be a single point and g to be injective: g permutes the points.  Over
+    an empty base, residue collinearity is collinearity, and a frame is
+    defined by the collinearity of its points, so once each pair of points
+    is checked no frame can break; the frames are only counted, for the
+    count and completeness the report gives.
     """
     start = time.perf_counter()
-    frames, frames_complete = polar.enumerate_frames(space, budget=10**6)
+    frames = 0
+
+    def count_frame(frame: polar.Frame) -> None:
+        nonlocal frames
+        frames += 1
+
+    _, frames_complete = polar.enumerate_frames(space, budget=10**6, visit=count_frame)
     masks = space.collinear_masks()
     members = _members(dual_polar_graph(space))
     violations: list[dict] = []
@@ -513,21 +520,9 @@ def verify_chow(
 
     def check(emb: GraphEmbedding) -> None:
         try:
-            if len(set(emb.assignment)) != emb.source.num_vertices:
-                raise CounterexampleError("chow", {"kind": "not_a_bijection"})
-            base, g, _ = _point_images(emb, members, perp_of)
-            if base:
-                raise CounterexampleError("chow", {"kind": "nonempty_base"})
-            perm = [gp.bit_length() - 1 for gp in g]
-            inverse = [0] * len(perm)
-            for i, x in enumerate(perm):
-                inverse[x] = i
-            for i, x in enumerate(perm):
-                # bit j of ``pulled``: are the images of points i and j collinear
-                pulled = 0
-                for y in _bits(masks[x]):
-                    pulled |= 1 << inverse[y]
-                later = (pulled ^ masks[i]) >> (i + 1)
+            _, g, perps = _point_images(emb, members, perp_of)
+            for i, (got, want) in enumerate(zip(_residue_collinear_masks(g, perps), masks)):
+                later = (got ^ want) >> (i + 1)
                 if later:
                     j = i + (later & -later).bit_length()
                     raise CounterexampleError(
@@ -537,9 +532,9 @@ def verify_chow(
             violations.append(exc.as_violation())
 
     _, stats = search_dualpolar_embeddings(
-        space, space, "exhaustive", budget, seed, workers, visit=check
+        space, space, "exhaustive", budget, workers=workers, visit=check
     )
     return make_report(
-        "chow", {"p": space.p, "n": space.n, "m": None}, start, {"frames_checked": len(frames)},
+        "chow", {"p": space.p, "n": space.n, "m": None}, start, {"frames_checked": frames},
         violations=violations, complete=frames_complete, search=stats,
     )

@@ -55,42 +55,17 @@ class PolarSpace:
         self.p = p
         self.dim = 2 * n
         self.field = gf(p)
-        self.gram = self._standard_gram(n, p)
         self.points: tuple[Point, ...] = tuple(sorted(self._all_points()))
         self.point_index = {pt: i for i, pt in enumerate(self.points)}
         self._collinear_masks: list[int] | None = None
         self._singular_cache: dict[int, tuple[Subspace, ...]] = {}
         self._graph_cache = None  # set by graphs.dual_polar_graph
-        self._check_model()
-
-    @staticmethod
-    def _standard_gram(n: int, p: int) -> tuple[tuple[int, ...], ...]:
-        g = [[0] * (2 * n) for _ in range(2 * n)]
-        for i in range(n):
-            g[2 * i][2 * i + 1] = 1
-            g[2 * i + 1][2 * i] = p - 1
-        return tuple(tuple(row) for row in g)
 
     def _all_points(self) -> Iterable[Point]:
         p, d = self.p, self.dim
         for lead in range(d):
             for tail in product(range(p), repeat=d - lead - 1):
                 yield (0,) * lead + (1,) + tail
-
-    def _check_model(self) -> None:
-        d = self.dim
-        assert all(self.gram[i][i] == 0 for i in range(d))
-        assert all(
-            (self.gram[i][j] + self.gram[j][i]) % self.p == 0
-            for i in range(d)
-            for j in range(d)
-        )
-        if nullspace(self.field, self.gram, d).rank != 0:
-            raise ValueError("alternating form is degenerate")
-        # span{e_1..e_n} must be self-perpendicular: maximal isotropic rank is n
-        witness = rref(self.field, [self._unit(2 * i) for i in range(self.n)], d)
-        if perp_subspace(self, witness) != witness:
-            raise ValueError("maximal totally isotropic rank is not n")
 
     def _unit(self, i: int) -> Point:
         return tuple(1 if j == i else 0 for j in range(self.dim))
@@ -134,7 +109,12 @@ class PolarSpace:
 
 
 def form_value(space: PolarSpace, u: Sequence[int], v: Sequence[int]) -> int:
-    """The alternating form u · gram · v, reduced into [0, p)."""
+    """The standard alternating form sum_i u_2i v_2i+1 - u_2i+1 v_2i, in
+    [0, p).  Its Gram matrix, n blocks [[0, 1], [-1, 0]], is alternating and
+    invertible, and e_0, e_2, ..., e_2n-2 span a totally isotropic subspace
+    of rank n, so the model needs no check at construction; ``perp_subspace``
+    hard-codes the same form.
+    """
     if len(u) != space.dim or len(v) != space.dim:
         raise ValueError("vectors must have length 2n")
     acc = 0

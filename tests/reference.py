@@ -181,29 +181,30 @@ def apartment_of_frame(space: PolarSpace, frame: Frame) -> tuple[Subspace, ...]:
 # -- the hypercube witness ----------------------------------------------------------
 
 
-def base_from_images(space: PolarSpace, images: Sequence[Subspace], statement: str) -> Subspace:
-    """The base of a labelled hypercube of maximals indexed by sign mask,
-    with every check the decomposition has ever made."""
+def base_from_images(
+    space: PolarSpace, images: Sequence[Subspace], pairs: Sequence[tuple[int, int]], rank: int,
+    statement: str,
+) -> Subspace:
+    """The base of an image given by its members, the meet of each of their
+    opposite ``pairs``, with every check the decomposition and lemma5 have
+    ever made."""
     field = space.field
-    m = (len(images) - 1).bit_length()
-    full = len(images) - 1
-    base = intersect(field, images[0], images[full])
-    if base.rank != space.n - m:
+    i0, j0 = pairs[0]
+    base = intersect(field, images[i0], images[j0])
+    if base.rank != rank:
         raise CounterexampleError(
-            statement,
-            {"kind": "base_dimension", "expected_rank": space.n - m,
-             "got_rank": base.rank, "base": subspace_json(base)},
+            statement, {"kind": "base_dimension", "expected_rank": rank, "got": subspace_json(base)}
         )
-    for x in range(1 << (m - 1)):
-        other = intersect(field, images[x], images[x ^ full])
+    for i, j in pairs:
+        other = intersect(field, images[i], images[j])
         if other != base:
             raise CounterexampleError(
                 statement,
-                {"kind": "base_depends_on_opposite_pair", "mask": x, "other": subspace_json(other)},
+                {"kind": "base_depends_on_opposite_pair", "pair": [i, j], "other": subspace_json(other)},
             )
-    for mask, img in enumerate(images):
+    for index, img in enumerate(images):
         if not contains_subspace(field, img, base):
-            raise CounterexampleError(statement, {"kind": "image_missing_base", "mask": mask})
+            raise CounterexampleError(statement, {"kind": "image_missing_base", "member": index})
     everything = reduce(lambda a, b: intersect(field, a, b), images)
     if everything != base:
         raise CounterexampleError(
@@ -218,8 +219,10 @@ def witness_from_images(
     """(base, residue frame) of a labelled hypercube of maximals indexed by
     sign mask; a failed check raises CounterexampleError."""
     field = space.field
-    m = (len(images) - 1).bit_length()
-    base = base_from_images(space, images, "theorem2")
+    full = len(images) - 1
+    m = full.bit_length()
+    pairs = [(x, x ^ full) for x in range(len(images) // 2)]
+    base = base_from_images(space, images, pairs, space.n - m, "theorem2")
     qs: list[Subspace] = []
     for s in range(2 * m):
         bit = s % m

@@ -12,7 +12,7 @@ import pytest
 from dualpolar import apartments
 from dualpolar.apartments import (
     _apartment_witness,
-    _base_from_masks,
+    _opposite_base,
     _shuffle,
     _source_plan,
     _witness_from_images,
@@ -65,6 +65,15 @@ def labelled_witness(space, graph, order):
     return _apartment_witness(
         space, [graph.labels[v] for v in order], [graph.masks[v] for v in order]
     )
+
+
+def antipodal_base(space, masks):
+    """The base mask of the labelled hypercube of images with point masks
+    ``masks``, by sign mask, as ``_witness_from_images`` takes it: from the
+    pairs of antipodal sign masks."""
+    full = len(masks) - 1
+    pairs = [(x, x ^ full) for x in range(len(masks) // 2)]
+    return _opposite_base(space, masks, pairs, space.n - full.bit_length(), "theorem2")
 
 
 def cube_embeddings(m, graph, **kwargs):
@@ -142,14 +151,14 @@ def test_no_hypercube_above_rank():
 def test_base_subspace_full_rank_is_empty():
     frames, _ = enumerate_frames(SP42)
     order = frame_vertices(SP42, G42)(frames[0])
-    assert _base_from_masks(SP42, [G42.masks[v] for v in order]) == 0
+    assert antipodal_base(SP42, [G42.masks[v] for v in order]) == 0
 
 
 def test_base_subspace_m2_in_sp62_is_a_point():
     orders, _ = cube_embeddings(2, G62, mode="sample", budget=3_000, seed=4)
     assert orders
     for order in orders[:25]:
-        base = subspace_of_mask(SP62, _base_from_masks(SP62, [G62.masks[v] for v in order]))
+        base = subspace_of_mask(SP62, antipodal_base(SP62, [G62.masks[v] for v in order]))
         assert base.rank == 1
         for v in order:
             assert contains(SP62.field, G62.labels[v], base.rows[0])
@@ -157,8 +166,12 @@ def test_base_subspace_m2_in_sp62_is_a_point():
 
 def test_base_subspace_raises_on_garbage():
     # duplicate opposite images make the base the whole maximal
-    with pytest.raises(CounterexampleError):
-        _base_from_masks(SP42, [G42.masks[v] for v in (0, 1, 2, 0)])
+    with pytest.raises(CounterexampleError) as info:
+        antipodal_base(SP42, [G42.masks[v] for v in (0, 1, 2, 0)])
+    assert info.value.as_violation() == {
+        "statement": "theorem2", "kind": "base_dimension", "expected_rank": 0,
+        "got": [list(row) for row in G42.labels[0].rows],
+    }
 
 
 def test_recover_frame_roundtrip_on_frame_apartments():
@@ -681,15 +694,19 @@ def test_to_frame_of_an_accepted_full_rank_labelling_is_its_frame():
 
 def test_pair_meets_catch_every_image_missing_the_base():
     # the base is the meet of the images at sign masks 0 and 2^m - 1; when it
-    # misses an image, or the meet of all the images differs from it, the
-    # dimension or opposite-pair check has already raised
+    # misses an image or a face, which _witness_from_images does not check,
+    # or the meet of all the images differs from it, the dimension or
+    # opposite-pair check has already raised
     caught = 0
     for space, graph, order in _perturbed_labellings(600, seed=19):
         masks = [graph.masks[v] for v in order]
+        m = (len(masks) - 1).bit_length()
+        faces = [reduce(and_, (img for x, img in enumerate(masks) if x >> (s % m) & 1 == (s >= m)))
+                 for s in range(2 * m)]
         base = masks[0] & masks[-1]
-        if any(base & ~img for img in masks) or reduce(and_, masks) != base:
+        if any(base & ~q for q in masks + faces) or reduce(and_, masks) != base:
             with pytest.raises(CounterexampleError) as info:
-                _base_from_masks(space, masks)
+                antipodal_base(space, masks)
             assert info.value.details["kind"] in ("base_dimension", "base_depends_on_opposite_pair")
             caught += 1
     assert caught

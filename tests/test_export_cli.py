@@ -185,6 +185,14 @@ def test_cli_count_reports_no_seed_or_workers_it_did_not_use(what, tmp_path):
     assert report["workers"] == 1 and report["seed"] is None
 
 
+@pytest.mark.parametrize("mode,seed", [("exhaustive", None), ("sample", 9)])
+def test_cli_verify_reports_a_seed_only_where_it_draws(mode, seed, tmp_path):
+    main(["verify", "theorem2", "--p", "2", "--n", "2", "--m", "2", "--mode", mode,
+          "--budget", "2000", "--seed", "9", "--output", str(tmp_path)])
+    report = json.loads((tmp_path / "report_theorem2_p2_n2_m2.json").read_text())
+    assert report["mode"] == mode and report["seed"] == seed
+
+
 def test_cli_count_apartments_keeps_nothing_per_apartment(tmp_path):
     # the 30 240 apartments of Sp(6,2) are counted by round-tripping streamed
     # frames: a traced peak of about 0.2 MB, against 4 MB for a set of int

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualpolar import morphisms, polar
-from dualpolar.graphs import dual_polar_graph
+from dualpolar.apartments import _witness_from_images, search_isometric_embeddings
+from dualpolar.graphs import dual_polar_graph, hypercube
 from dualpolar.linalg import rref, zero_subspace
 from dualpolar.morphisms import (
     GraphEmbedding,
@@ -96,17 +97,19 @@ def test_induced_point_map_roundtrip(lifted):
 def test_frames_preserving_on_fixture(lifted):
     _, _, emb = lifted
     pm = induced_point_map(emb)
-    report = check_frames_preserving(pm)
+    report = check_frames_preserving(pm, seed=4)
     assert report["violations"] == []
     assert report["counts"]["frames"] == 90
+    # every frame was enumerated, so nothing was drawn
+    assert report["mode"] == "exhaustive" and report["seed"] is None
 
 
 def test_frames_preserving_sample_fallback_is_incomplete(lifted):
     # a budget of one node cannot enumerate the frames, so the check samples
     _, _, emb = lifted
-    report = check_frames_preserving(induced_point_map(emb), budget=1)
+    report = check_frames_preserving(induced_point_map(emb), budget=1, seed=4)
     assert report["complete"] is False
-    assert report["mode"] == "sample"
+    assert report["mode"] == "sample" and report["seed"] == 4
     assert report["violations"] == []
     # the sample is capped at the 90 frames Sp(4,2) has
     assert report["counts"]["frames"] == 90
@@ -196,7 +199,13 @@ def test_verify_chow_quick():
 
 def test_verify_chow_reports_incomplete_frames(monkeypatch):
     frames, _ = enumerate_frames(SP42)
-    monkeypatch.setattr(polar, "enumerate_frames", lambda space, budget: (frames[:5], False))
+
+    def five_frames(space, budget, visit):
+        for frame in frames[:5]:
+            visit(frame)
+        return [], False
+
+    monkeypatch.setattr(polar, "enumerate_frames", five_frames)
     report = verify_chow(SP42, budget=100_000)
     assert report["counts"]["frames_checked"] == 5
     assert report["complete"] is False
@@ -270,6 +279,17 @@ def test_verifiers_do_not_keep_spaces_alive():
     assert [ref() for ref in refs] == [None, None]
 
 
+def test_verifiers_keep_no_earlier_source_graph_alive():
+    # the opposite pairs are memoised for the latest source graph only
+    first, second = PolarSpace(2, 2), PolarSpace(2, 2)
+    for space in (first, second):
+        assert verify_lemma5_bulk(space, space, budget=2_000, seed=1)["violations"] == []
+    ref = weakref.ref(dual_polar_graph(first))
+    del first
+    gc.collect()
+    assert ref() is None
+
+
 @st.composite
 def points_of_a_maximal(draw):
     space = draw(st.sampled_from([SP42, SP62, SP43, SP45]))
@@ -323,27 +343,11 @@ def _reference_opposite_pairs(graph):
 
 def reference_lemma5(emb):
     """verify_lemma5 with Zassenhaus meets and containments on RREF subspaces."""
-    field = emb.dst_space.field
-    n, n_prime = emb.src_space.n, emb.dst_space.n
-    pairs = _reference_opposite_pairs(emb.source)
-    i0, j0 = pairs[0]
-    base = intersect(field, emb.image_of(i0), emb.image_of(j0))
-    if base.rank != n_prime - n:
-        raise CounterexampleError(
-            "lemma5",
-            {"kind": "base_dimension", "expected_rank": n_prime - n, "got": subspace_json(base)},
-        )
-    for i, j in pairs[1:]:
-        other = intersect(field, emb.image_of(i), emb.image_of(j))
-        if other != base:
-            raise CounterexampleError(
-                "lemma5",
-                {"kind": "base_depends_on_opposite_pair", "pair": [i, j], "other": subspace_json(other)},
-            )
-    for v in range(emb.source.num_vertices):
-        if not contains_subspace(field, emb.image_of(v), base):
-            raise CounterexampleError("lemma5", {"kind": "image_missing_base", "vertex": v})
-    return base
+    images = [emb.image_of(v) for v in range(emb.source.num_vertices)]
+    return reference.base_from_images(
+        emb.dst_space, images, _reference_opposite_pairs(emb.source),
+        emb.dst_space.n - emb.src_space.n, "lemma5",
+    )
 
 
 def reference_point_map(emb):
@@ -500,6 +504,48 @@ def test_earlier_checks_catch_what_the_dropped_checks_would(src, dst, mode, budg
             assert info.value.details["kind"] in ("point_image_defect", "point_map_not_injective")
             unspanned += 1
     assert missing and unspanned
+
+
+@pytest.mark.parametrize(
+    "space,mode,budget", [(SP42, "exhaustive", 100_000), (SP43, "sample", 20_000)],
+    ids=["sp42", "sp43"],
+)
+def test_self_embeddings_are_bijections_whose_opposite_pairs_meet_in_0(space, mode, budget):
+    # verify_chow checks neither that an embedding is a bijection nor that
+    # its base is empty: every self-embedding the search finds is both
+    embs, stats = collect(search_dualpolar_embeddings, space, space, mode=mode, budget=budget, seed=6)
+    assert embs and (mode == "sample" or (stats["complete"] and len(embs) == 720))
+    for emb in embs:
+        assert sorted(emb.assignment) == list(range(emb.target.num_vertices))
+        imgs = [emb.target.masks[a] for a in emb.assignment]
+        assert not any(imgs[i] & imgs[j] for i, j in _reference_opposite_pairs(emb.source))
+
+
+def test_base_violations_of_theorem2_and_lemma5_carry_the_same_keys():
+    # one routine checks both bases, so a kind of base violation has one
+    # payload shape whichever statement raised it
+    shapes = {"theorem2": set(), "lemma5": set()}
+    graph = dual_polar_graph(SP62)
+    orders, _ = collect(search_isometric_embeddings, hypercube(2), graph,
+                        mode="sample", budget=3_000, seed=4)
+    rng = random.Random(5)
+    for _ in range(300):
+        order = list(orders[rng.randrange(len(orders))])
+        order[rng.randrange(len(order))] = rng.randrange(graph.num_vertices)
+        try:
+            _witness_from_images(SP62, [graph.masks[v] for v in order])
+        except CounterexampleError as exc:
+            shapes["theorem2"].add((exc.details["kind"], frozenset(exc.details)))
+    embs, _ = collect(search_dualpolar_embeddings, SP42, SP62, mode="sample", budget=40_000, seed=6)
+    for emb in _perturbed(embs, 300, seed=17):
+        try:
+            verify_lemma5(emb)
+        except CounterexampleError as exc:
+            shapes["lemma5"].add((exc.details["kind"], frozenset(exc.details)))
+    kinds = {"base_dimension", "base_depends_on_opposite_pair"}
+    theorem2 = {shape for shape in shapes["theorem2"] if shape[0] in kinds}
+    assert theorem2 == shapes["lemma5"]
+    assert sorted(kind for kind, _ in theorem2) == sorted(kinds)
 
 
 # -- the rref reference for the spanning lift -------------------------------------
