@@ -2,9 +2,9 @@
 
 The search engine backtracks over source vertices in BFS order.  The
 candidates for a vertex are one AND of distance masks per placed vertex, and
-each full placement is streamed to a visitor with its image as an int key,
-from this process or replayed from one forked search process that runs
-beside the visitor's checks.  An image is decomposed in the hypercube
+each full placement is streamed to a visitor, from this process or as the
+replayed visitor calls of the same search run in one forked process beside
+the visitor's checks.  An image is decomposed in the hypercube
 labelling the search gave it, on the point masks of its members: the common
 base subspace, the 2m residue-frame subspaces obtained by intersecting the
 images of opposite hypercube faces, and the reconstruction of every image as
@@ -35,6 +35,7 @@ from .graphs import (
     geodesic_count,
     hypercube,
     iter_geodesics,
+    meet_graph,
     sample_geodesic,
 )
 from .linalg import Subspace
@@ -180,35 +181,40 @@ def _read_record(reader):
     return marshal.loads(data) if len(data) == size else None
 
 
-def _serve_branches(branch, nroots: int, fd: int) -> None:
-    """Body of the forked child: one record per root to ``fd`` in root
-    order, either ``branch(root)`` or the text of the exception it raised.
-    Leaves through ``os._exit``, never back into the caller's stack."""
+def _serve_search(run, fd: int) -> None:
+    """Body of the forked child: ``run`` with a visitor that buffers its
+    calls, one record of them per root branch to ``fd`` and then the stats,
+    or the text of the exception it raised.  Leaves through ``os._exit``."""
     code = 1
     try:
         with os.fdopen(fd, "wb") as out:
-            for root in range(nroots):
-                try:
-                    record = branch(root)
-                except Exception as exc:
-                    _write_record(out, f"{type(exc).__name__}: {exc}")
-                    break
-                _write_record(out, record)
+            calls: list[tuple] = []
+
+            def send() -> None:
+                _write_record(out, calls)
+                calls.clear()
+
+            try:
+                stats = run(lambda *call: calls.append(call), send)
+            except Exception as exc:
+                _write_record(out, f"{type(exc).__name__}: {exc}")
             else:
+                _write_record(out, stats)
                 code = 0
     finally:
         os._exit(code)
 
 
-def _forked_branches(branch, nroots: int, replay) -> None:
-    """Run ``branch(root)`` -> (expansions, complete, flat leaf images) for
-    every root in one forked child and pass each result to ``replay`` in
-    root order, in this process, while the child searches on.
+def _forked_search(run, nroots: int, visit) -> dict:
+    """Run ``run(visit, branch_done)`` in one forked child and replay its
+    visitor calls through ``visit`` in this process, root branch by root
+    branch, while the child searches on; returns the child's stats.
 
     The child inherits the search's tables by fork, so nothing is sent to
     it, and the pipe's buffer holds it back when it gets ahead.  A child
-    that raises or dies makes this raise RuntimeError naming its root;
-    whatever raises, the child is killed and reaped and the pipe closed.
+    that raises or dies makes this raise RuntimeError naming the root, or
+    the stats, whose record never arrived; whatever raises, the child is
+    killed and reaped and the pipe closed.
     """
     r, w = os.pipe()
     try:
@@ -219,18 +225,26 @@ def _forked_branches(branch, nroots: int, replay) -> None:
         raise
     if pid == 0:
         os.close(r)
-        _serve_branches(branch, nroots, w)
+        _serve_search(run, w)
     try:
         os.close(w)
         with os.fdopen(r, "rb") as reader:
             for root in range(nroots):
                 record = _read_record(reader)
-                if not isinstance(record, tuple):
+                if not isinstance(record, list):
                     raise RuntimeError(
                         f"search branch at root {root} failed in the forked search process: "
                         f"{record or 'it exited without a result'}"
                     )
-                replay(*record)
+                for call in record:
+                    visit(*call)
+            stats = _read_record(reader)
+            if not isinstance(stats, dict):
+                raise RuntimeError(
+                    "the forked search process failed after its last root branch: "
+                    f"{stats or 'it exited without its stats'}"
+                )
+            return stats
     finally:
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
@@ -283,17 +297,19 @@ def search_isometric_embeddings(
     ``dst`` to ``visit``; returns (None, stats).
 
     The node budget is split over the root-placement branches up front and
-    sample mode only permutes candidate order per branch.  With ``workers``
-    above 1 the branches run, in root order, in one forked process beside
-    the visitor (see ``_forked_branches`` and ``_can_fork``), and their
-    results are replayed here in that order, so the embeddings, their order
+    sample mode only permutes candidate order per branch.  ``run`` is the
+    whole search: every root branch in root order, calling ``branch_done()``
+    after each, with the embedding count, the set of image keys and the
+    stats.  With ``workers`` above 1 it runs in one forked process beside
+    the visitor (see ``_forked_search`` and ``_can_fork``), whose visitor
+    calls are replayed here in their order, so the embeddings, their order
     and the stats other than ``workers`` are the same for every worker
     count.  Expansions count vertex placements.
 
-    Each embedding is streamed as ``visit(assignment, key, new)`` the moment
-    it is found: ``assignment`` is the tuple of target vertices of the source
-    vertices, ``key`` the image as an int (bit v set for each target vertex v
-    in it) and ``new`` whether this is the first embedding with that image.
+    Each embedding is streamed as ``visit(assignment, new)`` the moment it
+    is found: ``assignment`` is the tuple of target vertices of the source
+    vertices and ``new`` whether this is the first embedding with that
+    image.
     """
     _check_search_args(mode, budget)
     if not src.connected:
@@ -325,47 +341,32 @@ def search_isometric_embeddings(
     # the assignment of a leaf's images; itemgetter of two or more positions
     # returns a tuple, and a one-vertex plan is in vertex order
     assign = tuple if plan_pos == list(range(nsrc)) else itemgetter(*plan_pos)
-    keys: set[int] = set()
-    found = 0
 
-    def leaf(imgs: list[int], key: int) -> None:
-        nonlocal found
-        found += 1
-        new = key not in keys
-        if new:
-            keys.add(key)
-        visit(assign(imgs), key, new)
+    def run(on_found, branch_done=lambda: None) -> dict:
+        keys: set[int] = set()
+        found = expansions = 0
+        complete = True
 
-    def branch(root: int, on_leaf) -> tuple[int, bool]:
-        return _branch_search(
-            nbrs, dst.adj, at_dist, plan, nsrc, root, shares[root], rngs[root], on_leaf
-        )
+        def leaf(imgs: list[int], key: int) -> None:
+            nonlocal found
+            found += 1
+            new = key not in keys
+            if new:
+                keys.add(key)
+            on_found(assign(imgs), new)
 
-    expansions = 0
-    complete = True
-    if _can_fork(workers):
-        def record(root: int) -> tuple[int, bool, list[int]]:
-            flat: list[int] = []
-            return *branch(root, lambda imgs, key: flat.extend(imgs)), flat
-
-        def replay(exp: int, comp: bool, flat: list[int]) -> None:
-            nonlocal expansions, complete
-            for i in range(0, len(flat), nsrc):
-                imgs = flat[i:i + nsrc]
-                key = 0
-                for v in imgs:
-                    key |= 1 << v
-                leaf(imgs, key)
-            expansions += exp
-            complete = complete and comp
-
-        _forked_branches(record, nv, replay)
-    else:
         for root in range(nv):
-            exp, comp = branch(root, leaf)
+            exp, comp = _branch_search(
+                nbrs, dst.adj, at_dist, plan, nsrc, root, shares[root], rngs[root], leaf
+            )
             expansions += exp
             complete = complete and comp
-    return None, search_stats(mode, budget, seed, workers, found, len(keys), expansions, complete)
+            branch_done()
+        return search_stats(mode, budget, seed, workers, found, len(keys), expansions, complete)
+
+    if _can_fork(workers):
+        return None, _forked_search(run, nv, visit)
+    return None, run(visit)
 
 
 # -- decomposition of embedded hypercubes ------------------------------------
@@ -534,7 +535,7 @@ def is_apartment(space: PolarSpace, members) -> ApartmentWitness | None:
     if size != 1 << m or not 1 <= m <= space.n:
         return None
     masks = [point_mask(space, s) for s in unique]
-    dist = [[space.n - mask_rank(space, a & b) for b in masks] for a in masks]
+    dist = meet_graph(space, unique, masks).dist
     nbrs = [v for v in range(size) if dist[0][v] == 1]
     if len(nbrs) != m:
         return None
@@ -705,7 +706,7 @@ def verify_theorem2(
 
     # vertex v of ``hypercube(m)`` has sign mask v, so an assignment is
     # already indexed by sign mask
-    def validate(assignment: tuple[int, ...], key: int, new: bool) -> None:
+    def validate(assignment: tuple[int, ...], new: bool) -> None:
         if not new:
             return
         try:

@@ -50,8 +50,8 @@ def _build_parser() -> _Parser:
                        help="node-expansion budget")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--workers", type=int, default=1,
-                       help="above 1, run the embedding search in one forked process "
-                            "beside the checks; the report is the same for any count")
+                       help="above 1, run the embedding search of `verify` in one forked "
+                            "process beside the checks; the report is the same for any count")
         p.add_argument("--output", type=str, default=None,
                        help="output file/directory (default: $DUALPOLAR_OUTPUT_DIR or cwd)")
         p.add_argument("--format", choices=("json", "dot"), default="json")
@@ -160,9 +160,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_count(args) -> int:
-    """Count one kind of object.  Every kind but ``embeddings`` is
-    enumerated exhaustively within the budget in this process, whatever
-    ``--mode``, ``--seed`` and ``--workers`` say."""
+    """Count one kind of object in this process: a count has no checks to
+    run beside a forked search.  Every kind but ``embeddings`` is enumerated
+    exhaustively within the budget, whatever ``--mode`` and ``--seed`` say."""
     start = time.perf_counter()
     space = PolarSpace(args.n, args.p)
     complete = True
@@ -193,8 +193,8 @@ def cmd_count(args) -> int:
     else:
         _, search = apartments.search_isometric_embeddings(
             graphs.hypercube(_require_m(args)), graphs.dual_polar_graph(space),
-            mode=args.mode, budget=args.budget, seed=args.seed, workers=args.workers,
-            visit=lambda *found: None,
+            mode=args.mode, budget=args.budget, seed=args.seed,
+            visit=lambda assignment, new: None,
         )
         counts = {}
     report = reporting.make_report(

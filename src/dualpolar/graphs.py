@@ -33,7 +33,6 @@ class DenseGraph:
     dist: tuple[tuple[int, ...], ...]
     diameter: int
     connected: bool
-    index: dict = field(repr=False)
     # point masks of the labels (see polar.point_mask); dual polar graphs only
     masks: tuple[int, ...] = field(default=(), repr=False)
 
@@ -131,7 +130,6 @@ def graph_from_edges(labels: Sequence, edges, require_connected: bool = False) -
         dist=tuple(tuple(row) for row in dist),
         diameter=diameter,
         connected=connected,
-        index={lab: i for i, lab in enumerate(labels)},
     )
 
 
@@ -181,7 +179,6 @@ def meet_graph(space: PolarSpace, labels: Sequence, masks: Sequence[int]) -> Den
         dist=tuple(dist),
         diameter=max(max(row) for row in dist),
         connected=seen == (1 << len(labels)) - 1,
-        index={lab: i for i, lab in enumerate(labels)},
         masks=tuple(masks),
     )
 

@@ -120,7 +120,7 @@ def search_dualpolar_embeddings(
     src, dst = dual_polar_graph(src_space), dual_polar_graph(dst_space)
     return search_isometric_embeddings(
         src, dst, mode, budget, seed, workers,
-        visit=lambda assignment, key, new: visit(
+        visit=lambda assignment, new: visit(
             GraphEmbedding(src_space, dst_space, src, dst, assignment)
         ),
     )
@@ -443,6 +443,7 @@ def verify_theorem3(
     frames_idx = _frame_index_lists(src_space, frames_src)
     src = dual_polar_graph(src_space)
     apartment = frame_vertices(src_space, src)
+    pushed = [(frame, apartment(frame)) for frame in frames_src[:2]]
     members = _members(src)
     violations: list[dict] = []
     perp_of: dict[int, int] = {}
@@ -457,10 +458,10 @@ def verify_theorem3(
             base, g, perps = _point_images(emb, members, perp_of)
             violations.extend(_frame_violations(src_space, g, perps, frames_idx))
             if first:
-                for frame in frames_src[:2]:
+                for frame, vertices in pushed:
                     # the members come by sign mask, so the pushed members
                     # already carry a hypercube labelling
-                    masks = [emb.target.masks[emb.assignment[v]] for v in apartment(frame)]
+                    masks = [emb.target.masks[emb.assignment[v]] for v in vertices]
                     checked_apartments += 1
                     try:
                         transferred = _witness_from_images(dst_space, masks)[0] == base

@@ -37,18 +37,27 @@ COMMANDS = {
 }
 
 
-def run(argv: list[str], out: Path) -> dict:
+def run(argv: list[str], out: Path, workers: int = 1) -> dict:
     """The exit code and the stripped report of one CLI run into ``out``."""
-    code = main(argv + ["--output", str(out)])
+    code = main(argv + ["--workers", str(workers), "--output", str(out)])
     (written,) = out.glob("*.json")
     return {"argv": argv, "exit_code": code,
             "report": strip_volatile(json.loads(written.read_text()))}
 
 
-@pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_report_matches_golden(name, tmp_path):
+@pytest.mark.parametrize("name,workers", [
+    pytest.param(name, workers, id=name if workers == 1 else f"{name}-workers{workers}")
+    for workers in (1, 2) for name in sorted(COMMANDS)
+])
+def test_report_matches_golden(name, workers, tmp_path, two_cpus):
+    # at two workers the search-backed verifiers fork; only ``workers`` may
+    # then differ
     golden = json.loads((GOLDEN / f"{name}.json").read_text())
-    assert run(COMMANDS[name], tmp_path) == golden
+    got = run(COMMANDS[name], tmp_path, workers)
+    if workers > 1:
+        got["report"].pop("workers")
+        golden["report"].pop("workers")
+    assert got == golden
 
 
 if __name__ == "__main__":

@@ -71,7 +71,7 @@ def test_hypercube_vertex_members():
 def test_hypercube_antipodal_distance():
     g = hypercube(2)
     full = HypercubeVertex(0b11, 2)
-    assert g.dist[g.index[HypercubeVertex(0, 2)]][g.index[full]] == 2
+    assert g.dist[g.labels.index(HypercubeVertex(0, 2))][g.labels.index(full)] == 2
 
 
 def test_hypercube_distance_is_hamming_up_to_8():

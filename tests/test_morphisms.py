@@ -565,7 +565,7 @@ def _reference_lift_outcome(src, dst, base, point_map):
         return ("span of point images is not maximal singular",
                 {"source": subspace_json(sub), "span": subspace_json(span)})
     graph, source = dual_polar_graph(dst), dual_polar_graph(src)
-    assignment = tuple(graph.index[s] for s in images)
+    assignment = tuple(graph.labels.index(s) for s in images)
     if len(set(assignment)) != len(assignment):
         return "lifted map is not injective", {}
     for i in range(len(images)):

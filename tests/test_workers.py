@@ -134,12 +134,34 @@ def test_worker_failure_names_its_root(monkeypatch, two_cpus, fail, message):
     assert _open_fds() == fds
 
 
+def _raise_in_stats(*args):
+    raise ValueError("broken stats")
+
+
+@pytest.mark.parametrize("fail,message", [
+    (_raise_in_stats, "ValueError: broken stats"),
+    (lambda *args: os._exit(3), "it exited without its stats"),
+], ids=["raises", "dies"])
+def test_worker_failure_after_its_last_root(monkeypatch, two_cpus, fail, message):
+    # the child builds its stats only once its last root record is written
+    ref = []
+    _search(1, visit=lambda *found: ref.append(found))
+    monkeypatch.setattr(apartments, "search_stats", fail)
+    fds = _open_fds()
+    seen = []
+    with pytest.raises(RuntimeError, match=f"after its last root branch: {message}"):
+        _search(2, visit=lambda *found: seen.append(found))
+    assert seen == ref
+    _assert_no_children()
+    assert _open_fds() == fds
+
+
 @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
 def test_visitor_exception_kills_the_workers(error, two_cpus):
     fds = _open_fds()
     calls = 0
 
-    def visit(assignment, key, new):
+    def visit(assignment, new):
         nonlocal calls
         calls += 1
         if calls == 3:
@@ -187,6 +209,15 @@ def test_count_embeddings_does_not_depend_on_the_worker_count(tmp_path, two_cpus
     assert outputs[0] == (0, outputs[0][1])
     assert outputs[0][1]["counts"] == {"embeddings": 12_960, "distinct_images": 1_620}
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def test_count_embeddings_searches_in_process(monkeypatch, tmp_path, two_cpus):
+    # a count has no checks to run beside a forked search
+    forks = _count_forks(monkeypatch)
+    code = main(["count", "embeddings", "--p", "2", "--n", "2", "--m", "2",
+                 "--workers", "2", "--output", str(tmp_path)])
+    report = json.loads((tmp_path / "count_embeddings_p2_n2.json").read_text())
+    assert (code, forks, report["workers"]) == (0, [], 1)
 
 
 # -- the apartment count keeps nothing per apartment ----------------------------
