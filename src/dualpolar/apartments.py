@@ -391,9 +391,6 @@ class ApartmentWitness:
     def m(self) -> int:
         return len(self.residue_frame) // 2
 
-    def member_set(self) -> frozenset[Subspace]:
-        return frozenset(self.members)
-
     def to_frame(self, space: PolarSpace) -> polar.Frame | None:
         """The point frame of a full-rank witness (empty base).
 

@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import polar
-from .polar import PolarSpace
+from .polar import PolarSpace, _bits
 from .reporting import make_report
 
 UNREACHABLE = -1
@@ -45,15 +45,6 @@ class DenseGraph:
 
     def edges(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(len(self.labels)) for j in _bits(self.adj[i]) if i < j]
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 @dataclass(frozen=True)

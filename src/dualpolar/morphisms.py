@@ -244,24 +244,35 @@ def _residue_collinear_masks(g: list[int], perps: list[int]) -> list[int]:
     return rc_masks
 
 
-def _frame_violations(
-    space: PolarSpace, g: list[int], perps: list[int], frames_idx
-) -> list[dict]:
-    """Frames of ``space`` whose point images (masks ``g`` with perps
-    ``perps``) break the residue-frame collinearity pattern; ``frames_idx``
-    must hold frames of ``space``.
+def _collinearity_break(
+    statement: str, collinear: list[int], g: list[int], perps: list[int]
+) -> dict | None:
+    """The violation of ``statement`` naming the first pair (i, j), i < j, of
+    source points, with collinearity masks ``collinear``, whose point images
+    (masks ``g`` with perps ``perps``) are residue-collinear where the points
+    are not or the other way round; None when collinearity is preserved both
+    ways.
 
-    A frame's points are collinear exactly off its partners, so when the
-    images are residue-collinear exactly where the points are collinear, no
-    frame breaks.
+    This decides every frame at once.  In a polar space of rank >= 2 any two
+    distinct points lie in a common frame: collinear points span a singular
+    line, which lies in a maximal M, and a basis of M through both points
+    pairs with one of an opposite maximal; non-collinear points form a
+    hyperbolic pair, and a frame of its perp (rank n - 1 >= 1) completes it.
+    In that frame the two are partners exactly when they are not collinear.
+    A frame goes to a residue frame exactly when its images are
+    residue-collinear exactly off its partners, so the point map carries
+    every frame to a residue frame exactly when it preserves collinearity
+    both ways.
     """
     rc_masks = _residue_collinear_masks(g, perps)
-    if rc_masks == space.collinear_masks():
-        return []
-    return [
-        {"statement": "frames_preserving", "frame": [list(space.points[i]) for i in idx]}
-        for idx in _off_pattern(rc_masks, frames_idx)
-    ]
+    if rc_masks == collinear:
+        return None
+    for i, (got, want) in enumerate(zip(rc_masks, collinear)):
+        later = (got ^ want) >> (i + 1)
+        if later:
+            j = i + (later & -later).bit_length()
+            return {"statement": statement, "kind": "collinearity_not_preserved", "pair": [i, j]}
+    return None
 
 
 def check_frames_preserving(
@@ -290,9 +301,11 @@ def check_frames_preserving(
         raise ValueError("frames must be frames of the source space")
     g = [point_mask(pm.dst_space, pm.assignment[pt]) for pt in pm.src_space.points]
     perps = [perp_mask(pm.dst_space, gp) for gp in g]
-    violations = _frame_violations(
-        pm.src_space, g, perps, _frame_index_lists(pm.src_space, frames)
-    )
+    rc_masks = _residue_collinear_masks(g, perps)
+    violations = [
+        {"statement": "frames_preserving", "frame": [list(pm.src_space.points[i]) for i in idx]}
+        for idx in _off_pattern(rc_masks, _frame_index_lists(pm.src_space, frames))
+    ]
     return make_report(
         "frames_preserving",
         {"p": pm.src_space.p, "n": pm.src_space.n, "m": None, "n_prime": pm.dst_space.n},
@@ -432,19 +445,22 @@ def verify_theorem3(
 
     Every found embedding must yield a base subspace (pair-independent, in
     every image), an induced point map spanning back to the embedding, and a
-    frames-to-residue-frames point map.  For the first 50 embeddings, the
-    first two frame apartments are also pushed through the embedding and decomposed, in the
-    sign-mask labelling they come with, as apartments over the same base.
+    point map preserving collinearity both ways, which carries every frame
+    to a residue frame (see ``_collinearity_break``), so ``frames_checked``
+    is the number of frames.  For the first 50 embeddings, the first two
+    frame apartments are also pushed through the embedding and decomposed,
+    in the sign-mask labelling they come with, as apartments over the same
+    base.
     """
     start = time.perf_counter()
-    frames_src, frames_complete = polar.enumerate_frames(src_space, budget=10**6)
-    if not frames_complete:
-        frames_src = polar.sample_frames(src_space, 100, seed)
-    frames_idx = _frame_index_lists(src_space, frames_src)
+    # the last pair of a frame has p >= 2 choices of partner, so the first
+    # n + 1 nodes of the enumeration reach its first two frames
+    first_frames, _ = polar.enumerate_frames(src_space, budget=src_space.n + 1)
     src = dual_polar_graph(src_space)
     apartment = frame_vertices(src_space, src)
-    pushed = [(frame, apartment(frame)) for frame in frames_src[:2]]
+    pushed = [(frame, apartment(frame)) for frame in first_frames]
     members = _members(src)
+    collinear = src_space.collinear_masks()
     violations: list[dict] = []
     perp_of: dict[int, int] = {}
     visited = checked_apartments = 0
@@ -456,7 +472,8 @@ def verify_theorem3(
         try:
             verify_lemma5(emb)
             base, g, perps = _point_images(emb, members, perp_of)
-            violations.extend(_frame_violations(src_space, g, perps, frames_idx))
+            if broken := _collinearity_break("theorem3", collinear, g, perps):
+                violations.append(broken)
             if first:
                 for frame, vertices in pushed:
                     # the members come by sign mask, so the pushed members
@@ -481,7 +498,7 @@ def verify_theorem3(
     )
     return make_report(
         "theorem3", _pair_instance(src_space, dst_space), start,
-        {"frames_checked": len(frames_src), "apartments_checked": checked_apartments},
+        {"frames_checked": polar.frame_count(src_space), "apartments_checked": checked_apartments},
         violations=violations, search=stats,
     )
 
@@ -501,20 +518,12 @@ def verify_chow(
     graph, so it is a bijection.  Opposite images in the rank-n target meet
     in 0, so the base is empty, and ``_point_images`` has required each g(p)
     to be a single point and g to be injective: g permutes the points.  Over
-    an empty base, residue collinearity is collinearity, and a frame is
-    defined by the collinearity of its points, so once each pair of points
-    is checked no frame can break; the frames are only counted, for the
-    count and completeness the report gives.
+    an empty base, residue collinearity is collinearity, and the pair check
+    decides every frame (see ``_collinearity_break``), so ``frames_checked``
+    is the number of frames.
     """
     start = time.perf_counter()
-    frames = 0
-
-    def count_frame(frame: polar.Frame) -> None:
-        nonlocal frames
-        frames += 1
-
-    _, frames_complete = polar.enumerate_frames(space, budget=10**6, visit=count_frame)
-    masks = space.collinear_masks()
+    collinear = space.collinear_masks()
     members = _members(dual_polar_graph(space))
     violations: list[dict] = []
     perp_of: dict[int, int] = {}
@@ -522,20 +531,16 @@ def verify_chow(
     def check(emb: GraphEmbedding) -> None:
         try:
             _, g, perps = _point_images(emb, members, perp_of)
-            for i, (got, want) in enumerate(zip(_residue_collinear_masks(g, perps), masks)):
-                later = (got ^ want) >> (i + 1)
-                if later:
-                    j = i + (later & -later).bit_length()
-                    raise CounterexampleError(
-                        "chow", {"kind": "collinearity_not_preserved", "pair": [i, j]}
-                    )
+            broken = _collinearity_break("chow", collinear, g, perps)
         except CounterexampleError as exc:
-            violations.append(exc.as_violation())
+            broken = exc.as_violation()
+        if broken:
+            violations.append(broken)
 
     _, stats = search_dualpolar_embeddings(
         space, space, "exhaustive", budget, workers=workers, visit=check
     )
     return make_report(
-        "chow", {"p": space.p, "n": space.n, "m": None}, start, {"frames_checked": frames},
-        violations=violations, complete=frames_complete, search=stats,
+        "chow", {"p": space.p, "n": space.n, "m": None}, start,
+        {"frames_checked": polar.frame_count(space)}, violations=violations, search=stats,
     )

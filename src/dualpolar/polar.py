@@ -67,13 +67,6 @@ class PolarSpace:
             for tail in product(range(p), repeat=d - lead - 1):
                 yield (0,) * lead + (1,) + tail
 
-    def _unit(self, i: int) -> Point:
-        return tuple(1 if j == i else 0 for j in range(self.dim))
-
-    def hyperbolic_pair_units(self) -> list[tuple[Point, Point]]:
-        """The standard basis points (e_i, f_i) pairing under the form."""
-        return [(self._unit(2 * i), self._unit(2 * i + 1)) for i in range(self.n)]
-
     # -- point-line geometry interface used by check_polar_axioms ------------
 
     def point_count(self) -> int:
@@ -171,6 +164,16 @@ def points_in_subspace(space: PolarSpace, sub: Subspace) -> list[Point]:
 # A subspace is determined by its point set, so bit i of a mask stands for
 # space.points[i]: meet = AND, containment = subset test, and the rank follows
 # from the popcount, a rank-r subspace having (p^r - 1)/(p - 1) points.
+
+
+def _bits(mask: int) -> list[int]:
+    """The indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def point_mask(space: PolarSpace, sub: Subspace) -> int:
@@ -484,37 +487,36 @@ def frame_count(space: PolarSpace) -> int:
 
 
 def sample_frames(space: PolarSpace, count: int, seed: int) -> list[Frame]:
-    """``count`` distinct seeded random frames (hyperbolic pairs drawn
-    uniformly inside iterated perps)."""
+    """``count`` distinct seeded random frames: n times, a point a drawn
+    uniformly from the perp of everything chosen so far and a partner b from
+    the points of that perp not collinear with a, with the perp narrowed as
+    in ``enumerate_frames``.  The perp of k hyperbolic pairs is
+    non-degenerate, so a always has a partner."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    field = space.field
-    out: dict[tuple[Point, ...], Frame] = {}
+    collinear = space.collinear_masks()
+    out: dict[int, Frame] = {}
     attempts = 0
     while len(out) < count:
         attempts += 1
         if attempts > 100 * count + 100:
             raise RuntimeError("frame sampling failed to reach the requested count")
-        chosen: list[Point] = []
-        cands = list(space.points)
-        ok = True
+        chosen, cands = 0, (1 << len(space.points)) - 1
         for _ in range(space.n):
-            a = cands[int(rng.integers(len(cands)))]
-            partners = [q for q in cands if form_value(space, a, q) != 0]
-            if not partners:
-                ok = False
-                break
-            b = partners[int(rng.integers(len(partners)))]
-            chosen += [a, b]
-            w = perp_subspace(space, rref(field, chosen, space.dim))
-            cands = points_in_subspace(space, w)
-        if not ok:
-            continue
-        key = tuple(sorted(chosen))
-        if key not in out:
-            frame = is_frame(space, key)
-            assert frame is not None
-            out[key] = frame
+            a = _draw_bit(rng, cands)
+            a_perp = collinear[a] | 1 << a
+            b = _draw_bit(rng, cands & ~a_perp)
+            chosen |= 1 << a | 1 << b
+            cands &= a_perp & (collinear[b] | 1 << b)
+        if chosen not in out:
+            out[chosen] = _frame_of_indices(space, _bits(chosen))
     return list(out.values())
+
+
+def _draw_bit(rng: np.random.Generator, mask: int) -> int:
+    """A set bit of ``mask`` drawn uniformly, as the index of a list of the
+    set bits in ascending order."""
+    bits = _bits(mask)
+    return bits[int(rng.integers(len(bits)))]
 
 
 def apartment_of_frame(space: PolarSpace, frame: Frame) -> tuple[int, ...]:

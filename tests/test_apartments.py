@@ -209,7 +209,7 @@ def test_is_apartment_accepts_frame_apartments():
     witness = is_apartment(SP42, members)
     assert witness is not None
     assert witness.m == 2
-    assert witness.member_set() == frozenset(members)
+    assert frozenset(witness.members) == frozenset(members)
 
 
 def test_is_apartment_rejects_wrong_sizes():

@@ -24,6 +24,8 @@ COMMANDS = {
     "theorem2_sp62_m3_sample": ["verify", "theorem2", "--p", "2", "--n", "3", "--m", "3",
                                 "--mode", "sample", "--budget", "500", "--seed", "11"],
     "theorem3_sp42_sp42": ["verify", "theorem3", "--p", "2", "--n", "2"],
+    "theorem3_sp42_sp62_sample": ["verify", "theorem3", "--p", "2", "--n", "2", "--n-prime", "3",
+                                  "--mode", "sample", "--budget", "2000", "--seed", "7"],
     "lemma5_sp42_sp62_sample": ["verify", "lemma5", "--p", "2", "--n", "2", "--n-prime", "3",
                                 "--mode", "sample", "--budget", "2000", "--seed", "7"],
     "chow_sp42": ["verify", "chow", "--p", "2", "--n", "2"],

@@ -17,8 +17,7 @@ from dualpolar.morphisms import (
     GraphEmbedding,
     InducedPointMap,
     LiftError,
-    _frame_index_lists,
-    _frame_violations,
+    _collinearity_break,
     _members,
     _point_images,
     check_frames_preserving,
@@ -197,20 +196,6 @@ def test_verify_chow_quick():
     assert report["counts"]["embeddings"] == 720
 
 
-def test_verify_chow_reports_incomplete_frames(monkeypatch):
-    frames, _ = enumerate_frames(SP42)
-
-    def five_frames(space, budget, visit):
-        for frame in frames[:5]:
-            visit(frame)
-        return [], False
-
-    monkeypatch.setattr(polar, "enumerate_frames", five_frames)
-    report = verify_chow(SP42, budget=100_000)
-    assert report["counts"]["frames_checked"] == 5
-    assert report["complete"] is False
-
-
 @pytest.mark.parametrize(
     "run",
     [lambda: verify_theorem3(SP42, SP62, mode="sample", budget=20_000, seed=6),
@@ -255,6 +240,32 @@ def test_chow_names_the_first_pair_whose_collinearity_breaks(monkeypatch):
     assert report["violations"] == [
         {"statement": "chow", "kind": "collinearity_not_preserved", "pair": pair} for pair in found
     ]
+
+
+def test_theorem3_reports_a_collinearity_break_that_no_frame_it_reads_shows(monkeypatch):
+    # break the collinearity of one pair of points on every embedding, and
+    # hand out only frames that avoid that pair: a frame scan over them sees
+    # nothing, but the pair check decides every frame
+    pair = (1, 2)
+    frames = [f for f in enumerate_frames(SP42)[0]
+              if not {SP42.points[i] for i in pair} <= set(f.points)]
+    assert 0 < len(frames) < 90
+    monkeypatch.setattr(polar, "enumerate_frames", lambda space, budget, visit=None: (frames, True))
+
+    def broken(emb, members, perp_of):
+        base, g, perps = _point_images(emb, members, perp_of)
+        # over the empty base each g(p) is one point, so toggling it in the
+        # perp of the first image flips the residue collinearity of the pair
+        perps = list(perps)
+        perps[pair[0]] ^= g[pair[1]]
+        return base, g, perps
+
+    monkeypatch.setattr(morphisms, "_point_images", broken)
+    report = verify_theorem3(SP42, SP42, mode="exhaustive")
+    assert report["complete"] and report["counts"]["embeddings"] == 720
+    assert report["violations"] == [
+        {"statement": "theorem3", "kind": "collinearity_not_preserved", "pair": list(pair)}
+    ] * 720
 
 
 def test_counterexample_payloads_are_jsonable():
@@ -448,10 +459,12 @@ def reference_frame_violations(space, g, perps, frames):
     ids=["sp42-sp62", "chow-sp43"],
 )
 def test_frame_check_matches_the_per_frame_reference(src, dst, mode, budget):
+    # the pair check flags a perturbed point map exactly when some frame of
+    # the source breaks, and names the first pair whose collinearity breaks
     embs, _ = collect(search_dualpolar_embeddings, src, dst, mode=mode, budget=budget, seed=6)
     frames, complete = enumerate_frames(src)
     assert embs and complete
-    frames_idx = _frame_index_lists(src, frames)
+    collinear = src.collinear_masks()
     members, perp_of = _members(embs[0].source), {}
     images = [_point_images(emb, members, perp_of)[1] for emb in embs]
     pool = [gp for g in images for gp in g]
@@ -465,9 +478,13 @@ def test_frame_check_matches_the_per_frame_reference(src, dst, mode, budget):
         elif k % 3 == 2:
             g[rng.randrange(len(g))] = pool[rng.randrange(len(pool))]
         perps = [perp_mask(dst, gp) for gp in g]
-        got = _frame_violations(src, g, perps, frames_idx)
-        assert got == reference_frame_violations(src, g, perps, frames)
-        verdicts.add(bool(got))
+        got = _collinearity_break("theorem3", collinear, g, perps)
+        assert (got is not None) == bool(reference_frame_violations(src, g, perps, frames))
+        broken = [[i, j] for i in range(len(g)) for j in range(i + 1, len(g))
+                  if (not g[j] & ~perps[i]) != bool(collinear[i] >> j & 1)]
+        assert got == (broken and {"statement": "theorem3", "kind": "collinearity_not_preserved",
+                                   "pair": broken[0]} or None)
+        verdicts.add(got is not None)
     assert verdicts == {False, True}
 
 

@@ -234,7 +234,8 @@ def test_pairwise_collinear_span_is_singular():
 
 
 def test_is_frame_standard_basis():
-    pts = [u for pair in SP42.hyperbolic_pair_units() for u in pair]
+    # the unit vectors, in the hyperbolic pairs (e_2i, e_2i+1) of the form
+    pts = [tuple(int(i == j) for j in range(4)) for i in range(4)]
     frame = is_frame(SP42, pts)
     assert frame is not None
     # partners are exactly the hyperbolic mates
@@ -333,12 +334,11 @@ def test_distinct_frames_give_distinct_apartments():
 
 
 def test_apartment_of_standard_frame():
-    pts = [u for pair in SP42.hyperbolic_pair_units() for u in pair]
-    frame = is_frame(SP42, pts)
-    members = apartment_of_frame(SP42, frame)
-    assert len(members) == 4
     e1, f1 = (1, 0, 0, 0), (0, 1, 0, 0)
     e2, f2 = (0, 0, 1, 0), (0, 0, 0, 1)
+    frame = is_frame(SP42, [e1, f1, e2, f2])
+    members = apartment_of_frame(SP42, frame)
+    assert len(members) == 4
     expected = {
         point_mask(SP42, rref(SP42.field, [a, b], 4))
         for a in (e1, f1)
@@ -366,6 +366,11 @@ def test_sample_frames_deterministic_and_valid():
     assert len({f.points for f in a}) == 10
     for f in a:
         assert is_frame(SP62, f.points) is not None
+
+
+def test_sample_frames_reaches_every_frame():
+    # asking for all 90 frames of Sp(4,2) draws each of them, partners and all
+    assert set(sample_frames(SP42, 90, seed=1)) == set(enumerate_frames(SP42)[0])
 
 
 def test_star_of_empty_subspace_is_all_maximals():
