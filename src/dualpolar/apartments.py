@@ -10,6 +10,12 @@ base subspace, the 2m residue-frame subspaces obtained by intersecting the
 images of opposite hypercube faces, and the reconstruction of every image as
 a span.  A set of maximal singular subspaces is recognized as an apartment
 exactly when such a decomposition exists.
+
+The search needs no numpy: its sample-mode branch seeds are numpy
+SeedSequence's spawn words computed in pure Python (``_branch_seeds``), and
+its distance masks are built with bytes operations.  Only ``verify_lemma1``'s
+sample mode imports numpy, when it runs, for the Generator its draws come
+from.
 """
 
 from __future__ import annotations
@@ -20,12 +26,11 @@ import random
 import signal
 import threading
 import time
+from array import array
 from dataclasses import dataclass
 from functools import reduce
-from operator import and_, itemgetter, or_
+from operator import and_, getitem, itemgetter, or_
 from typing import Sequence
-
-import numpy as np
 
 from . import polar
 from .graphs import (
@@ -50,18 +55,104 @@ def _source_plan(src: DenseGraph):
 
     Step k gets (parent position, [(earlier position, required distance)]).
     The parent is an already-assigned neighbor, so candidates come from one
-    adjacency bitmask.
+    adjacency bitmask.  The plan is quadratic in the source, so every step
+    shares the one pair ``pairs[j][d]`` for each (j, d) instead of building
+    its own.
     """
     order = sorted(range(src.num_vertices), key=lambda v: (src.dist[0][v], v))
     pos_of = {v: k for k, v in enumerate(order)}
+    if len(order) < 2:
+        return order, []
+    pairs = [tuple((j, d) for d in range(src.diameter + 1)) for j in range(len(order))]
+    in_order = itemgetter(*order)
     plan = []
-    for k, v in enumerate(order):
-        if k == 0:
-            continue
+    for k, v in enumerate(order[1:], 1):
         parent = min(pos_of[u] for u in src.neighbors(v) if pos_of[u] < k)
-        reqs = tuple((j, src.dist[v][order[j]]) for j in range(k) if j != parent)
-        plan.append((parent, reqs))
+        reqs = list(map(getitem, pairs, in_order(src.dist[v])[:k]))
+        del reqs[parent]
+        plan.append((parent, tuple(reqs)))
     return order, plan
+
+
+# SeedSequence's constants (numpy.random.bit_generator, after O'Neill's
+# seed_seq, PCG 2015): the initial hash constants and their multipliers for
+# mixing entropy in (A) and drawing state out (B), and the multipliers that
+# mix two words; all arithmetic is mod 2^32
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _branch_seeds(seed: int, count: int) -> list[int]:
+    """The seeds of the first ``count`` root branches: the first uint64
+    word of ``np.random.SeedSequence(seed).spawn(count)[i].generate_state(2,
+    np.uint64)``, bit for bit, computed without numpy.
+
+    Child i's entropy is the seed's 32-bit words (low first, zero-padded to
+    the pool's four) and then i.  Its first four words fill and mix the
+    pool, the same for every child, so that is done once; each child then
+    mixes i into the pool, and its first two state words make its seed.
+    """
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * _MULT_A & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        result = (_MIX_L * x - _MIX_R * y) & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        pool = [mix(x, hashmix(w)) for x in pool]
+    start = const
+    # generate_state's first two hash constants
+    out_a = _INIT_B * _MULT_B & _MASK32
+    out_b = out_a * _MULT_B & _MASK32
+    seeds = []
+    for i in range(count):
+        const = start
+        lo, hi = (mix(x, hashmix(i)) for x in pool[:2])
+        lo = (lo ^ _INIT_B) * out_a & _MASK32
+        hi = (hi ^ out_a) * out_b & _MASK32
+        seeds.append((lo ^ lo >> 16) | (hi ^ hi >> 16) << 32)
+    return seeds
+
+
+def _distance_masks(graph: DenseGraph, max_dist: int) -> list[tuple[int, ...]]:
+    """``at_dist[v][d]``, for d up to ``max_dist``: the bitmask of the
+    vertices u with ``graph.dist[v][u] == d``, so distances the graph lacks
+    (beyond its diameter, or unreachable) get empty masks.
+
+    Each distance row becomes one byte per vertex, last vertex first, and a
+    translation table per d turns it into the binary digits of the mask, so
+    no Python loop runs per entry.  ``bytearray`` takes no negative entry,
+    so a disconnected graph's rows go through the slower signed ``array``,
+    which makes ``graphs.UNREACHABLE`` (-1) the byte 0xFF.
+    """
+    tables = []
+    for d in range(max_dist + 1):
+        digits = bytearray(b"0" * 256)
+        digits[d] = ord("1")
+        tables.append(bytes(digits))
+    at_dist = []
+    for row in graph.dist:
+        code = (bytearray(row) if graph.connected else array("b", row).tobytes())[::-1]
+        at_dist.append(tuple(int(code.translate(table), 2) for table in tables))
+    return at_dist
 
 
 def _shuffle(items: list, rng: random.Random) -> None:
@@ -297,7 +388,12 @@ def search_isometric_embeddings(
     ``dst`` to ``visit``; returns (None, stats).
 
     The node budget is split over the root-placement branches up front and
-    sample mode only permutes candidate order per branch.  ``run`` is the
+    sample mode only permutes candidate order per branch, with one
+    ``random.Random`` per branch seeded by ``_branch_seeds(seed, nv)``: the
+    first uint64 state word of each child of numpy's
+    ``SeedSequence(seed).spawn(nv)``, computed without importing numpy, so
+    the streams are those numpy would give.  A negative seed raises
+    ValueError, as SeedSequence does.  ``run`` is the
     whole search: every root branch in root order, calling ``branch_done()``
     after each, with the embedding count, the set of image keys and the
     stats.  With ``workers`` above 1 it runs in one forked process beside
@@ -320,19 +416,11 @@ def search_isometric_embeddings(
     if nv == 0:
         return None, search_stats(mode, budget, seed, workers)
     nbrs = tuple(tuple(_bits(mask)) for mask in dst.adj)
-    # bit u of at_dist[v][d] is set when dst.dist[v][u] == d, so distances
-    # the target lacks (beyond its diameter, or unreachable) get empty masks
-    dist = np.array(dst.dist, dtype=np.int16)
-    at_dist = list(zip(*(
-        [int.from_bytes(row.tobytes(), "little")
-         for row in np.packbits(dist == d, axis=1, bitorder="little")]
-        for d in range(max(src.diameter, dst.diameter) + 1)
-    )))
+    at_dist = _distance_masks(dst, max(src.diameter, dst.diameter))
     shares = [budget // nv + (1 if i < budget % nv else 0) for i in range(nv)]
     if mode == "sample":
         # one independent stream per root branch, all split from the one seed
-        children = np.random.SeedSequence(seed).spawn(nv)
-        rngs = [random.Random(int(c.generate_state(2, np.uint64)[0])) for c in children]
+        rngs = [random.Random(s) for s in _branch_seeds(seed, nv)]
     else:
         rngs = [None] * nv
 
@@ -651,6 +739,8 @@ def verify_lemma1(
             if not complete:
                 break
     elif mode == "sample":
+        import numpy as np  # only this sampler's Generator needs it
+
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         nv = graph.num_vertices
         while tested < budget:

@@ -90,6 +90,8 @@ def _validate(args) -> None:
         raise UsageError("--budget must be positive")
     if args.workers < 1:
         raise UsageError("--workers must be at least 1")
+    if args.seed < 0:
+        raise UsageError("--seed must be non-negative")
 
 
 def _out_dir(args) -> Path:

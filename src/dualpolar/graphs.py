@@ -17,8 +17,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from . import polar
 from .polar import PolarSpace, _bits
 from .reporting import make_report
@@ -236,7 +234,10 @@ def iter_geodesics(graph: DenseGraph, v: int, w: int) -> Iterator[list[int]]:
 
 def sample_geodesic(graph: DenseGraph, v: int, w: int, counts: Sequence[int], rng) -> list[int]:
     """One uniform geodesic from v to w, drawn from ``rng`` by walking back
-    from w with the path counts of ``geodesic_count(graph, v, w)``."""
+    from w with the path counts of ``geodesic_count(graph, v, w)``; ``rng``
+    is a numpy Generator, whose weighted ``choice`` makes the draws."""
+    import numpy as np  # only this sampler's weights need it
+
     dv = graph.dist[v]
     path = [w]
     while path[-1] != v:

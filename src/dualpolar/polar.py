@@ -16,8 +16,6 @@ from itertools import product
 from math import factorial, prod
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .linalg import GF, Subspace, gf, nullspace, rref
 
 SUPPORTED_PRIMES = (2, 3, 5)
@@ -492,6 +490,8 @@ def sample_frames(space: PolarSpace, count: int, seed: int) -> list[Frame]:
     the points of that perp not collinear with a, with the perp narrowed as
     in ``enumerate_frames``.  The perp of k hyperbolic pairs is
     non-degenerate, so a always has a partner."""
+    import numpy as np  # only this sampler's Generator needs it
+
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     collinear = space.collinear_masks()
     out: dict[int, Frame] = {}
@@ -512,9 +512,9 @@ def sample_frames(space: PolarSpace, count: int, seed: int) -> list[Frame]:
     return list(out.values())
 
 
-def _draw_bit(rng: np.random.Generator, mask: int) -> int:
-    """A set bit of ``mask`` drawn uniformly, as the index of a list of the
-    set bits in ascending order."""
+def _draw_bit(rng, mask: int) -> int:
+    """A set bit of ``mask`` drawn uniformly from the numpy Generator ``rng``,
+    as the index of a list of the set bits in ascending order."""
     bits = _bits(mask)
     return bits[int(rng.integers(len(bits)))]
 

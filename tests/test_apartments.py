@@ -12,6 +12,8 @@ import pytest
 from dualpolar import apartments
 from dualpolar.apartments import (
     _apartment_witness,
+    _branch_seeds,
+    _distance_masks,
     _opposite_base,
     _shuffle,
     _source_plan,
@@ -493,6 +495,58 @@ def reference_search(src, dst, mode, budget, seed):
     distinct = len({tuple(sorted(a)) for a in assignments})
     stats = search_stats(mode, budget, seed, 1, len(assignments), distinct, expansions, complete)
     return assignments, stats
+
+
+def numpy_spawn_words(seed, count):
+    return [int(c.generate_state(2, np.uint64)[0]) for c in np.random.SeedSequence(seed).spawn(count)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 11, 2**31, 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 7,
+                                  2**70 + 3, 2**128 - 1, 2**128, 2**160 + 9, 3**100])
+@pytest.mark.parametrize("count", [0, 1, 2, 135, 1_120])
+def test_branch_seeds_are_numpy_spawn_words(seed, count):
+    # seeds of one to eleven 32-bit words: up to four fill the pool, the
+    # rest are mixed in one by one ahead of each child's index
+    assert _branch_seeds(seed, count) == numpy_spawn_words(seed, count)
+
+
+def test_branch_seeds_reject_a_negative_seed_as_numpy_does():
+    with pytest.raises(ValueError):
+        np.random.SeedSequence(-1)
+    with pytest.raises(ValueError):
+        _branch_seeds(-1, 3)
+
+
+def packbits_distance_masks(graph, max_dist):
+    """``at_dist`` as numpy's packbits builds it, one column per vertex."""
+    dist = np.array(graph.dist, dtype=np.int16)
+    return list(zip(*(
+        [int.from_bytes(row.tobytes(), "little")
+         for row in np.packbits(dist == d, axis=1, bitorder="little")]
+        for d in range(max_dist + 1)
+    )))
+
+
+@pytest.mark.parametrize("graph,max_dist", [
+    (G62, 3),
+    (G43, 2),
+    # beyond the diameter: empty masks
+    (hypercube(3), 5),
+    # a disconnected target: UNREACHABLE entries are in no mask
+    (graph_from_edges(list(range(8)), [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)]), 3),
+    (graph_from_edges(list(range(5)), [(0, 1), (1, 2)]), 2),
+])
+def test_distance_masks_match_packbits(graph, max_dist):
+    assert _distance_masks(graph, max_dist) == packbits_distance_masks(graph, max_dist)
+
+
+def test_source_plan_shares_one_pair_per_position_and_distance():
+    order, plan = _source_plan(G62)
+    shared = {}
+    for _, reqs in plan:
+        for pair in reqs:
+            assert shared.setdefault(pair, pair) is pair
+    assert len(shared) <= len(order) * (G62.diameter + 1)
 
 
 SEARCH_CASES = {

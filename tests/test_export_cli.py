@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from time import perf_counter
 
 import pytest
 
+import dualpolar
 from dualpolar.apartments import search_isometric_embeddings, search_stats
 from dualpolar.cli import main
 from dualpolar.export import (
@@ -100,6 +105,39 @@ def test_cli_rejects_bad_parameters(tmp_path, capsys):
                  "--output", str(tmp_path)]) == 64
     err = capsys.readouterr().err
     assert "usage error" in err
+
+
+def test_cli_rejects_a_negative_seed(tmp_path, capsys):
+    # numpy's SeedSequence would raise ValueError, and a crash exits 1, the
+    # counterexample code
+    assert main(["verify", "theorem2", "--p", "2", "--n", "2", "--m", "2", "--mode", "sample",
+                 "--budget", "100", "--seed", "-1", "--output", str(tmp_path)]) == 64
+    assert "--seed" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_runs_that_draw_no_numpy_generator_do_not_import_numpy(tmp_path):
+    script = f"""
+import os, sys
+os.sched_getaffinity = lambda pid: {{0, 1}}  # let --workers 2 fork on any host
+from dualpolar.cli import main
+out = {str(tmp_path)!r}
+runs = [
+    ["count", "embeddings", "--p", "2", "--n", "2", "--m", "2"],
+    ["verify", "theorem2", "--p", "2", "--n", "3", "--m", "2", "--mode", "sample",
+     "--budget", "3000", "--seed", "5"],
+    ["verify", "theorem3", "--p", "2", "--n", "2", "--workers", "2"],
+    ["verify", "chow", "--p", "2", "--n", "2"],
+]
+codes = [main(args + ["--output", out]) for args in runs]
+print(codes, "numpy" in sys.modules)
+"""
+    src = str(Path(dualpolar.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.splitlines()[-1] == "[0, 2, 0, 0] False"
 
 
 def test_cli_verify_theorem2_exhaustive(tmp_path):
