@@ -24,12 +24,12 @@ import marshal
 import os
 import random
 import signal
+import struct
 import threading
 import time
-from array import array
 from dataclasses import dataclass
 from functools import reduce
-from operator import and_, getitem, itemgetter, or_
+from operator import and_, itemgetter, or_
 from typing import Sequence
 
 from . import polar
@@ -61,16 +61,13 @@ def _source_plan(src: DenseGraph):
     """
     order = sorted(range(src.num_vertices), key=lambda v: (src.dist[0][v], v))
     pos_of = {v: k for k, v in enumerate(order)}
-    if len(order) < 2:
-        return order, []
     pairs = [tuple((j, d) for d in range(src.diameter + 1)) for j in range(len(order))]
-    in_order = itemgetter(*order)
     plan = []
     for k, v in enumerate(order[1:], 1):
         parent = min(pos_of[u] for u in src.neighbors(v) if pos_of[u] < k)
-        reqs = list(map(getitem, pairs, in_order(src.dist[v])[:k]))
-        del reqs[parent]
-        plan.append((parent, tuple(reqs)))
+        row = src.dist[v]
+        reqs = tuple([pairs[j][row[u]] for j, u in enumerate(order[:k]) if j != parent])
+        plan.append((parent, reqs))
     return order, plan
 
 
@@ -137,12 +134,12 @@ def _distance_masks(graph: DenseGraph, max_dist: int) -> list[tuple[int, ...]]:
     vertices u with ``graph.dist[v][u] == d``, so distances the graph lacks
     (beyond its diameter, or unreachable) get empty masks.
 
-    Each distance row becomes one byte per vertex, last vertex first, and a
+    Each distance row is packed as one signed byte per vertex, last vertex
+    first, so ``graphs.UNREACHABLE`` (-1) is the byte 0xFF, and a
     translation table per d turns it into the binary digits of the mask, so
-    no Python loop runs per entry.  ``bytearray`` takes no negative entry,
-    so a disconnected graph's rows go through the slower signed ``array``,
-    which makes ``graphs.UNREACHABLE`` (-1) the byte 0xFF.
+    no Python loop runs per entry.
     """
+    pack = struct.Struct(f"{graph.num_vertices}b").pack
     tables = []
     for d in range(max_dist + 1):
         digits = bytearray(b"0" * 256)
@@ -150,7 +147,7 @@ def _distance_masks(graph: DenseGraph, max_dist: int) -> list[tuple[int, ...]]:
         tables.append(bytes(digits))
     at_dist = []
     for row in graph.dist:
-        code = (bytearray(row) if graph.connected else array("b", row).tobytes())[::-1]
+        code = pack(*row)[::-1]
         at_dist.append(tuple(int(code.translate(table), 2) for table in tables))
     return at_dist
 
