@@ -140,7 +140,8 @@ def cmd_verify(args) -> int:
             seed=args.seed, workers=args.workers,
         )
     elif statement in ("lemma5", "theorem3"):
-        target = PolarSpace(args.n_prime if args.n_prime is not None else args.n, args.p)
+        # a target of the source's rank is the source: its graph is built once
+        target = space if args.n_prime in (None, args.n) else PolarSpace(args.n_prime, args.p)
         run = morphisms.verify_lemma5_bulk if statement == "lemma5" else morphisms.verify_theorem3
         report = run(
             space, target, mode=args.mode, budget=args.budget,

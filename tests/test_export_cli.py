@@ -9,6 +9,7 @@ from time import perf_counter
 import pytest
 
 import dualpolar
+from dualpolar import cli
 from dualpolar.apartments import search_isometric_embeddings, search_stats
 from dualpolar.cli import main
 from dualpolar.export import (
@@ -183,6 +184,23 @@ def test_cli_reports_for_different_n_prime_do_not_collide(tmp_path):
     for name, n_prime in zip(written, (2, 3)):
         report = json.loads((tmp_path / name).read_text())
         assert report["instance"]["n_prime"] == n_prime
+
+
+def test_cli_verify_builds_one_space_when_the_ranks_agree(tmp_path, monkeypatch):
+    # a target of the source's rank is the source, so its dual polar graph
+    # is built once
+    built = []
+
+    def counting(n, p):
+        built.append((n, p))
+        return PolarSpace(n, p)
+
+    monkeypatch.setattr(cli, "PolarSpace", counting)
+    for argv in (["verify", "theorem3", "--p", "2", "--n", "2"],
+                 ["verify", "lemma5", "--p", "2", "--n", "2", "--n-prime", "2"]):
+        built.clear()
+        assert main(argv + ["--output", str(tmp_path)]) == 0
+        assert built == [(2, 2)], argv
 
 
 def test_cli_budget_exhaustion_exit_code(tmp_path):

@@ -31,7 +31,6 @@ from dualpolar.morphisms import (
     verify_theorem3,
 )
 from dualpolar.polar import (
-    Frame,
     PolarSpace,
     enumerate_frames,
     enumerate_singular,
@@ -96,31 +95,25 @@ def test_induced_point_map_roundtrip(lifted):
 def test_frames_preserving_on_fixture(lifted):
     _, _, emb = lifted
     pm = induced_point_map(emb)
-    report = check_frames_preserving(pm, seed=4)
+    report = check_frames_preserving(pm)
     assert report["violations"] == []
     assert report["counts"]["frames"] == 90
-    # every frame was enumerated, so nothing was drawn
+    # the pair check decides every frame, so nothing was drawn
     assert report["mode"] == "exhaustive" and report["seed"] is None
 
 
-def test_frames_preserving_sample_fallback_is_incomplete(lifted):
-    # a budget of one node cannot enumerate the frames, so the check samples
-    _, _, emb = lifted
-    report = check_frames_preserving(induced_point_map(emb), budget=1, seed=4)
-    assert report["complete"] is False
-    assert report["mode"] == "sample" and report["seed"] == 4
+def test_frames_preserving_is_complete_on_a_space_too_large_to_list():
+    # Sp(6,3) has 23 882 040 frames: none is listed, the pair check runs on
+    # its 364 points
+    sp63 = PolarSpace(3, 3)
+    base, point_map = shifted_point_injection(sp63, sp63)
+    report = check_frames_preserving(InducedPointMap(sp63, sp63, base, point_map))
+    assert report["counts"]["frames"] == 23_882_040 == polar.frame_count(sp63)
     assert report["violations"] == []
-    # the sample is capped at the 90 frames Sp(4,2) has
-    assert report["counts"]["frames"] == 90
-
-
-def test_frames_preserving_rejects_non_frames(lifted):
-    _, _, emb = lifted
-    frame = enumerate_frames(SP42)[0][0]
-    # the same points with a wrong partner involution
-    sigma = (frame.sigma[1], frame.sigma[0], frame.sigma[3], frame.sigma[2])
-    with pytest.raises(ValueError, match="frames"):
-        check_frames_preserving(induced_point_map(emb), frames=[Frame(frame.points, sigma)])
+    assert report["complete"] and report["mode"] == "exhaustive"
+    assert report["seed"] is None and report["budget"] is None
+    assert report["expansions"] == 23_882_040
+    assert report["elapsed"] < 1.0
 
 
 def test_lift_rejects_collapsed_points(lifted):
@@ -172,13 +165,12 @@ def test_cross_rank_sample_found_embeddings_validate():
         search_dualpolar_embeddings, SP42, SP62, mode="sample", budget=40_000, seed=6
     )
     assert embs, "sampled search found nothing"
-    frames, _ = enumerate_frames(SP42)
     for emb in embs[:30]:
         base = verify_lemma5(emb)
         assert base.rank == 1
         pm = induced_point_map(emb)
         assert pm.base == base
-        report = check_frames_preserving(pm, frames=frames)
+        report = check_frames_preserving(pm)
         assert report["violations"] == []
 
 
@@ -460,18 +452,20 @@ def reference_frame_violations(space, g, perps, frames):
 )
 def test_frame_check_matches_the_per_frame_reference(src, dst, mode, budget):
     # the pair check flags a perturbed point map exactly when some frame of
-    # the source breaks, and names the first pair whose collinearity breaks
+    # the source breaks, and names the first pair whose collinearity breaks;
+    # check_frames_preserving reports that pair on every tenth map
     embs, _ = collect(search_dualpolar_embeddings, src, dst, mode=mode, budget=budget, seed=6)
     frames, complete = enumerate_frames(src)
     assert embs and complete
     collinear = src.collinear_masks()
     members, perp_of = _members(embs[0].source), {}
-    images = [_point_images(emb, members, perp_of)[1] for emb in embs]
-    pool = [gp for g in images for gp in g]
+    images = [_point_images(emb, members, perp_of)[:2] for emb in embs]
+    pool = [gp for _, g in images for gp in g]
     rng = random.Random(23)
-    verdicts = set()
+    verdicts, checked = set(), set()
     for k in range(300):
-        g = list(images[rng.randrange(len(images))])
+        base, g = images[rng.randrange(len(images))]
+        g = list(g)
         if k % 3 == 1:
             i, j = rng.sample(range(len(g)), 2)
             g[i], g[j] = g[j], g[i]
@@ -479,13 +473,22 @@ def test_frame_check_matches_the_per_frame_reference(src, dst, mode, budget):
             g[rng.randrange(len(g))] = pool[rng.randrange(len(pool))]
         perps = [perp_mask(dst, gp) for gp in g]
         got = _collinearity_break("theorem3", collinear, g, perps)
-        assert (got is not None) == bool(reference_frame_violations(src, g, perps, frames))
+        reference_broken = bool(reference_frame_violations(src, g, perps, frames))
+        assert (got is not None) == reference_broken
         broken = [[i, j] for i in range(len(g)) for j in range(i + 1, len(g))
                   if (not g[j] & ~perps[i]) != bool(collinear[i] >> j & 1)]
         assert got == (broken and {"statement": "theorem3", "kind": "collinearity_not_preserved",
                                    "pair": broken[0]} or None)
         verdicts.add(got is not None)
-    assert verdicts == {False, True}
+        if k % 10 == 0:
+            pm = InducedPointMap(src, dst, subspace_of_mask(dst, base),
+                                 {pt: subspace_of_mask(dst, gp) for pt, gp in zip(src.points, g)})
+            report = check_frames_preserving(pm)
+            assert report["violations"] == ([{**got, "statement": "frames_preserving"}] if got else [])
+            assert bool(report["violations"]) == reference_broken
+            assert report["complete"] and report["counts"]["frames"] == len(frames)
+            checked.add(got is not None)
+    assert verdicts == {False, True} == checked
 
 
 @pytest.mark.parametrize(
