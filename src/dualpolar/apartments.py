@@ -1,19 +1,21 @@
 """Isometric hypercube embeddings into dual polar graphs.
 
 The search engine backtracks over source vertices in BFS order.  The
-candidates for a vertex are one AND of distance masks per placed vertex, and
-each full placement is streamed to a visitor, from this process or as the
-replayed visitor calls of the same search run in one forked process beside
-the visitor's checks.  An image is decomposed in the hypercube
-labelling the search gave it, on the point masks of its members: the common
-base subspace, the 2m residue-frame subspaces obtained by intersecting the
-images of opposite hypercube faces, and the reconstruction of every image as
-a span.  A set of maximal singular subspaces is recognized as an apartment
-exactly when such a decomposition exists.
+candidates for a vertex are one AND of distance masks per placed vertex,
+read off the target graph's distance classes (``DenseGraph.at_dist[v][d]``,
+the target vertices at distance d from v; a pair at ``UNREACHABLE``, 0xFF,
+is in no class), and each full placement is streamed to a visitor, from
+this process or as the replayed visitor calls of the same search run in one
+forked process beside the visitor's checks.  An image is decomposed in the
+hypercube labelling the search gave it, on the point masks of its members:
+the common base subspace, the 2m residue-frame subspaces obtained by
+intersecting the images of opposite hypercube faces, and the reconstruction
+of every image as a span.  A set of maximal singular subspaces is
+recognized as an apartment exactly when such a decomposition exists.
 
 The search needs no numpy: its sample-mode branch seeds are numpy
 SeedSequence's spawn words computed in pure Python (``_branch_seeds``), and
-its distance masks are built with bytes operations.  Only ``verify_lemma1``'s
+its distance masks come with the target graph.  Only ``verify_lemma1``'s
 sample mode imports numpy, when it runs, for the Generator its draws come
 from.
 """
@@ -24,7 +26,6 @@ import marshal
 import os
 import random
 import signal
-import struct
 import threading
 import time
 from dataclasses import dataclass
@@ -129,29 +130,6 @@ def _branch_seeds(seed: int, count: int) -> list[int]:
     return seeds
 
 
-def _distance_masks(graph: DenseGraph, max_dist: int) -> list[tuple[int, ...]]:
-    """``at_dist[v][d]``, for d up to ``max_dist``: the bitmask of the
-    vertices u with ``graph.dist[v][u] == d``, so distances the graph lacks
-    (beyond its diameter, or unreachable) get empty masks.
-
-    Each distance row is packed as one signed byte per vertex, last vertex
-    first, so ``graphs.UNREACHABLE`` (-1) is the byte 0xFF, and a
-    translation table per d turns it into the binary digits of the mask, so
-    no Python loop runs per entry.
-    """
-    pack = struct.Struct(f"{graph.num_vertices}b").pack
-    tables = []
-    for d in range(max_dist + 1):
-        digits = bytearray(b"0" * 256)
-        digits[d] = ord("1")
-        tables.append(bytes(digits))
-    at_dist = []
-    for row in graph.dist:
-        code = pack(*row)[::-1]
-        at_dist.append(tuple(int(code.translate(table), 2) for table in tables))
-    return at_dist
-
-
 def _shuffle(items: list, rng: random.Random) -> None:
     """Shuffle ``items`` in place with the draws of ``random.Random.shuffle``:
     Fisher-Yates from the end, each index drawn by rejection sampling on
@@ -174,8 +152,10 @@ def _branch_search(dst_nbrs, dst_adj, at_dist, plan, nsrc, root_img, budget, rng
     leaf (a leaf that keeps it must copy it), and ``key`` the image as an
     int, bit v set for each target vertex v in it, carried down the DFS.
 
-    ``at_dist[v][d]`` is the bitmask of target vertices at distance d from v,
-    so the candidates left by every distance constraint are one AND per
+    ``at_dist[v][d]`` is the bitmask of target vertices at distance d from v
+    (the target's ``DenseGraph.at_dist``, padded with empty masks up to the
+    source's diameter; a pair at ``UNREACHABLE``, 0xFF, is in no mask), so
+    the candidates left by every distance constraint are one AND per
     placed vertex.  They are walked in neighbor order: exhaustive mode takes
     the set bits of that mask in ascending order, and sample mode shuffles
     the parent's full neighbor list, even when nothing is allowed, to keep
@@ -413,7 +393,9 @@ def search_isometric_embeddings(
     if nv == 0:
         return None, search_stats(mode, budget, seed, workers)
     nbrs = tuple(tuple(_bits(mask)) for mask in dst.adj)
-    at_dist = _distance_masks(dst, max(src.diameter, dst.diameter))
+    # a source distance beyond the target's diameter matches no target vertex
+    pad = (0,) * (src.diameter - dst.diameter)
+    at_dist = [classes + pad for classes in dst.at_dist] if pad else dst.at_dist
     shares = [budget // nv + (1 if i < budget % nv else 0) for i in range(nv)]
     if mode == "sample":
         # one independent stream per root branch, all split from the one seed

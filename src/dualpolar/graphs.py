@@ -3,32 +3,47 @@
 Two families are built here: hypercube graphs on the maximal singular sign
 sets of {±1, ..., ±m}, with BFS distances, and dual polar graphs on the
 maximal singular subspaces of a polar space, whose distance is n - rank of
-the meet, read off the popcount of the AND of two point masks (adjacency =
-distance 1, i.e. intersection one step below maximal).  Adjacency is kept
-as one int bitmask per vertex and distances as a full matrix, so searches
-probe distances in O(1).  A dual polar graph also keeps the point mask of
-every vertex, which the verifiers take their meets, containments and perps
-from.
+the meet (adjacency = distance 1, i.e. intersection one step below maximal).
+Every graph keeps its distances twice: ``at_dist[v][d]``, the bitmask of the
+vertices at distance d from v for d = 0..diameter, which the searches AND
+together, and ``dist[v]``, one byte per vertex, for reading single
+distances; a pair in no distance class reads ``UNREACHABLE`` (0xFF).  A BFS
+takes its classes from its frontiers; a dual polar graph takes them from
+bit-sliced counts of the points two maximals share (see ``meet_graph``).  A
+dual polar graph also keeps the point mask of every vertex, which the
+verifiers take their meets, containments and perps from.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import and_, or_
 from typing import Iterator, Sequence
 
 from . import polar
 from .polar import PolarSpace, _bits
 from .reporting import make_report
 
-UNREACHABLE = -1
+UNREACHABLE = 0xFF
 
 
 @dataclass(frozen=True, eq=False)
 class DenseGraph:
+    """A graph on ``labels`` with bitmask adjacency and every distance.
+
+    ``at_dist[v][d]`` is the bitmask of the vertices at distance d from v,
+    for d = 0..diameter, and ``dist[v][u]`` the distance of v and u as one
+    byte of the row ``dist[v]``; a pair in no class (unreachable, or a meet
+    that is no subspace) is in no mask and reads ``UNREACHABLE`` (0xFF),
+    which ``diameter`` does not count.
+    """
+
     labels: tuple
     adj: tuple[int, ...]
-    dist: tuple[tuple[int, ...], ...]
+    at_dist: tuple[tuple[int, ...], ...]
+    dist: tuple[bytes, ...]
     diameter: int
     connected: bool
     # point masks of the labels (see polar.point_mask); dual polar graphs only
@@ -65,40 +80,81 @@ class HypercubeVertex:
         return ((self.mask >> i) & 1) == (1 if signed < 0 else 0)
 
 
-def all_pairs_distances(adj: Sequence[int]) -> tuple[list[list[int]], bool]:
+# byte i of int.from_bytes(format(mask, f"0{nv}b").encode().translate(_SPREAD))
+# is bit i of mask
+_SPREAD = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _byte_rows(at_dist: Sequence[Sequence[int]]) -> tuple[bytes, ...]:
+    """The distance rows of the classes ``at_dist``: byte u of row v is the
+    d whose mask ``at_dist[v][d]`` holds u, or UNREACHABLE if none does.
+
+    Each class is spread to one byte per vertex by its binary digits and a
+    translation, scaled by its distance and added up, so no Python loop runs
+    per entry.
+    """
+    nv = len(at_dist)
+    code = f"0{nv}b"
+    full = (1 << nv) - 1
+
+    def spread(mask: int) -> int:
+        return int.from_bytes(format(mask, code).encode().translate(_SPREAD), "big")
+
+    rows = []
+    for classes in at_dist:
+        row = sum(d * spread(mask) for d, mask in enumerate(classes) if d and mask)
+        unreached = full & ~reduce(or_, classes, 0)
+        if unreached:
+            row += UNREACHABLE * spread(unreached)
+        rows.append(row.to_bytes(nv, "little"))
+    return tuple(rows)
+
+
+def _bfs_classes(adj: Sequence[int], src: int) -> list[int]:
+    """The BFS frontiers from ``src`` over bitmask adjacency: entry d is the
+    bitmask of the vertices at distance d."""
+    seen = frontier = 1 << src
+    classes = []
+    while frontier:
+        classes.append(frontier)
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            nxt |= adj[low.bit_length() - 1]
+        frontier = nxt & ~seen
+        seen |= frontier
+    return classes
+
+
+def _dense_graph(labels: Sequence, adj: Sequence[int], at_dist: Sequence[Sequence[int]],
+                 masks: Sequence[int] = ()) -> DenseGraph:
+    """The DenseGraph of the distance classes ``at_dist``: the diameter is
+    the largest d with a nonempty class, and every row is cut or padded with
+    empty masks to d = 0..diameter.  The graph is connected when a BFS from
+    vertex 0 over ``adj`` reaches every vertex."""
+    nv = len(adj)
+    diameter = max((d for row in at_dist for d, mask in enumerate(row) if mask), default=0)
+    at_dist = tuple((tuple(row) + (0,) * diameter)[: diameter + 1] for row in at_dist)
+    return DenseGraph(
+        labels=tuple(labels),
+        adj=tuple(adj),
+        at_dist=at_dist,
+        dist=_byte_rows(at_dist),
+        diameter=diameter,
+        connected=not nv or reduce(or_, _bfs_classes(adj, 0)) == (1 << nv) - 1,
+        masks=tuple(masks),
+    )
+
+
+def all_pairs_distances(adj: Sequence[int]) -> tuple[tuple[bytes, ...], bool]:
     """BFS from every vertex over bitmask adjacency.
 
-    Returns (matrix, connected); unreachable entries hold UNREACHABLE.
+    Returns (rows, connected), with one byte row per vertex as in
+    ``DenseGraph.dist``; unreachable entries hold UNREACHABLE.
     """
-    nv = len(adj)
-    dist = []
-    connected = True
-    for src in range(nv):
-        row = [UNREACHABLE] * nv
-        row[src] = 0
-        seen = 1 << src
-        frontier = 1 << src
-        d = 0
-        while frontier:
-            d += 1
-            nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
-                f ^= low
-                nxt |= adj[low.bit_length() - 1]
-            nxt &= ~seen
-            seen |= nxt
-            g = nxt
-            while g:
-                low = g & -g
-                g ^= low
-                row[low.bit_length() - 1] = d
-            frontier = nxt
-        if seen != (1 << nv) - 1:
-            connected = False
-        dist.append(row)
-    return dist, connected
+    graph = _dense_graph(range(len(adj)), adj, [_bfs_classes(adj, v) for v in range(len(adj))])
+    return graph.dist, graph.connected
 
 
 def graph_from_edges(labels: Sequence, edges, require_connected: bool = False) -> DenseGraph:
@@ -109,17 +165,10 @@ def graph_from_edges(labels: Sequence, edges, require_connected: bool = False) -
             raise ValueError("self loops are not allowed")
         adj[i] |= 1 << j
         adj[j] |= 1 << i
-    dist, connected = all_pairs_distances(adj)
-    if require_connected and not connected:
+    graph = _dense_graph(labels, adj, [_bfs_classes(adj, v) for v in range(nv)])
+    if require_connected and not graph.connected:
         raise ValueError("graph is unexpectedly disconnected")
-    diameter = max(max(row) for row in dist) if nv else 0
-    return DenseGraph(
-        labels=tuple(labels),
-        adj=tuple(adj),
-        dist=tuple(tuple(row) for row in dist),
-        diameter=diameter,
-        connected=connected,
-    )
+    return graph
 
 
 def hypercube(m: int) -> DenseGraph:
@@ -139,47 +188,52 @@ def hypercube(m: int) -> DenseGraph:
 def meet_graph(space: PolarSpace, labels: Sequence, masks: Sequence[int]) -> DenseGraph:
     """Maximal singular subspaces with their dual polar distances.
 
-    ``masks[i]`` is the point mask of ``labels[i]``; the distance of two
-    maximals is n - rank of their meet, read off the popcount of the AND of
-    their masks, and adjacency is distance 1.  For a subset of the maximals
-    these are the ambient distances, not those of the induced subgraph,
-    whose internal paths may be longer.
+    ``masks[i]`` is the point mask of ``labels[i]``.  Two maximals are at
+    distance n - r when their meet has rank r, that is (p^r - 1)/(p - 1)
+    points, and adjacency is distance 1.  The meet counts of v with every
+    vertex are taken at once: ``through[x]`` is the bitmask of the vertices
+    through point x, and the ``through[x]`` of the points x of v are added
+    up in binary, one bitmask per bit of the count (bit planes, with a
+    ripple carry), so the vertices whose count is a given size are one AND
+    per plane.  A count that is no subspace size is in no class.  For a
+    subset of the maximals these are the ambient distances, not those of the
+    induced subgraph, whose internal paths may be longer.
     """
     n, p = space.n, space.p
-    dist_of_count = [UNREACHABLE] * ((p**n - 1) // (p - 1) + 1)
-    for r in range(n + 1):
-        dist_of_count[(p**r - 1) // (p - 1)] = n - r
-    dist = []
-    adj = []
-    for mi in masks:
-        row = tuple([dist_of_count[(mi & mj).bit_count()] for mj in masks])
-        dist.append(row)
-        adj.append(sum(1 << j for j, d in enumerate(row) if d == 1))
-    seen = frontier = 1
-    while frontier:
-        nxt = 0
-        for b in _bits(frontier):
-            nxt |= adj[b]
-        frontier = nxt & ~seen
-        seen |= nxt
-    return DenseGraph(
-        labels=tuple(labels),
-        adj=tuple(adj),
-        dist=tuple(dist),
-        diameter=max(max(row) for row in dist),
-        connected=seen == (1 << len(labels)) - 1,
-        masks=tuple(masks),
-    )
+    through = [0] * len(space.points)
+    for v, mask in enumerate(masks):
+        for x in _bits(mask):
+            through[x] |= 1 << v
+    sizes = [(p ** (n - d) - 1) // (p - 1) for d in range(n + 1)]
+    width = max([sizes[0]] + [mask.bit_count() for mask in masks]).bit_length()
+    full = (1 << len(masks)) - 1
+    at_dist = []
+    for mask in masks:
+        planes = [0] * width
+        for x in _bits(mask):
+            carry, b = through[x], 0
+            while carry:
+                planes[b], carry = planes[b] ^ carry, planes[b] & carry
+                b += 1
+        at_dist.append([
+            reduce(and_, [plane if size >> b & 1 else ~plane for b, plane in enumerate(planes)], full)
+            for size in sizes
+        ])
+    adj = [classes[1] for classes in at_dist]
+    return _dense_graph(labels, adj, at_dist, masks)
 
 
 def dual_polar_graph(space: PolarSpace) -> DenseGraph:
     """Graph on the maximal singular subspaces; adjacency = common hyperplane.
 
-    Built once per space and kept on it.
+    A maximal is its own perp, so its point mask is the perp of its RREF
+    rows, which are normalized points.  Built once per space and kept on it.
     """
     if space._graph_cache is None:
         maximals = polar.enumerate_singular(space, space.n - 1)
-        graph = meet_graph(space, maximals, [polar.point_mask(space, s) for s in maximals])
+        index = space.point_index
+        masks = [polar.perp_mask(space, sum(1 << index[row] for row in s.rows)) for s in maximals]
+        graph = meet_graph(space, maximals, masks)
         assert graph.connected and graph.diameter == space.n
         space._graph_cache = graph
     return space._graph_cache

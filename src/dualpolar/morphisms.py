@@ -74,13 +74,13 @@ class InducedPointMap:
 
 @lru_cache(maxsize=1)
 def _opposite_pairs(graph: DenseGraph) -> tuple[tuple[int, int], ...]:
-    """The pairs (i, j), i < j, of vertices at the diameter.  A verifier asks
-    for one source graph's per embedding; older graphs are not kept alive."""
+    """The pairs (i, j), i < j, of vertices at the diameter, read off the
+    class ``at_dist[i][diameter]`` above bit i.  A verifier asks for one
+    source graph's per embedding; older graphs are not kept alive."""
     return tuple(
         (i, j)
-        for i in range(graph.num_vertices)
-        for j in range(i + 1, graph.num_vertices)
-        if graph.dist[i][j] == graph.diameter
+        for i, classes in enumerate(graph.at_dist)
+        for j in _bits(classes[graph.diameter] >> (i + 1) << (i + 1))
     )
 
 

@@ -12,8 +12,10 @@ perpendicular point, so it is built exactly once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 from math import factorial, prod
+from operator import or_
 from typing import Iterable, Sequence
 
 from .linalg import GF, Subspace, gf, nullspace, rref
@@ -74,14 +76,34 @@ class PolarSpace:
         return self.collinear_masks()[i]
 
     def collinear_masks(self) -> list[int]:
+        """For each point x, the bitmask of the points collinear with x, x
+        itself left out.
+
+        The form is linear in its second argument, so y -> form(x, y) is
+        sum_c w_c y_c with w_c = form(x, e_c), read off ``form_value`` at the
+        unit vectors.  It is folded in one coordinate at a time over the
+        masks ``coord[c][a]`` of the points whose coordinate c is a:
+        ``res[r]`` holds the points whose partial sum is r, so after the
+        last coordinate ``res[0]`` holds the points y with form(x, y) = 0.
+        """
         if self._collinear_masks is None:
-            pts = self.points
-            masks = [0] * len(pts)
-            for i in range(len(pts)):
-                for j in range(i + 1, len(pts)):
-                    if form_value(self, pts[i], pts[j]) == 0:
-                        masks[i] |= 1 << j
-                        masks[j] |= 1 << i
+            p, dim = self.p, self.dim
+            coord = [[0] * p for _ in range(dim)]
+            for i, pt in enumerate(self.points):
+                for c, a in enumerate(pt):
+                    coord[c][a] |= 1 << i
+            units = [tuple(int(k == c) for k in range(dim)) for c in range(dim)]
+            masks = []
+            for i, pt in enumerate(self.points):
+                res = [(1 << len(self.points)) - 1] + [0] * (p - 1)
+                for c, unit in enumerate(units):
+                    w = form_value(self, pt, unit)
+                    if w:
+                        res = [
+                            reduce(or_, [res[(r - w * a) % p] & coord[c][a] for a in range(p)])
+                            for r in range(p)
+                        ]
+                masks.append(res[0] & ~(1 << i))
             self._collinear_masks = masks
         return self._collinear_masks
 

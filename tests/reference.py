@@ -102,6 +102,16 @@ def collect(search, *args, **kwargs) -> tuple[list, dict]:
 # -- polar geometry ---------------------------------------------------------------
 
 
+def collinear_masks(space: PolarSpace) -> list[int]:
+    """``PolarSpace.collinear_masks`` pair by pair: bit j of entry i is set
+    when points i and j are distinct and the form vanishes on (i, j)."""
+    pts = space.points
+    return [
+        sum(1 << j for j, y in enumerate(pts) if j != i and form_value(space, x, y) == 0)
+        for i, x in enumerate(pts)
+    ]
+
+
 def residue_collinear(space: PolarSpace, base: Subspace, a: Subspace, b: Subspace) -> bool:
     """Collinearity in the residue geometry on the subspaces one step above base.
 

@@ -13,7 +13,6 @@ from dualpolar import apartments
 from dualpolar.apartments import (
     _apartment_witness,
     _branch_seeds,
-    _distance_masks,
     _opposite_base,
     _shuffle,
     _source_plan,
@@ -26,6 +25,8 @@ from dualpolar.apartments import (
     verify_theorem2,
 )
 from dualpolar.graphs import (
+    UNREACHABLE,
+    _bits,
     dual_polar_graph,
     graph_from_edges,
     hypercube,
@@ -517,27 +518,30 @@ def test_branch_seeds_reject_a_negative_seed_as_numpy_does():
         _branch_seeds(-1, 3)
 
 
-def packbits_distance_masks(graph, max_dist):
-    """``at_dist`` as numpy's packbits builds it, one column per vertex."""
-    dist = np.array(graph.dist, dtype=np.int16)
-    return list(zip(*(
+def packbits_distance_masks(graph):
+    """``at_dist`` as numpy's packbits builds it from the distance rows, one
+    column per vertex."""
+    dist = np.array([list(r) for r in graph.dist], dtype=np.int16)
+    return tuple(zip(*(
         [int.from_bytes(row.tobytes(), "little")
          for row in np.packbits(dist == d, axis=1, bitorder="little")]
-        for d in range(max_dist + 1)
+        for d in range(graph.diameter + 1)
     )))
 
 
-@pytest.mark.parametrize("graph,max_dist", [
-    (G62, 3),
-    (G43, 2),
-    # beyond the diameter: empty masks
-    (hypercube(3), 5),
-    # a disconnected target: UNREACHABLE entries are in no mask
-    (graph_from_edges(list(range(8)), [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)]), 3),
-    (graph_from_edges(list(range(5)), [(0, 1), (1, 2)]), 2),
+@pytest.mark.parametrize("graph", [
+    G62,
+    G43,
+    hypercube(3),
+    # disconnected targets: UNREACHABLE entries are in no mask
+    graph_from_edges(list(range(8)), [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)]),
+    graph_from_edges(list(range(5)), [(0, 1), (1, 2)]),
 ])
-def test_distance_masks_match_packbits(graph, max_dist):
-    assert _distance_masks(graph, max_dist) == packbits_distance_masks(graph, max_dist)
+def test_distance_masks_match_packbits(graph):
+    assert graph.at_dist == packbits_distance_masks(graph)
+    unreachable = [[u for u, d in enumerate(row) if d == UNREACHABLE] for row in graph.dist]
+    assert unreachable == [_bits(((1 << graph.num_vertices) - 1) & ~reduce(or_, classes))
+                           for classes in graph.at_dist]
 
 
 def test_source_plan_shares_one_pair_per_position_and_distance():

@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import sys
 import weakref
 from collections import Counter
 from itertools import combinations, permutations
@@ -17,10 +18,11 @@ from dualpolar.graphs import (
     graph_from_edges,
     hypercube,
     iter_geodesics,
+    meet_graph,
     sample_geodesic,
     verify_lemma2,
 )
-from dualpolar.polar import PolarSpace
+from dualpolar.polar import PolarSpace, point_mask
 from reference import intersect
 
 SP42 = PolarSpace(2, 2)
@@ -109,6 +111,8 @@ def test_dual_polar_graph_shape(space, vertices, diameter):
     assert g.num_vertices == vertices
     assert g.diameter == diameter
     assert g.connected
+    # the masks taken as perps of the RREF rows are the point sets
+    assert all(g.masks[v] == point_mask(space, g.labels[v]) for v in range(vertices))
 
 
 @pytest.mark.parametrize("space", [SP42, SP62, SP43])
@@ -126,7 +130,8 @@ def test_meet_distances_equal_bfs(space):
     g = dual_polar_graph(space)
     dist, connected = all_pairs_distances(g.adj)
     assert connected
-    assert g.dist == tuple(tuple(row) for row in dist)
+    assert len(dist) == len(g.dist)
+    assert all(list(row) == list(bfs) for row, bfs in zip(g.dist, dist))
 
 
 @pytest.mark.parametrize("space", ORACLE_SPACES)
@@ -155,6 +160,22 @@ def test_intersection_array(space):
             assert (g.adj[u] & spheres[d + 1]).bit_count() == b[d]
 
 
+def test_meet_count_that_is_no_subspace_size_is_unreachable():
+    # two GF(3) point sets of a line's size sharing 2 points: a meet of 2
+    # points is no subspace, so the pair is in no distance class
+    g = meet_graph(SP43, "ab", [0b111100, 0b001111])
+    assert g.dist == (bytes([0, UNREACHABLE]), bytes([UNREACHABLE, 0]))
+    assert g.at_dist == ((0b01,), (0b10,))
+    assert g.diameter == 0 and g.adj == (0, 0) and not g.connected
+
+
+def test_distance_rows_are_bytes_small_enough_for_sp63():
+    # one byte per entry: about 1.3 MB over the 1 120 rows, where tuples of
+    # ints took about 10 MB
+    g = dual_polar_graph(SP63)
+    assert sum(sys.getsizeof(row) for row in g.dist) < 2 * 2**20
+
+
 def test_graph_memo_lives_on_the_space():
     space = PolarSpace(2, 2)
     graph = dual_polar_graph(space)
@@ -177,7 +198,7 @@ def test_opposite_iff_disjoint(space):
 
 @pytest.mark.parametrize("graph", [hypercube(3), dual_polar_graph(SP42), dual_polar_graph(SP62)])
 def test_triangle_inequality(graph):
-    d = np.array(graph.dist)
+    d = np.array([list(r) for r in graph.dist])
     best = (d[:, :, None] + d[None, :, :]).min(axis=1)
     assert (d <= best).all()
 

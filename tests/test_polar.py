@@ -137,6 +137,13 @@ def test_is_collinear_examples():
     assert not row >> SP42.point_index[f1] & 1
 
 
+@pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (4, 2)])
+def test_collinear_masks_match_the_pairwise_form(n, p):
+    # the residue-class fold against form_value on every ordered pair
+    space = PolarSpace(n, p)
+    assert space.collinear_masks() == reference.collinear_masks(space)
+
+
 def test_noncollinear_count_is_q_to_2n_minus_1():
     # every point of Sp(4,2) fails collinearity with exactly 8 of the others
     for a in SP42.points:
