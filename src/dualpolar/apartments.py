@@ -144,6 +144,13 @@ def _shuffle(items: list, rng: random.Random) -> None:
         items[i], items[j] = items[j], items[i]
 
 
+def _distance_masks(graph: DenseGraph, max_dist: int) -> tuple[tuple[int, ...], ...]:
+    """``graph.at_dist`` padded with empty masks up to distance ``max_dist``:
+    a source distance beyond the target's diameter matches no target vertex."""
+    pad = (0,) * (max_dist - graph.diameter)
+    return tuple(classes + pad for classes in graph.at_dist) if pad else graph.at_dist
+
+
 def _branch_search(dst_nbrs, dst_adj, at_dist, plan, nsrc, root_img, budget, rng, leaf):
     """Explore one root placement, calling ``leaf(imgs, key)`` at every full
     placement; returns (expansions, complete).
@@ -393,9 +400,7 @@ def search_isometric_embeddings(
     if nv == 0:
         return None, search_stats(mode, budget, seed, workers)
     nbrs = tuple(tuple(_bits(mask)) for mask in dst.adj)
-    # a source distance beyond the target's diameter matches no target vertex
-    pad = (0,) * (src.diameter - dst.diameter)
-    at_dist = [classes + pad for classes in dst.at_dist] if pad else dst.at_dist
+    at_dist = _distance_masks(dst, src.diameter)
     shares = [budget // nv + (1 if i < budget % nv else 0) for i in range(nv)]
     if mode == "sample":
         # one independent stream per root branch, all split from the one seed

@@ -13,6 +13,7 @@ from dualpolar import apartments
 from dualpolar.apartments import (
     _apartment_witness,
     _branch_seeds,
+    _distance_masks,
     _opposite_base,
     _shuffle,
     _source_plan,
@@ -518,27 +519,29 @@ def test_branch_seeds_reject_a_negative_seed_as_numpy_does():
         _branch_seeds(-1, 3)
 
 
-def packbits_distance_masks(graph):
+def packbits_distance_masks(graph, max_dist):
     """``at_dist`` as numpy's packbits builds it from the distance rows, one
     column per vertex."""
     dist = np.array([list(r) for r in graph.dist], dtype=np.int16)
     return tuple(zip(*(
         [int.from_bytes(row.tobytes(), "little")
          for row in np.packbits(dist == d, axis=1, bitorder="little")]
-        for d in range(graph.diameter + 1)
+        for d in range(max_dist + 1)
     )))
 
 
-@pytest.mark.parametrize("graph", [
-    G62,
-    G43,
-    hypercube(3),
+@pytest.mark.parametrize("graph,max_dist", [
+    (G62, 3),
+    (G43, 2),
+    # beyond the diameter: empty masks
+    (hypercube(3), 5),
     # disconnected targets: UNREACHABLE entries are in no mask
-    graph_from_edges(list(range(8)), [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)]),
-    graph_from_edges(list(range(5)), [(0, 1), (1, 2)]),
+    (graph_from_edges(list(range(8)), [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)]), 3),
+    (graph_from_edges(list(range(5)), [(0, 1), (1, 2)]), 2),
 ])
-def test_distance_masks_match_packbits(graph):
-    assert graph.at_dist == packbits_distance_masks(graph)
+def test_distance_masks_match_packbits(graph, max_dist):
+    assert graph.at_dist == packbits_distance_masks(graph, graph.diameter)
+    assert _distance_masks(graph, max_dist) == packbits_distance_masks(graph, max_dist)
     unreachable = [[u for u, d in enumerate(row) if d == UNREACHABLE] for row in graph.dist]
     assert unreachable == [_bits(((1 << graph.num_vertices) - 1) & ~reduce(or_, classes))
                            for classes in graph.at_dist]
