@@ -25,7 +25,9 @@ from __future__ import annotations
 import marshal
 import os
 import random
+import re
 import signal
+import struct
 import threading
 import time
 from dataclasses import dataclass
@@ -130,18 +132,151 @@ def _branch_seeds(seed: int, count: int) -> list[int]:
     return seeds
 
 
-def _shuffle(items: list, rng: random.Random) -> None:
-    """Shuffle ``items`` in place with the draws of ``random.Random.shuffle``:
-    Fisher-Yates from the end, each index drawn by rejection sampling on
-    ``getrandbits``, so a sample stream does not depend on the Python
-    version's ``shuffle``."""
-    getrandbits = rng.getrandbits
-    for i in range(len(items) - 1, 0, -1):
-        k = (i + 1).bit_length()
-        j = getrandbits(k)
-        while j > i:
-            j = getrandbits(k)
-        items[i], items[j] = items[j], items[i]
+# a branch draws its words in blocks, doubling each time up to this many;
+# larger blocks cost more per word (17 ns at 2^14 words, 23 ns at 2^16, on a
+# 2-vCPU x86 host)
+_MAX_BLOCK = 1 << 14
+_ANY_BYTE = b"[\\x00-\\xff]"
+# the struct format of a unit of each width a search keeps
+_UNIT_FORMATS = {1: "B", 2: "H", 4: "I"}
+
+
+def _byte_class(lo: int, hi: int) -> bytes:
+    return b"[\\x%02x-\\x%02x]" % (lo, hi)
+
+
+def _unit_regexes(t: int, width: int) -> tuple[bytes, bytes]:
+    """Regexes, each one atom, of the units of ``width`` bytes, read
+    big-endian, that are at most ``t`` and of those above it, for
+    0 <= t < 256**width - 1."""
+    if width == 1:
+        return _byte_class(0, t), _byte_class(t + 1, 255)
+    top, rest = divmod(t, 256 ** (width - 1))
+    tail = _ANY_BYTE * (width - 1)
+    if rest == 256 ** (width - 1) - 1:
+        # every tail is at most rest, so the top byte decides
+        at_most, above = [_byte_class(0, top) + tail], [_byte_class(top + 1, 255) + tail]
+    else:
+        low, high = _unit_regexes(rest, width - 1)
+        at_most = [b"\\x%02x" % top + low] + [_byte_class(0, top - 1) + tail] * (top > 0)
+        above = [b"\\x%02x" % top + high] + [_byte_class(top + 1, 255) + tail] * (top < 255)
+    return b"(?:%s)" % b"|".join(at_most), b"(?:%s)" % b"|".join(above)
+
+
+@dataclass(frozen=True)
+class _ShuffleShape:
+    """The words that the Fisher-Yates shuffle of a list of one length
+    reads, as regexes over units that keep the top bytes of each word.
+
+    ``random.Random.shuffle``, whose draws this search makes, runs state
+    i = length - 1 down to 1, and each draws ``getrandbits(k)`` with
+    k = (i + 1).bit_length() until the draw is at most i.
+    ``getrandbits(k)`` is the top k bits of the next 32-bit word, so the
+    draw is the unit shifted right by ``shift`` = 8 * width - k.  For each
+    state, ``parse`` matches the rejected units and captures the accepted
+    one; ``states`` holds each state's (i, shift) in the same order,
+    ``units`` reads the captured units as ints, and ``skips`` holds (count,
+    regex of ``count`` whole shuffles), largest count first.
+    """
+
+    states: tuple[tuple[int, int], ...]
+    parse: re.Pattern
+    units: struct.Struct
+    skips: tuple[tuple[int, re.Pattern], ...]
+
+
+def _shuffle_shape(length: int, width: int) -> _ShuffleShape:
+    states, parse, skip = [], [], []
+    for i in range(length - 1, 0, -1):
+        shift = 8 * width - (i + 1).bit_length()
+        accept, reject = _unit_regexes(((i + 1) << shift) - 1, width)
+        states.append((i, shift))
+        parse.append(b"%s*(%s)" % (reject, accept))
+        skip.append(b"%s*%s" % (reject, accept))
+    one = b"".join(skip)
+    return _ShuffleShape(
+        tuple(states),
+        re.compile(b"".join(parse)),
+        struct.Struct(">%d%s" % (len(states), _UNIT_FORMATS[width])),
+        tuple((count, re.compile(b"(?:%s){%d}" % (one, count))) for count in (16, 4, 1)),
+    )
+
+
+class _ShuffleStream:
+    """The shuffles of the neighbor lists that one sample-mode root branch
+    reads, taken lazily off the 32-bit words of its ``random.Random``.
+
+    The words are drawn in blocks: ``getrandbits(32 * K)`` is the next K
+    words, least significant first, as K calls of ``getrandbits(32)`` would
+    give them.  Each word is kept as a unit of its top ``width`` bytes,
+    big-endian, which hold every bit a draw of the shuffle reads
+    (``_ShuffleShape``).  A node with at most one candidate only defers its
+    shuffle (``defer``); a node that needs its order first skips the
+    deferred shuffles by regex matches of 16, 4 and 1 shuffles, and then
+    parses its own (``shuffled``).  The deferred shuffles are all of one
+    length: on an irregular target, a shuffle of another length skips them
+    before it is deferred.  So every word is read by the shuffle that would
+    have drawn it, and the shuffles still deferred when the branch ends are
+    never read, since nothing draws from its ``Random`` again.
+    """
+
+    def __init__(self, rng: random.Random, nbrs, shapes, width: int, block: int):
+        self._rng = rng
+        self._nbrs = nbrs
+        self._shapes = shapes
+        self._width = width
+        self._block = block
+        self._buf = b""
+        self._pos = 0
+        # the deferred shuffles: ``_count`` of them, all of one ``_shape``
+        self._shape: _ShuffleShape | None = None
+        self._count = 0
+
+    def defer(self, v: int) -> None:
+        """Count the shuffle of the neighbors of ``v`` as drawn."""
+        shape = self._shapes[v]
+        if shape is not self._shape:
+            # on an irregular target: the deferred shuffles of another length come first
+            self._skip()
+            self._shape = shape
+        self._count += 1
+
+    def shuffled(self, v: int, allowed: int) -> list[int]:
+        """The neighbors of ``v`` in the mask ``allowed``, in the order of
+        their shuffle."""
+        self._skip()
+        shape = self._shapes[v]
+        items = list(self._nbrs[v])
+        units = shape.units.unpack(b"".join(self._match(shape.parse).groups()))
+        for (i, shift), unit in zip(shape.states, units):
+            j = unit >> shift
+            items[i], items[j] = items[j], items[i]
+        return [item for item in items if allowed >> item & 1]
+
+    def _skip(self) -> None:
+        """Read past the deferred shuffles."""
+        count = self._count
+        if count:
+            for size, pattern in self._shape.skips:
+                while count >= size:
+                    self._match(pattern)
+                    count -= size
+            self._count = 0
+
+    def _match(self, pattern: re.Pattern) -> re.Match:
+        """Match ``pattern`` at the read position and move past it, drawing
+        the next block of words while the match runs off the end."""
+        while (match := pattern.match(self._buf, self._pos)) is None:
+            words, width = self._block, self._width
+            data = self._rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+            units = bytearray(width * words)
+            for t in range(width):
+                units[t::width] = data[3 - t::4]
+            self._buf = self._buf[self._pos:] + units
+            self._pos = 0
+            self._block = min(2 * words, _MAX_BLOCK)
+        self._pos = match.end()
+        return match
 
 
 def _distance_masks(graph: DenseGraph, max_dist: int) -> tuple[tuple[int, ...], ...]:
@@ -151,7 +286,7 @@ def _distance_masks(graph: DenseGraph, max_dist: int) -> tuple[tuple[int, ...], 
     return tuple(classes + pad for classes in graph.at_dist) if pad else graph.at_dist
 
 
-def _branch_search(dst_nbrs, dst_adj, at_dist, plan, nsrc, root_img, budget, rng, leaf):
+def _branch_search(dst_adj, at_dist, plan, nsrc, root_img, budget, draws, leaf):
     """Explore one root placement, calling ``leaf(imgs, key)`` at every full
     placement; returns (expansions, complete).
 
@@ -163,12 +298,16 @@ def _branch_search(dst_nbrs, dst_adj, at_dist, plan, nsrc, root_img, budget, rng
     (the target's ``DenseGraph.at_dist``, padded with empty masks up to the
     source's diameter; a pair at ``UNREACHABLE``, 0xFF, is in no mask), so
     the candidates left by every distance constraint are one AND per
-    placed vertex.  They are walked in neighbor order: exhaustive mode takes
-    the set bits of that mask in ascending order, and sample mode shuffles
-    the parent's full neighbor list, even when nothing is allowed, to keep
-    the draws, and then filters it.  The last source vertex is placed in a
-    loop in its parent's frame that calls ``leaf`` directly, with the budget
-    taken for the whole loop at once.
+    placed vertex.  They are walked in neighbor order: exhaustive mode
+    (``draws`` None) takes the set bits of that mask in ascending order, and
+    sample mode walks them in the order of a shuffle of the parent's full
+    neighbor list, read from the branch's ``_ShuffleStream`` ``draws``.
+    Every node draws that shuffle, to keep the draws of the nodes after it,
+    but a node with at most one candidate has no order to keep, so it only
+    defers its shuffle and the stream reads it past in C when a later node
+    needs its own.  The last source vertex is placed in a loop in its
+    parent's frame that calls ``leaf`` directly, with the budget taken for
+    the whole loop at once.
     """
     if budget < 1:
         return 0, False
@@ -176,6 +315,7 @@ def _branch_search(dst_nbrs, dst_adj, at_dist, plan, nsrc, root_img, budget, rng
     last = nsrc - 1
     expansions = 1
     complete = True
+    defer = draws.defer if draws is not None else None
 
     def dfs(k: int, key: int) -> None:
         nonlocal expansions, complete
@@ -183,16 +323,15 @@ def _branch_search(dst_nbrs, dst_adj, at_dist, plan, nsrc, root_img, budget, rng
         allowed = dst_adj[imgs[parent]]
         for j, d in reqs:
             allowed &= at_dist[imgs[j]][d]
-        if rng is not None:
-            cands = list(dst_nbrs[imgs[parent]])
-            _shuffle(cands, rng)
         if not allowed & (allowed - 1):
             # at most one candidate, so no order to keep
             cands = [allowed.bit_length() - 1] if allowed else []
-        elif rng is None:
+            if defer is not None:
+                defer(imgs[parent])
+        elif draws is None:
             cands = _bits(allowed)
         else:
-            cands = [cand for cand in cands if allowed >> cand & 1]
+            cands = draws.shuffled(imgs[parent], allowed)
         if k == last:
             room = budget - expansions
             if len(cands) > room:
@@ -377,7 +516,13 @@ def search_isometric_embeddings(
     first uint64 state word of each child of numpy's
     ``SeedSequence(seed).spawn(nv)``, computed without importing numpy, so
     the streams are those numpy would give.  A negative seed raises
-    ValueError, as SeedSequence does.  ``run`` is the
+    ValueError, as SeedSequence does.  Each node of a sample branch draws a
+    Fisher-Yates shuffle of its parent's neighbor list, with the draws of
+    ``random.Random.shuffle``; a branch reads those draws from blocks of
+    its words (``_ShuffleStream``), with regexes compiled here once for each
+    degree of the target (``_ShuffleShape``), so a node with at most one
+    candidate skips its shuffle in C and the draws stay those of a shuffle
+    at every node.  Exhaustive mode builds none of this.  ``run`` is the
     whole search: every root branch in root order, calling ``branch_done()``
     after each, with the embedding count, the set of image keys and the
     stats.  With ``workers`` above 1 it runs in one forked process beside
@@ -399,14 +544,28 @@ def search_isometric_embeddings(
     nv = dst.num_vertices
     if nv == 0:
         return None, search_stats(mode, budget, seed, workers)
-    nbrs = tuple(tuple(_bits(mask)) for mask in dst.adj)
     at_dist = _distance_masks(dst, src.diameter)
     shares = [budget // nv + (1 if i < budget % nv else 0) for i in range(nv)]
     if mode == "sample":
         # one independent stream per root branch, all split from the one seed
-        rngs = [random.Random(s) for s in _branch_seeds(seed, nv)]
+        seeds = _branch_seeds(seed, nv)
+        nbrs = tuple(tuple(_bits(mask)) for mask in dst.adj)
+        degree = max(map(len, nbrs))
+        # bytes kept per word: 1, 2 or 4, enough for the top k bits that
+        # the first state of the longest shuffle reads
+        k = degree.bit_length()
+        width = 1 if k <= 8 else 2 if k <= 16 else 4
+        shape_of = {length: _shuffle_shape(length, width) for length in set(map(len, nbrs))}
+        shapes = tuple(shape_of[len(vs)] for vs in nbrs)
+
+        def branch_draws(root: int) -> _ShuffleStream:
+            # a shuffle of d items reads 1.4 (d - 1) words on average and a
+            # branch draws at most one per expansion, so this first block is
+            # mostly all that the branch reads
+            block = min(max(1, shares[root] * 3 * degree // 2), _MAX_BLOCK)
+            return _ShuffleStream(random.Random(seeds[root]), nbrs, shapes, width, block)
     else:
-        rngs = [None] * nv
+        branch_draws = None
 
     # position in the plan of each source vertex
     plan_pos = sorted(range(nsrc), key=order.__getitem__)
@@ -428,8 +587,9 @@ def search_isometric_embeddings(
             on_found(assign(imgs), new)
 
         for root in range(nv):
+            draws = branch_draws(root) if branch_draws else None
             exp, comp = _branch_search(
-                nbrs, dst.adj, at_dist, plan, nsrc, root, shares[root], rngs[root], leaf
+                dst.adj, at_dist, plan, nsrc, root, shares[root], draws, leaf
             )
             expansions += exp
             complete = complete and comp

@@ -47,7 +47,9 @@ def _build_parser() -> _Parser:
             p.add_argument("--m", type=int, default=None, help="hypercube dimension (1..n)")
         p.add_argument("--mode", choices=("exhaustive", "sample"), default="exhaustive")
         p.add_argument("--budget", type=int, default=apartments.DEFAULT_BUDGET,
-                       help="node-expansion budget")
+                       help="node-expansion budget; an embedding search splits it evenly "
+                            "over its root branches, so a budget under roots x source "
+                            "vertices may place nothing")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--workers", type=int, default=1,
                        help="above 1, run the embedding search of `verify` in one forked "

@@ -5,12 +5,20 @@ Meets come from the Zassenhaus block construction, joins and containments
 from row reduction, and frames, frame apartments and the hypercube witness
 from those, as the package computed them before it moved to point masks.
 Isometry of a vertex map is checked pair by pair, and ``collect`` keeps what
-an embedding search streams to its visitor.
+an embedding search streams to its visitor.  ``reference_search`` is the
+embedding search with a distance test per candidate and, in sample mode, a
+Fisher-Yates shuffle (``_shuffle``) of the parent's full neighbor list at
+every node, as the search drew its shuffles before it read them from blocks
+of words.
 """
 
+import random
 from functools import reduce
 from typing import Sequence
 
+import numpy as np
+
+from dualpolar.apartments import _source_plan, search_stats
 from dualpolar.linalg import GF, Subspace, rref, zero_subspace
 from dualpolar.polar import (
     Frame,
@@ -97,6 +105,93 @@ def collect(search, *args, **kwargs) -> tuple[list, dict]:
     found: list = []
     _, stats = search(*args, visit=lambda first, *rest: found.append(first), **kwargs)
     return found, stats
+
+
+# -- the embedding search, candidate by candidate ----------------------------------
+
+
+def _shuffle(items: list, rng: random.Random) -> None:
+    """Shuffle ``items`` in place with the draws of ``random.Random.shuffle``:
+    Fisher-Yates from the end, each index drawn by rejection sampling on
+    ``getrandbits``, so a sample stream does not depend on the Python
+    version's ``shuffle``."""
+    getrandbits = rng.getrandbits
+    for i in range(len(items) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        items[i], items[j] = items[j], items[i]
+
+
+def _reference_branch(dst_nbrs, dst_dist, plan, nsrc, root_img, budget, rng):
+    """One root branch: (image tuples in plan order, expansions, complete).
+    Every candidate is tested against every placed vertex's distance, and
+    with an ``rng`` every node shuffles its parent's full neighbor list."""
+    if budget < 1:
+        return [], 0, False
+    found = []
+    imgs = [root_img]
+    state = {"expansions": 1, "complete": True}
+
+    def dfs(k):
+        if k == nsrc:
+            found.append(tuple(imgs))
+            return
+        parent, reqs = plan[k - 1]
+        cands = dst_nbrs[imgs[parent]]
+        if rng is not None:
+            cands = list(cands)
+            _shuffle(cands, rng)
+        for cand in cands:
+            if any(dst_dist[cand][imgs[j]] != d for j, d in reqs):
+                continue
+            if state["expansions"] >= budget:
+                state["complete"] = False
+                return
+            state["expansions"] += 1
+            imgs.append(cand)
+            dfs(k + 1)
+            imgs.pop()
+            if not state["complete"]:
+                return
+
+    if nsrc > 1:
+        dfs(1)
+    else:
+        found.append(tuple(imgs))
+    return found, state["expansions"], state["complete"]
+
+
+def reference_search(src, dst, mode, budget, seed):
+    """``search_isometric_embeddings`` over ``_reference_branch``, with the
+    branch seeds drawn from numpy's ``SeedSequence``: (visits, stats), the
+    visits being the (assignment, new) pairs the search streams, in order."""
+    order, plan = _source_plan(src)
+    nsrc, nv = src.num_vertices, dst.num_vertices
+    nbrs = [dst.neighbors(v) for v in range(nv)]
+    shares = [budget // nv + (1 if i < budget % nv else 0) for i in range(nv)]
+    if mode == "sample":
+        children = np.random.SeedSequence(seed).spawn(nv)
+        rngs = [random.Random(int(c.generate_state(2, np.uint64)[0])) for c in children]
+    else:
+        rngs = [None] * nv
+    visits, images, expansions, complete = [], set(), 0, True
+    for root in range(nv):
+        found, exp, comp = _reference_branch(
+            nbrs, dst.dist, plan, nsrc, root, shares[root], rngs[root]
+        )
+        expansions += exp
+        complete = complete and comp
+        for imgs in found:
+            assignment = [0] * nsrc
+            for k, v in enumerate(order):
+                assignment[v] = imgs[k]
+            image = frozenset(imgs)
+            visits.append((tuple(assignment), image not in images))
+            images.add(image)
+    stats = search_stats(mode, budget, seed, 1, len(visits), len(images), expansions, complete)
+    return visits, stats
 
 
 # -- polar geometry ---------------------------------------------------------------

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import random
+import re
 import weakref
 from functools import reduce
 from math import factorial, prod
@@ -15,13 +16,14 @@ from dualpolar.apartments import (
     _branch_seeds,
     _distance_masks,
     _opposite_base,
-    _shuffle,
+    _shuffle_shape,
+    _ShuffleStream,
     _source_plan,
+    _unit_regexes,
     _witness_from_images,
     frame_vertices,
     is_apartment,
     search_isometric_embeddings,
-    search_stats,
     verify_lemma1,
     verify_theorem2,
 )
@@ -47,7 +49,15 @@ from dualpolar.polar import (
     subspace_of_mask,
 )
 from dualpolar.reporting import CounterexampleError
-from reference import collect, contains, intersect, is_isometric_embedding, witness_from_images
+from reference import (
+    _shuffle,
+    collect,
+    contains,
+    intersect,
+    is_isometric_embedding,
+    reference_search,
+    witness_from_images,
+)
 
 SP42 = PolarSpace(2, 2)
 SP62 = PolarSpace(3, 2)
@@ -431,74 +441,6 @@ def test_labelled_validation_rejects_swapped_images(space, graph):
     assert is_apartment(space, [graph.labels[v] for v in order]) is not None
 
 
-# -- the per-candidate reference search ----------------------------------------
-
-
-def _reference_branch(dst_nbrs, dst_dist, plan, nsrc, root_img, budget, rng):
-    """_branch_search with a per-candidate distance test and random.shuffle."""
-    if budget < 1:
-        return [], 0, False
-    found = []
-    imgs = [root_img]
-    state = {"expansions": 1, "complete": True}
-
-    def dfs(k):
-        if k == nsrc:
-            found.append(tuple(imgs))
-            return
-        parent, reqs = plan[k - 1]
-        cands = dst_nbrs[imgs[parent]]
-        if rng is not None:
-            cands = list(cands)
-            rng.shuffle(cands)
-        for cand in cands:
-            if any(dst_dist[cand][imgs[j]] != d for j, d in reqs):
-                continue
-            if state["expansions"] >= budget:
-                state["complete"] = False
-                return
-            state["expansions"] += 1
-            imgs.append(cand)
-            dfs(k + 1)
-            imgs.pop()
-            if not state["complete"]:
-                return
-
-    if nsrc > 1:
-        dfs(1)
-    else:
-        found.append(tuple(imgs))
-    return found, state["expansions"], state["complete"]
-
-
-def reference_search(src, dst, mode, budget, seed):
-    """search_isometric_embeddings over _reference_branch."""
-    order, plan = _source_plan(src)
-    nsrc, nv = src.num_vertices, dst.num_vertices
-    nbrs = [dst.neighbors(v) for v in range(nv)]
-    shares = [budget // nv + (1 if i < budget % nv else 0) for i in range(nv)]
-    if mode == "sample":
-        children = np.random.SeedSequence(seed).spawn(nv)
-        rngs = [random.Random(int(c.generate_state(2, np.uint64)[0])) for c in children]
-    else:
-        rngs = [None] * nv
-    assignments, expansions, complete = [], 0, True
-    for root in range(nv):
-        found, exp, comp = _reference_branch(
-            nbrs, dst.dist, plan, nsrc, root, shares[root], rngs[root]
-        )
-        expansions += exp
-        complete = complete and comp
-        for imgs in found:
-            assignment = [0] * nsrc
-            for k, v in enumerate(order):
-                assignment[v] = imgs[k]
-            assignments.append(tuple(assignment))
-    distinct = len({tuple(sorted(a)) for a in assignments})
-    stats = search_stats(mode, budget, seed, 1, len(assignments), distinct, expansions, complete)
-    return assignments, stats
-
-
 def numpy_spawn_words(seed, count):
     return [int(c.generate_state(2, np.uint64)[0]) for c in np.random.SeedSequence(seed).spawn(count)]
 
@@ -556,6 +498,24 @@ def test_source_plan_shares_one_pair_per_position_and_distance():
     assert len(shared) <= len(order) * (G62.diameter + 1)
 
 
+def random_subgraph(graph, keep, seed):
+    """``graph`` with each edge kept with probability ``keep``."""
+    rng = random.Random(seed)
+    nv = graph.num_vertices
+    return graph_from_edges(list(range(nv)), [
+        (u, v) for u in range(nv) for v in graph.neighbors(u) if u < v and rng.random() < keep
+    ])
+
+
+def cocktail_party(pairs):
+    """K_{2 pairs} less a perfect matching: every vertex is at distance 2
+    from its partner only, so each has degree 2 pairs - 2."""
+    nv = 2 * pairs
+    return graph_from_edges(
+        list(range(nv)), [(u, v) for u in range(nv) for v in range(u + 1, nv) if v != u ^ 1]
+    )
+
+
 SEARCH_CASES = {
     **{
         f"h{m}-sp62-seed{seed}": (hypercube(m), G62, "sample", 3_000, seed)
@@ -584,6 +544,14 @@ SEARCH_CASES = {
     # budgets that run out part way through the last level of every root
     "h2-sp43-b1000": (hypercube(2), G43, "exhaustive", 1_000, 0),
     "h2-sp45-b1000-sample": (hypercube(2), G45, "sample", 1_000, 3),
+    "h2-sp43-b2000-sample": (hypercube(2), G43, "sample", 2_000, 13),
+    # irregular targets: the parents of deferred shuffles change degree
+    "h2-sp43-thinned-sample": (hypercube(2), random_subgraph(G43, 0.8, 3), "sample", 6_000, 5),
+    "h3-sp62-thinned-sample": (hypercube(3), random_subgraph(G62, 0.9, 8), "sample", 8_000, 2),
+    # degree 298, past 256: two bytes kept per word; an octahedron (the
+    # cocktail-party graph on six vertices) embeds with one candidate at
+    # every partner
+    "octahedron-cp150-sample": (cocktail_party(3), cocktail_party(150), "sample", 4_000, 9),
 }
 
 
@@ -601,7 +569,7 @@ def assert_streamed_keys(streamed):
 def test_mask_pruned_search_matches_the_reference(case):
     embs, stats = collect(search_isometric_embeddings, *case)
     ref, ref_stats = reference_search(*case)
-    assert embs == ref
+    assert embs == [assignment for assignment, _ in ref]
     assert stats == ref_stats
 
 
@@ -612,13 +580,13 @@ def test_visitor_streams_what_the_list_holds(case):
     streamed = []
     returned, _ = search_isometric_embeddings(*case, visit=lambda *found: streamed.append(found))
     assert returned is None
-    assert [a for a, _ in streamed] == reference_search(*case)[0]
+    assert streamed == reference_search(*case)[0]
     assert_streamed_keys(streamed)
 
 
 @pytest.mark.parametrize("workers", [2, 3])
 @pytest.mark.parametrize("case", SEARCH_CASES.values(), ids=SEARCH_CASES.keys())
-def test_forked_search_streams_what_one_worker_streams(case, workers):
+def test_forked_search_streams_what_one_worker_streams(case, workers, two_cpus):
     streamed, forked = [], []
     _, stats = search_isometric_embeddings(*case, visit=lambda *found: streamed.append(found))
     _, forked_stats = search_isometric_embeddings(
@@ -656,6 +624,82 @@ def test_shuffle_makes_the_draws_of_random_shuffle():
             ref.shuffle(want)
             assert got == want
             assert mine.getstate() == ref.getstate()
+
+
+# -- sample-mode shuffles read from blocks of words ------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+def test_getrandbits_of_a_block_is_its_words_least_significant_first(seed):
+    blocks, words = random.Random(seed), random.Random(seed)
+    for count in (1, 2, 3, 100, 1):
+        block = blocks.getrandbits(32 * count)
+        assert block == sum(words.getrandbits(32) << 32 * t for t in range(count))
+    assert blocks.getstate() == words.getstate()
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+def test_getrandbits_of_k_bits_is_the_top_of_the_next_word(seed):
+    draws, words = random.Random(seed), random.Random(seed)
+    for k in [*range(1, 33), *range(32, 0, -3)]:
+        assert draws.getrandbits(k) == words.getrandbits(32) >> 32 - k
+    assert draws.getstate() == words.getstate()
+
+
+@pytest.mark.parametrize("width,thresholds", [
+    (1, range(255)),
+    (2, [0, 1, 0xFF, 0x100, 0x17F, 0x7FFF, 0x8000, 0xABCD, 0xFEFF, 0xFFFE]),
+])
+def test_unit_regexes_split_every_unit_at_the_threshold(width, thresholds):
+    values = range(256**width)
+    units = [value.to_bytes(width, "big") for value in values]
+    for t in thresholds:
+        at_most, above = (re.compile(regex) for regex in _unit_regexes(t, width))
+        assert [bool(at_most.fullmatch(unit)) for unit in units] == [v <= t for v in values]
+        assert [bool(above.fullmatch(unit)) for unit in units] == [v > t for v in values]
+
+
+@pytest.mark.parametrize("t", [0, 0x00FFFFFF, 0x01000000, 0x12345678, 0x7FFFFFFF, 0xFFFEFFFF,
+                               0xFFFFFFFE])
+def test_unit_regexes_split_four_byte_units_at_the_threshold(t):
+    rng = random.Random(t)
+    values = {0, t - 1, t, t + 1, 2**32 - 1} | {rng.getrandbits(32) for _ in range(2000)}
+    values |= {t ^ 1 << b for b in range(32)}
+    at_most, above = (re.compile(regex) for regex in _unit_regexes(t, 4))
+    for v in sorted(values - {-1, 2**32}):
+        unit = v.to_bytes(4, "big")
+        assert bool(at_most.fullmatch(unit)) == (v <= t)
+        assert bool(above.fullmatch(unit)) == (v > t)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 2**33 + 1])
+@pytest.mark.parametrize("longest,width", [(255, 1), (300, 2), (300, 4)])
+def test_shuffle_stream_makes_the_draws_of_a_shuffle_at_every_node(seed, longest, width):
+    # lists of mixed lengths, from 0 to ``longest`` (past 256 with wider
+    # units), deferred or read at random: every list read is the one a
+    # shuffle of every list, in turn, on a fresh Random(seed) gives
+    rng = random.Random(seed)
+    lengths = sorted({0, 1, 2, 3, 14, 255, longest, *rng.sample(range(longest + 1), 3)})
+    nbrs = tuple(tuple(range(length)) for length in lengths)
+    shapes = tuple(_shuffle_shape(length, width) for length in lengths)
+    stream = _ShuffleStream(random.Random(seed), nbrs, shapes, width, rng.randrange(1, 40))
+    ref = random.Random(seed)
+    read = 0
+    for _ in range(400):
+        v = rng.randrange(len(nbrs))
+        # runs of the same list, so that skips of 16 and 4 shuffles come up
+        for _ in range(rng.choice([1, 1, 5, 20])):
+            want = list(nbrs[v])
+            _shuffle(want, ref)
+            if rng.random() < 0.8:
+                stream.defer(v)
+            else:
+                allowed = (1 << len(want)) - 1
+                if rng.random() < 0.3:
+                    allowed = rng.getrandbits(len(want))
+                assert stream.shuffled(v, allowed) == [x for x in want if allowed >> x & 1]
+                read += 1
+    assert read > 0
 
 
 # -- the rref reference for the witness ------------------------------------------

@@ -211,6 +211,18 @@ def test_cli_budget_exhaustion_exit_code(tmp_path):
     assert code == 2
 
 
+def test_cli_sample_budget_under_one_placement_per_root_finds_nothing(tmp_path):
+    # 3 000 expansions over the 1 120 roots of Sp(6,3) give each root 2 or 3,
+    # fewer than the 8 placements of one H_3: an honest incomplete report
+    code = main(["verify", "theorem2", "--p", "3", "--n", "3", "--m", "3", "--mode", "sample",
+                 "--budget", "3000", "--output", str(tmp_path)])
+    assert code == 2
+    report = json.loads((tmp_path / "report_theorem2_p3_n3_m3.json").read_text())
+    assert report["complete"] is False
+    assert report["violations"] == []
+    assert report["counts"]["embeddings"] == 0
+
+
 def test_cli_count_frames_and_apartments(tmp_path):
     assert main(["count", "frames", "--p", "2", "--n", "2", "--output", str(tmp_path)]) == 0
     frames = json.loads((tmp_path / "count_frames_p2_n2.json").read_text())
