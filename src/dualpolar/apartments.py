@@ -47,7 +47,7 @@ from .graphs import (
     sample_geodesic,
 )
 from .linalg import Subspace
-from .polar import PolarSpace, mask_rank, perp_mask, point_mask, subspace_of_mask
+from .polar import PolarSpace, perp_mask, point_mask, subspace_of_mask, subspace_size
 from .reporting import CounterexampleError, make_report, subspace_json
 
 DEFAULT_BUDGET = 10_000_000
@@ -286,13 +286,17 @@ def _distance_masks(graph: DenseGraph, max_dist: int) -> tuple[tuple[int, ...], 
     return tuple(classes + pad for classes in graph.at_dist) if pad else graph.at_dist
 
 
-def _branch_search(dst_adj, at_dist, plan, nsrc, root_img, budget, draws, leaf):
-    """Explore one root placement, calling ``leaf(imgs, key)`` at every full
-    placement; returns (expansions, complete).
+def _branch_search(dst_adj, at_dist, plan, nsrc, root_img, budget, draws, keys, visit, assign):
+    """Explore one root placement, adding the image key of every full
+    placement to the set ``keys`` and, unless ``visit`` is None, calling
+    ``visit(assign(imgs), new)`` at it; returns (embeddings, expansions,
+    complete).
 
-    ``imgs`` is the list of images in plan order, one list reused for every
-    leaf (a leaf that keeps it must copy it), and ``key`` the image as an
-    int, bit v set for each target vertex v in it, carried down the DFS.
+    ``imgs`` is the list of images in plan order, and an image key is the
+    image as an int, bit v set for each target vertex v in it, carried down
+    the DFS; ``new`` says whether the key was not yet in ``keys``.  With
+    ``visit`` None the search only counts: each embedding costs one
+    ``keys.add``.
 
     ``at_dist[v][d]`` is the bitmask of target vertices at distance d from v
     (the target's ``DenseGraph.at_dist``, padded with empty masks up to the
@@ -305,20 +309,24 @@ def _branch_search(dst_adj, at_dist, plan, nsrc, root_img, budget, draws, leaf):
     Every node draws that shuffle, to keep the draws of the nodes after it,
     but a node with at most one candidate has no order to keep, so it only
     defers its shuffle and the stream reads it past in C when a later node
-    needs its own.  The last source vertex is placed in a loop in its
-    parent's frame that calls ``leaf`` directly, with the budget taken for
-    the whole loop at once.
+    needs its own.  The last source vertex is placed inline, in the frame
+    that computes its candidates, with the budget taken for all of them at
+    once: exhaustive mode walks a mask of two or more candidates bit by bit
+    in place, the low bit being the image key's new bit, and a shuffled
+    list or a lone candidate is walked item by item.
     """
     if budget < 1:
-        return 0, False
+        return 0, 0, False
     imgs = [root_img] * nsrc
     last = nsrc - 1
+    found = 0
     expansions = 1
     complete = True
+    add = keys.add
     defer = draws.defer if draws is not None else None
 
     def dfs(k: int, key: int) -> None:
-        nonlocal expansions, complete
+        nonlocal found, expansions, complete
         parent, reqs = plan[k - 1]
         allowed = dst_adj[imgs[parent]]
         for j, d in reqs:
@@ -329,20 +337,48 @@ def _branch_search(dst_adj, at_dist, plan, nsrc, root_img, budget, draws, leaf):
             if defer is not None:
                 defer(imgs[parent])
         elif draws is None:
-            cands = _bits(allowed)
+            # walked as a mask, in ascending order
+            cands = None
         else:
             cands = draws.shuffled(imgs[parent], allowed)
         if k == last:
+            count = allowed.bit_count() if cands is None else len(cands)
             room = budget - expansions
-            if len(cands) > room:
-                del cands[room:]
+            if count > room:
+                count = room
                 complete = False
-            expansions += len(cands)
-            for cand in cands:
-                imgs[k] = cand
-                leaf(imgs, key | 1 << cand)
+            found += count
+            expansions += count
+            if cands is not None:
+                del cands[count:]
+                if visit is None:
+                    for cand in cands:
+                        add(key | 1 << cand)
+                    return
+                for cand in cands:
+                    imgs[k] = cand
+                    leaf = key | 1 << cand
+                    new = leaf not in keys
+                    if new:
+                        add(leaf)
+                    visit(assign(imgs), new)
+            elif visit is None:
+                for _ in range(count):
+                    low = allowed & -allowed
+                    add(key | low)
+                    allowed ^= low
+            else:
+                for _ in range(count):
+                    low = allowed & -allowed
+                    allowed ^= low
+                    imgs[k] = low.bit_length() - 1
+                    leaf = key | low
+                    new = leaf not in keys
+                    if new:
+                        add(leaf)
+                    visit(assign(imgs), new)
             return
-        for cand in cands:
+        for cand in _bits(allowed) if cands is None else cands:
             if expansions >= budget:
                 complete = False
                 return
@@ -355,11 +391,16 @@ def _branch_search(dst_adj, at_dist, plan, nsrc, root_img, budget, draws, leaf):
     if nsrc > 1:
         dfs(1, 1 << root_img)
     else:
-        leaf(imgs, 1 << root_img)
+        found = 1
+        leaf = 1 << root_img
+        new = leaf not in keys
+        add(leaf)
+        if visit is not None:
+            visit(assign(imgs), new)
     # dfs refers to itself; unbinding it frees the branch, and the caller's
-    # leaf, now instead of at the next garbage collection
+    # visitor, now instead of at the next garbage collection
     del dfs
-    return expansions, complete
+    return found, expansions, complete
 
 
 def _can_fork(workers: int) -> bool:
@@ -508,7 +549,8 @@ def search_isometric_embeddings(
     visit,
 ) -> tuple[None, dict]:
     """Stream all (or budget-bounded) isometric embeddings of ``src`` into
-    ``dst`` to ``visit``; returns (None, stats).
+    ``dst`` to ``visit``, or only count them when ``visit`` is None;
+    returns (None, stats).
 
     The node budget is split over the root-placement branches up front and
     sample mode only permutes candidate order per branch, with one
@@ -524,17 +566,20 @@ def search_isometric_embeddings(
     candidate skips its shuffle in C and the draws stay those of a shuffle
     at every node.  Exhaustive mode builds none of this.  ``run`` is the
     whole search: every root branch in root order, calling ``branch_done()``
-    after each, with the embedding count, the set of image keys and the
-    stats.  With ``workers`` above 1 it runs in one forked process beside
-    the visitor (see ``_forked_search`` and ``_can_fork``), whose visitor
-    calls are replayed here in their order, so the embeddings, their order
-    and the stats other than ``workers`` are the same for every worker
-    count.  Expansions count vertex placements.
+    after each, with one set of image keys that the branches fill, and the
+    stats.  With ``workers`` above 1 and a visitor it runs in one forked
+    process beside the visitor (see ``_forked_search`` and ``_can_fork``),
+    whose visitor calls are replayed here in their order, so the
+    embeddings, their order and the stats other than ``workers`` are the
+    same for every worker count.  Expansions count vertex placements.
 
     Each embedding is streamed as ``visit(assignment, new)`` the moment it
     is found: ``assignment`` is the tuple of target vertices of the source
     vertices and ``new`` whether this is the first embedding with that
-    image.
+    image.  ``visit`` is a required keyword; None asks for the stats alone:
+    each embedding then costs one set insertion of its image key, so
+    ``distinct_images`` stays exact, no assignment is built and nothing
+    forks, whatever ``workers`` says.
     """
     _check_search_args(mode, budget)
     if not src.connected:
@@ -577,26 +622,18 @@ def search_isometric_embeddings(
         keys: set[int] = set()
         found = expansions = 0
         complete = True
-
-        def leaf(imgs: list[int], key: int) -> None:
-            nonlocal found
-            found += 1
-            new = key not in keys
-            if new:
-                keys.add(key)
-            on_found(assign(imgs), new)
-
         for root in range(nv):
             draws = branch_draws(root) if branch_draws else None
-            exp, comp = _branch_search(
-                dst.adj, at_dist, plan, nsrc, root, shares[root], draws, leaf
+            emb, exp, comp = _branch_search(
+                dst.adj, at_dist, plan, nsrc, root, shares[root], draws, keys, on_found, assign
             )
+            found += emb
             expansions += exp
             complete = complete and comp
             branch_done()
         return search_stats(mode, budget, seed, workers, found, len(keys), expansions, complete)
 
-    if _can_fork(workers):
+    if visit is not None and _can_fork(workers):
         return None, _forked_search(run, nv, visit)
     return None, run(visit)
 
@@ -652,7 +689,7 @@ def _opposite_base(
     """
     i0, j0 = pairs[0]
     base = masks[i0] & masks[j0]
-    if mask_rank(space, base) != rank:
+    if base.bit_count() != subspace_size(space, rank):
         raise CounterexampleError(
             statement,
             {"kind": "base_dimension", "expected_rank": rank,
@@ -694,12 +731,13 @@ def _witness_from_images(space: PolarSpace, masks: Sequence[int]) -> tuple[int, 
     m = full.bit_length()
     pairs = [(x, x ^ full) for x in range(len(masks) // 2)]
     base = _opposite_base(space, masks, pairs, space.n - m, "theorem2")
+    face_size = subspace_size(space, space.n - m + 1)
     faces: list[int] = []
     for s in range(2 * m):
         bit = s % m
         want = 1 if s >= m else 0
         q = reduce(and_, (pm for mask, pm in enumerate(masks) if (mask >> bit) & 1 == want))
-        if mask_rank(space, q) != space.n - m + 1:
+        if q.bit_count() != face_size:
             raise CounterexampleError(
                 "theorem2",
                 {"kind": "face_intersection_defect", "signed_index": s,

@@ -166,8 +166,10 @@ def cmd_verify(args) -> int:
 
 def cmd_count(args) -> int:
     """Count one kind of object in this process: a count has no checks to
-    run beside a forked search.  Every kind but ``embeddings`` is enumerated
-    exhaustively within the budget, whatever ``--mode`` and ``--seed`` say."""
+    run beside a forked search.  ``embeddings`` asks the search for its
+    stats alone (``visit=None``), so no embedding is materialised; every
+    other kind is enumerated exhaustively within the budget, whatever
+    ``--mode`` and ``--seed`` say."""
     start = time.perf_counter()
     space = PolarSpace(args.n, args.p)
     complete = True
@@ -198,8 +200,7 @@ def cmd_count(args) -> int:
     else:
         _, search = apartments.search_isometric_embeddings(
             graphs.hypercube(_require_m(args)), graphs.dual_polar_graph(space),
-            mode=args.mode, budget=args.budget, seed=args.seed,
-            visit=lambda assignment, new: None,
+            mode=args.mode, budget=args.budget, seed=args.seed, visit=None,
         )
         counts = {}
     report = reporting.make_report(

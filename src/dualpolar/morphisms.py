@@ -31,7 +31,15 @@ from .apartments import (
 )
 from .graphs import DenseGraph, _bits, dual_polar_graph
 from .linalg import Subspace, rref
-from .polar import Point, PolarSpace, mask_rank, perp_mask, point_mask, subspace_of_mask
+from .polar import (
+    Point,
+    PolarSpace,
+    mask_rank,
+    perp_mask,
+    point_mask,
+    subspace_of_mask,
+    subspace_size,
+)
 from .reporting import CounterexampleError, make_report, subspace_json
 
 
@@ -171,8 +179,9 @@ def _point_images(
     for pts, img in zip(members, imgs):
         for p in pts:
             g[p] &= img
+    size = subspace_size(space, rank)
     for p, gp in enumerate(g):
-        if mask_rank(space, gp) != rank or base & ~gp:
+        if gp.bit_count() != size or base & ~gp:
             raise CounterexampleError(
                 "theorem3",
                 {"kind": "point_image_defect", "point": list(emb.src_space.points[p]),

@@ -215,6 +215,12 @@ def mask_rank(space: PolarSpace, mask: int) -> int:
     return rank
 
 
+def subspace_size(space: PolarSpace, rank: int) -> int:
+    """Number of points of a subspace of linear rank ``rank``: a mask is such
+    a subspace's point set only if its popcount is this."""
+    return (space.p**rank - 1) // (space.p - 1)
+
+
 def subspace_of_mask(space: PolarSpace, mask: int) -> Subspace:
     """The canonical RREF subspace spanned by the points of ``mask``."""
     rows = []

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import os
 import random
 import re
 import weakref
@@ -595,6 +596,22 @@ def test_forked_search_streams_what_one_worker_streams(case, workers, two_cpus):
     assert forked == streamed
     assert_streamed_keys(forked)
     assert forked_stats == {**stats, "workers": workers}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", SEARCH_CASES.values(), ids=SEARCH_CASES.keys())
+def test_counting_search_returns_the_stats_of_a_visiting_one(case, workers, two_cpus, monkeypatch):
+    # without a visitor the search only counts, in this process whatever
+    # the worker count
+    _, visited = search_isometric_embeddings(*case, workers=workers, visit=lambda *found: None)
+
+    def no_fork():
+        raise AssertionError("a counting search forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    returned, counted = search_isometric_embeddings(*case, workers=workers, visit=None)
+    assert returned is None
+    assert counted == visited == {**reference_search(*case)[1], "workers": workers}
 
 
 def test_search_frees_its_visitor_when_it_returns():

@@ -32,6 +32,14 @@ COMMANDS = {
     "lemma1_sp42": ["verify", "lemma1", "--p", "2", "--n", "2"],
     "lemma2_m4": ["verify", "lemma2", "--m", "4"],
     "count_embeddings_sp42_m2": ["count", "embeddings", "--p", "2", "--n", "2", "--m", "2"],
+    "count_embeddings_sp43_m2": ["count", "embeddings", "--p", "3", "--n", "2", "--m", "2",
+                                 "--budget", "20000"],
+    # a budget that runs out part way through the last level of every root,
+    # in ascending and in shuffled order
+    "count_embeddings_sp43_m2_b5000": ["count", "embeddings", "--p", "3", "--n", "2", "--m", "2",
+                                       "--budget", "5000"],
+    "count_embeddings_sp43_m2_sample": ["count", "embeddings", "--p", "3", "--n", "2", "--m", "2",
+                                        "--mode", "sample", "--budget", "5000", "--seed", "5"],
     "count_frames_sp42": ["count", "frames", "--p", "2", "--n", "2"],
     # --mode does not apply to frames, which are always enumerated exhaustively
     "count_frames_sp42_sample": ["count", "frames", "--p", "2", "--n", "2", "--mode", "sample"],

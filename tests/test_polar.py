@@ -25,6 +25,7 @@ from dualpolar.polar import (
     sample_frames,
     star,
     subspace_of_mask,
+    subspace_size,
 )
 import reference
 from reference import contains, contains_subspace, intersect, residue_collinear
@@ -508,6 +509,7 @@ def test_point_masks_agree_with_rref(data):
     assert ma & mb == point_mask(space, meet)
     assert mask_rank(space, ma & mb) == meet.rank
     assert mask_rank(space, ma) == a.rank
+    assert (ma & mb).bit_count() == subspace_size(space, meet.rank)
     assert (not mb & ~ma) == contains_subspace(space.field, a, b)
     assert (not ma & ~mb) == contains_subspace(space.field, b, a)
     assert subspace_of_mask(space, ma) == a
