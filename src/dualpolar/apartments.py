@@ -309,11 +309,14 @@ def _branch_search(dst_adj, at_dist, plan, nsrc, root_img, budget, draws, keys, 
     Every node draws that shuffle, to keep the draws of the nodes after it,
     but a node with at most one candidate has no order to keep, so it only
     defers its shuffle and the stream reads it past in C when a later node
-    needs its own.  The last source vertex is placed inline, in the frame
-    that computes its candidates, with the budget taken for all of them at
-    once: exhaustive mode walks a mask of two or more candidates bit by bit
-    in place, the low bit being the image key's new bit, and a shuffled
-    list or a lone candidate is walked item by item.
+    needs its own.  So does a last-level node of a count (``visit`` None)
+    whose candidates all fit in the budget left: every one of them is
+    counted, in whatever order.  The last source vertex is placed inline, in
+    the frame that computes its candidates, with the budget taken for all of
+    them at once: a mask of two or more candidates (exhaustive mode, or such
+    a count) is walked bit by bit in place, the low bit being the image
+    key's new bit, and a shuffled list or a lone candidate is walked item by
+    item.
     """
     if budget < 1:
         return 0, 0, False
@@ -338,6 +341,10 @@ def _branch_search(dst_adj, at_dist, plan, nsrc, root_img, budget, draws, keys, 
                 defer(imgs[parent])
         elif draws is None:
             # walked as a mask, in ascending order
+            cands = None
+        elif visit is None and k == last and allowed.bit_count() <= budget - expansions:
+            # every candidate is counted, so their order does not matter
+            defer(imgs[parent])
             cands = None
         else:
             cands = draws.shuffled(imgs[parent], allowed)

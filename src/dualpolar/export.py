@@ -3,7 +3,6 @@ ordering)."""
 
 from __future__ import annotations
 
-import hashlib
 import json
 
 from . import polar
@@ -41,6 +40,8 @@ def label_text(label) -> str:
 
 
 def label_name(label) -> str:
+    import hashlib  # only the DOT vertex names need it
+
     digest = hashlib.sha1(repr(label_to_json(label)).encode()).hexdigest()[:12]
     return f"n{digest}"
 

@@ -4,21 +4,22 @@ Two families are built here: hypercube graphs on the maximal singular sign
 sets of {±1, ..., ±m}, with BFS distances, and dual polar graphs on the
 maximal singular subspaces of a polar space, whose distance is n - rank of
 the meet (adjacency = distance 1, i.e. intersection one step below maximal).
-Every graph keeps its distances twice: ``at_dist[v][d]``, the bitmask of the
+Every graph keeps its distances as ``at_dist[v][d]``, the bitmask of the
 vertices at distance d from v for d = 0..diameter, which the searches AND
-together, and ``dist[v]``, one byte per vertex, for reading single
-distances; a pair in no distance class reads ``UNREACHABLE`` (0xFF).  A BFS
-takes its classes from its frontiers; a dual polar graph takes them from
-bit-sliced counts of the points two maximals share (see ``meet_graph``).  A
-dual polar graph also keeps the point mask of every vertex, which the
-verifiers take their meets, containments and perps from.
+together.  ``dist[v]``, one byte per vertex for reading single distances,
+is built from those classes the first time it is read; a pair in no
+distance class reads ``UNREACHABLE`` (0xFF).  A BFS takes its classes from
+its frontiers; a dual polar graph takes them from bit-sliced counts of the
+points two maximals share (see ``meet_graph``).  A dual polar graph also
+keeps the point mask of every vertex, which the verifiers take their meets,
+containments and perps from.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from operator import and_, or_
 from typing import Iterator, Sequence
 
@@ -35,15 +36,15 @@ class DenseGraph:
 
     ``at_dist[v][d]`` is the bitmask of the vertices at distance d from v,
     for d = 0..diameter, and ``dist[v][u]`` the distance of v and u as one
-    byte of the row ``dist[v]``; a pair in no class (unreachable, or a meet
-    that is no subspace) is in no mask and reads ``UNREACHABLE`` (0xFF),
-    which ``diameter`` does not count.
+    byte of the row ``dist[v]``, built from ``at_dist`` the first time
+    ``dist`` is read; a pair in no class (unreachable, or a meet that is no
+    subspace) is in no mask and reads ``UNREACHABLE`` (0xFF), which
+    ``diameter`` does not count.
     """
 
     labels: tuple
     adj: tuple[int, ...]
     at_dist: tuple[tuple[int, ...], ...]
-    dist: tuple[bytes, ...]
     diameter: int
     connected: bool
     # point masks of the labels (see polar.point_mask); dual polar graphs only
@@ -57,7 +58,11 @@ class DenseGraph:
         return _bits(self.adj[i])
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(len(self.labels)) for j in _bits(self.adj[i]) if i < j]
+        return [(i, j) for i, row in enumerate(self.adj) for j in _bits(row >> i + 1 << i + 1)]
+
+    @cached_property
+    def dist(self) -> tuple[bytes, ...]:
+        return _byte_rows(self.at_dist)
 
 
 @dataclass(frozen=True)
@@ -140,7 +145,6 @@ def _dense_graph(labels: Sequence, adj: Sequence[int], at_dist: Sequence[Sequenc
         labels=tuple(labels),
         adj=tuple(adj),
         at_dist=at_dist,
-        dist=_byte_rows(at_dist),
         diameter=diameter,
         connected=not nv or reduce(or_, _bfs_classes(adj, 0)) == (1 << nv) - 1,
         masks=tuple(masks),

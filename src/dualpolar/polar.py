@@ -245,11 +245,13 @@ def perp_mask(space: PolarSpace, mask: int) -> int:
 def enumerate_singular(space: PolarSpace, k: int) -> tuple[Subspace, ...]:
     """All singular subspaces of projective dimension k, canonically sorted.
 
-    Layer k + 1 is grown from layer k by canonical parent: a subspace T in
-    RREF is its first rank - 1 rows (a singular subspace P in RREF) plus a
-    last row v, a normalized point perpendicular to P whose pivot lies beyond
-    P's last pivot and in a column where every row of P is zero.  Each
-    (P, v) pair of that kind yields T = rref(P + v) exactly once.
+    Layer 0 is the points, one ``rref`` each.  Layer k + 1 is grown from
+    layer k by canonical parent: a subspace T in RREF is its first rank - 1
+    rows (a singular subspace P in RREF) plus a last row v, a normalized
+    point perpendicular to P whose pivot lies beyond P's last pivot and in a
+    column where every row of P is zero.  Each (P, v) pair of that kind
+    yields T exactly once, and P's rows followed by v are already T's RREF
+    rows (see ``_children``), so no layer above 0 reduces a matrix.
     """
     if not 0 <= k <= space.n - 1:
         raise ValueError(f"projective dimension {k} out of range [0, {space.n - 1}]")
@@ -263,24 +265,37 @@ def enumerate_singular(space: PolarSpace, k: int) -> tuple[Subspace, ...]:
 
 
 def _children(space: PolarSpace, layer: Sequence[Subspace]) -> Iterable[Subspace]:
-    """The subspaces one rank up whose canonical parent lies in ``layer``."""
-    d, p = space.dim, space.p
+    """The subspaces one rank up whose canonical parent lies in ``layer``.
+
+    A child is ``Subspace(parent.rows + (v,))`` with v a normalized point
+    perpendicular to every row of the parent, whose pivot c lies after the
+    parent's last pivot and in a column where every row of the parent is 0.
+    Those rows are already in RREF, so they are not reduced: the pivots
+    increase, v is 0 in every earlier pivot column because they all lie
+    before c, and the parent is 0 in v's pivot column c.  The candidates
+    are one mask: the OR of ``lead[c]``, the points whose pivot is c, over
+    the columns c after the last pivot in which the parent is 0, ANDed with
+    the perps of the parent's rows.
+    """
+    d = space.dim
     perp = space.collinear_masks()
     index = space.point_index
+    lead = [0] * d
+    for i, pt in enumerate(space.points):
+        lead[pt.index(1)] |= 1 << i
     for parent in layer:
-        last = parent.rows[-1].index(1)
-        # the points of pivot > last are the first (p^(d-last-1) - 1)/(p - 1)
-        # of space.points, which sorts leading zeros first
-        cands = (1 << (p ** (d - last - 1) - 1) // (p - 1)) - 1
-        for row in parent.rows:
+        rows = parent.rows
+        cands = 0
+        for c in range(rows[-1].index(1) + 1, d):
+            if not any(row[c] for row in rows):
+                cands |= lead[c]
+        for row in rows:
             i = index[row]
             cands &= perp[i] | 1 << i
         while cands:
             low = cands & -cands
             cands ^= low
-            v = space.points[low.bit_length() - 1]
-            if not any(row[v.index(1)] for row in parent.rows):
-                yield rref(space.field, parent.rows + (v,), d)
+            yield Subspace(rows + (space.points[low.bit_length() - 1],), d)
 
 
 def star(space: PolarSpace, base: Subspace, k: int) -> tuple[Subspace, ...]:

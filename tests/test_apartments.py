@@ -614,6 +614,19 @@ def test_counting_search_returns_the_stats_of_a_visiting_one(case, workers, two_
     assert counted == visited == {**reference_search(*case)[1], "workers": workers}
 
 
+@pytest.mark.parametrize("target", [G43, G45], ids=["sp43", "sp45"])
+def test_counting_sample_search_parses_no_shuffle_it_counts_whole(target, monkeypatch):
+    # H_1's one placement after the root is the last level: with the budget
+    # ample, every candidate is counted, so no order is ever needed
+    def no_shuffle(self, v, allowed):
+        raise AssertionError("a shuffle was parsed")
+
+    monkeypatch.setattr(apartments._ShuffleStream, "shuffled", no_shuffle)
+    _, stats = search_isometric_embeddings(hypercube(1), target, "sample", 10**6, 3, visit=None)
+    assert stats["complete"]
+    assert stats["embeddings"] == target.num_vertices * len(target.neighbors(0))
+
+
 def test_search_frees_its_visitor_when_it_returns():
     class Visitor:
         def __call__(self, assignment, new):

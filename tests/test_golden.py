@@ -4,9 +4,11 @@ exit codes are pinned under ``tests/golden/``.
 The report schema and the exit codes are the contract, so a refactor must
 reproduce these files exactly.  After a change that is meant to alter a
 report, rewrite them with ``PYTHONPATH=src python tests/test_golden.py`` and
-review the diff.
+review the diff.  The same script rewrites ``build_digests.json``, the
+SHA-256 digests of the files ``build`` writes in both formats.
 """
 
+import hashlib
 import json
 import sys
 import tempfile
@@ -47,6 +49,20 @@ COMMANDS = {
 }
 
 
+# (p, n) of the spaces whose ``build`` exports are pinned by digest
+BUILDS = [(2, 2), (3, 2), (2, 3)]
+
+
+def build_digests(p: int, n: int, out: Path) -> dict:
+    """The SHA-256 digest of every file ``build`` writes for Sp(2n, p), in
+    JSON and in DOT format, by file name."""
+    for fmt in ("json", "dot"):
+        assert main(["build", "--p", str(p), "--n", str(n), "--format", fmt,
+                     "--output", str(out)]) == 0
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.iterdir())}
+
+
 def run(argv: list[str], out: Path, workers: int = 1) -> dict:
     """The exit code and the stripped report of one CLI run into ``out``."""
     code = main(argv + ["--workers", str(workers), "--output", str(out)])
@@ -70,6 +86,15 @@ def test_report_matches_golden(name, workers, tmp_path, two_cpus):
     assert got == golden
 
 
+@pytest.mark.parametrize("p,n", BUILDS, ids=[f"sp{2 * n}{p}" for p, n in BUILDS])
+def test_build_exports_match_golden_digests(p, n, tmp_path):
+    golden = json.loads((GOLDEN / "build_digests.json").read_text())
+    got = build_digests(p, n, tmp_path)
+    assert got == {name: digest for name, digest in golden.items()
+                   if name.startswith(f"sp_p{p}_n{n}.")}
+    assert len(got) == 3
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in COMMANDS.items():
@@ -77,3 +102,9 @@ if __name__ == "__main__":
             result = run(argv, Path(out))
         (GOLDEN / f"{name}.json").write_text(json.dumps(result, sort_keys=True, indent=1) + "\n")
         print(f"wrote {name}: exit {result['exit_code']}", file=sys.stderr)
+    digests = {}
+    for p, n in BUILDS:
+        with tempfile.TemporaryDirectory() as out:
+            digests.update(build_digests(p, n, Path(out)))
+    (GOLDEN / "build_digests.json").write_text(json.dumps(digests, sort_keys=True, indent=1) + "\n")
+    print("wrote build_digests", file=sys.stderr)

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import random
@@ -9,6 +10,7 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
+from dualpolar.export import graph_to_dot, graph_to_json
 from dualpolar.graphs import (
     UNREACHABLE,
     HypercubeVertex,
@@ -174,6 +176,21 @@ def test_distance_rows_are_bytes_small_enough_for_sp63():
     # ints took about 10 MB
     g = dual_polar_graph(SP63)
     assert sum(sys.getsizeof(row) for row in g.dist) < 2 * 2**20
+
+
+def test_distance_rows_are_built_only_when_read():
+    # the build and both exports read no distance row
+    space = PolarSpace(3, 2)
+    g = dual_polar_graph(space)
+    graph_to_json(g)
+    graph_to_dot(g)
+    assert "dist" not in vars(g)
+    dist, _ = all_pairs_distances(g.adj)
+    assert g.dist == dist
+    assert "dist" in vars(g)
+    # the rows are no field, so a copy with other masks builds its own
+    copy = dataclasses.replace(g, masks=g.masks[::-1])
+    assert "dist" not in vars(copy) and copy.dist == dist
 
 
 def test_graph_memo_lives_on_the_space():

@@ -104,6 +104,29 @@ def test_canonical_parent_enumeration_matches_layered_reference(n, p):
     assert [len(layer) for layer in expected] == [isotropic_count(n, k + 1, p) for k in range(n)]
 
 
+def gaussian_binomial(n, k, q):
+    """Number of k-dimensional subspaces of GF(q)^n."""
+    return prod(q ** (n - i) - 1 for i in range(k)) // prod(q ** (i + 1) - 1 for i in range(k))
+
+
+@pytest.mark.parametrize("n,p", [(2, 5), (3, 3), (4, 2)])
+def test_singular_layers_are_fixed_points_of_rref(n, p):
+    # the layers above 0 are built without row reduction, so each subspace
+    # must already be its own canonical RREF; the layer of rank r has
+    # [n, r]_q (q^(n-r+1) + 1) ... (q^n + 1) members
+    space = PolarSpace(n, p)
+    sizes = []
+    for k in range(n):
+        layer = enumerate_singular(space, k)
+        assert all(rref(space.field, sub.rows, space.dim) == sub for sub in layer)
+        assert len(layer) == gaussian_binomial(n, k + 1, p) * prod(
+            p**i + 1 for i in range(n - k, n + 1)
+        )
+        sizes.append(len(layer))
+    if (n, p) == (4, 2):
+        assert sum(sizes) == 19_380
+
+
 def test_enumerate_singular_range_check():
     with pytest.raises(ValueError):
         enumerate_singular(SP42, 2)
