@@ -287,16 +287,33 @@ def _distance_masks(graph: DenseGraph, max_dist: int) -> tuple[tuple[int, ...], 
 
 
 def _branch_search(dst_adj, at_dist, plan, nsrc, root_img, budget, draws, keys, visit, assign):
-    """Explore one root placement, adding the image key of every full
-    placement to the set ``keys`` and, unless ``visit`` is None, calling
-    ``visit(assign(imgs), new)`` at it; returns (embeddings, expansions,
-    complete).
+    """Explore one root placement; returns (embeddings, canonical images,
+    expansions, complete).
 
-    ``imgs`` is the list of images in plan order, and an image key is the
-    image as an int, bit v set for each target vertex v in it, carried down
-    the DFS; ``new`` says whether the key was not yet in ``keys``.  With
-    ``visit`` None the search only counts: each embedding costs one
-    ``keys.add``.
+    With a set ``keys``, the image key of every full placement is added to
+    it and, unless ``visit`` is None, ``visit(assign(imgs), new)`` is called
+    at it.  ``imgs`` is the list of images in plan order, and an image key
+    is the image as an int, bit v set for each target vertex v in it,
+    carried down the DFS; ``new`` says whether the key was not yet in
+    ``keys``.  The canonical images are then 0.
+
+    With ``keys`` None the source is ``hypercube(m)``, ``visit`` is None and
+    the mode exhaustive, and the branch counts the images whose smallest
+    vertex is the root without building any key.  An embedding is its
+    image's canonical one when the root is the image's smallest vertex
+    (at a leaf frame, ``key & -key`` is the root's bit and the last
+    vertex's image lies above the root) and the first-level images, plan
+    positions 1..m, which are the root's neighbours, ascend (``canon``,
+    carried down the DFS).  A leaf frame that is canonical so far counts its
+    candidates above the root; for H_1 the last level is the first level,
+    so that is the ascending rule too.  Exactly one embedding of an image is
+    canonical: distances are preserved, so an image induces H_m, and two
+    embeddings onto it differ by an automorphism of H_m.  Those with
+    e(0) = r match the m! orderings of r's neighbours in the image, since
+    the stabiliser of 0 acts as S_m on N(0) and only the identity fixes
+    N(0) pointwise.  A complete branch r finds every embedding with
+    e(0) = r, so its canonical leaves count exactly the images whose
+    smallest vertex is r; the count of an incomplete branch means nothing.
 
     ``at_dist[v][d]`` is the bitmask of target vertices at distance d from v
     (the target's ``DenseGraph.at_dist``, padded with empty masks up to the
@@ -313,23 +330,28 @@ def _branch_search(dst_adj, at_dist, plan, nsrc, root_img, budget, draws, keys, 
     whose candidates all fit in the budget left: every one of them is
     counted, in whatever order.  The last source vertex is placed inline, in
     the frame that computes its candidates, with the budget taken for all of
-    them at once: a mask of two or more candidates (exhaustive mode, or such
-    a count) is walked bit by bit in place, the low bit being the image
-    key's new bit, and a shuffled list or a lone candidate is walked item by
-    item.
+    them at once: a canonical count only counts them, a mask of two or more
+    candidates (exhaustive mode, or such a count) is walked bit by bit in
+    place, the low bit being the image key's new bit, and a shuffled list
+    or a lone candidate is walked item by item.
     """
     if budget < 1:
-        return 0, 0, False
+        return 0, 0, 0, False
     imgs = [root_img] * nsrc
     last = nsrc - 1
-    found = 0
+    found = images = 0
     expansions = 1
     complete = True
-    add = keys.add
+    add = None if keys is None else keys.add
     defer = draws.defer if draws is not None else None
+    # a canonical count: plan positions 1..first are the root's neighbours,
+    # and ``above`` masks the target vertices above the root
+    first = nsrc.bit_length() - 1
+    root_bit = 1 << root_img
+    above = -2 << root_img
 
-    def dfs(k: int, key: int) -> None:
-        nonlocal found, expansions, complete
+    def dfs(k: int, key: int, canon: bool) -> None:
+        nonlocal found, images, expansions, complete
         parent, reqs = plan[k - 1]
         allowed = dst_adj[imgs[parent]]
         for j, d in reqs:
@@ -356,7 +378,10 @@ def _branch_search(dst_adj, at_dist, plan, nsrc, root_img, budget, draws, keys, 
                 complete = False
             found += count
             expansions += count
-            if cands is not None:
+            if add is None:
+                if canon and key & -key == root_bit:
+                    images += (allowed & above).bit_count()
+            elif cands is not None:
                 del cands[count:]
                 if visit is None:
                     for cand in cands:
@@ -391,23 +416,22 @@ def _branch_search(dst_adj, at_dist, plan, nsrc, root_img, budget, draws, keys, 
                 return
             expansions += 1
             imgs[k] = cand
-            dfs(k + 1, key | 1 << cand)
+            dfs(k + 1, key | 1 << cand, canon and (k > first or cand > imgs[k - 1]))
             if not complete:
                 return
 
     if nsrc > 1:
-        dfs(1, 1 << root_img)
+        dfs(1, root_bit, add is None)
     else:
         found = 1
-        leaf = 1 << root_img
-        new = leaf not in keys
-        add(leaf)
+        new = root_bit not in keys
+        add(root_bit)
         if visit is not None:
             visit(assign(imgs), new)
     # dfs refers to itself; unbinding it frees the branch, and the caller's
     # visitor, now instead of at the next garbage collection
     del dfs
-    return found, expansions, complete
+    return found, images, expansions, complete
 
 
 def _can_fork(workers: int) -> bool:
@@ -584,9 +608,17 @@ def search_isometric_embeddings(
     is found: ``assignment`` is the tuple of target vertices of the source
     vertices and ``new`` whether this is the first embedding with that
     image.  ``visit`` is a required keyword; None asks for the stats alone:
-    each embedding then costs one set insertion of its image key, so
-    ``distinct_images`` stays exact, no assignment is built and nothing
-    forks, whatever ``workers`` says.
+    no assignment is built and nothing forks, whatever ``workers`` says.
+    An exhaustive count of ``hypercube(m)`` builds no image key either:
+    each complete branch counts the images whose smallest vertex is its
+    root by their canonical embeddings (``_branch_search``).  From the
+    first incomplete branch r0 on, which found only part of its images,
+    the branches run again on the key set, and the images that miss every
+    root below r0 are the keys disjoint from ``done``; the images through
+    those roots are already counted, since a complete branch r finds
+    every image through r.  So ``distinct_images`` stays exact, at the
+    cost of one branch's share run twice.  Every other count adds the
+    image key of each embedding to the set.
     """
     _check_search_args(mode, budget)
     if not src.connected:
@@ -625,20 +657,38 @@ def search_isometric_embeddings(
     # returns a tuple, and a one-vertex plan is in vertex order
     assign = tuple if plan_pos == list(range(nsrc)) else itemgetter(*plan_pos)
 
+    m = src.diameter
+    # a count of hypercube images takes canonical leaves (``_branch_search``)
+    canonical = (
+        visit is None and mode == "exhaustive" and m >= 1 and nsrc == 1 << m
+        and src.adj == hypercube(m).adj
+    )
+
     def run(on_found, branch_done=lambda: None) -> dict:
         keys: set[int] = set()
-        found = expansions = 0
+        found = images = expansions = 0
         complete = True
+        # the vertices below the first incomplete branch of a canonical count
+        done = 0
         for root in range(nv):
             draws = branch_draws(root) if branch_draws else None
-            emb, exp, comp = _branch_search(
-                dst.adj, at_dist, plan, nsrc, root, shares[root], draws, keys, on_found, assign
+            branch = (dst.adj, at_dist, plan, nsrc, root, shares[root], draws)
+            emb, img, exp, comp = _branch_search(
+                *branch, None if canonical and complete else keys, on_found, assign
             )
+            if canonical and complete and not comp:
+                # the images found so far are those through the vertices
+                # below this root, each counted once; from here on, the
+                # image keys count the images that miss them
+                done = (1 << root) - 1
+                emb, img, exp, comp = _branch_search(*branch, keys, on_found, assign)
             found += emb
+            images += img
             expansions += exp
             complete = complete and comp
             branch_done()
-        return search_stats(mode, budget, seed, workers, found, len(keys), expansions, complete)
+        images += sum(1 for key in keys if not key & done) if done else len(keys)
+        return search_stats(mode, budget, seed, workers, found, images, expansions, complete)
 
     if visit is not None and _can_fork(workers):
         return None, _forked_search(run, nv, visit)

@@ -167,9 +167,11 @@ def cmd_verify(args) -> int:
 def cmd_count(args) -> int:
     """Count one kind of object in this process: a count has no checks to
     run beside a forked search.  ``embeddings`` asks the search for its
-    stats alone (``visit=None``), so no embedding is materialised; every
-    other kind is enumerated exhaustively within the budget, whatever
-    ``--mode`` and ``--seed`` say."""
+    stats alone (``visit=None``), so no embedding is materialised, and in
+    exhaustive mode each image is counted at its canonical embedding, with
+    no image key kept while every root branch completes; every other kind
+    is enumerated exhaustively within the budget, whatever ``--mode`` and
+    ``--seed`` say."""
     start = time.perf_counter()
     space = PolarSpace(args.n, args.p)
     complete = True

@@ -3,6 +3,7 @@ import gc
 import os
 import random
 import re
+import tracemalloc
 import weakref
 from functools import reduce
 from math import factorial, prod
@@ -51,6 +52,7 @@ from dualpolar.polar import (
 )
 from dualpolar.reporting import CounterexampleError
 from reference import (
+    _reference_branch,
     _shuffle,
     collect,
     contains,
@@ -517,6 +519,11 @@ def cocktail_party(pairs):
     )
 
 
+TWO_SQUARES = graph_from_edges(
+    list(range(8)), [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)]
+)
+
+
 SEARCH_CASES = {
     **{
         f"h{m}-sp62-seed{seed}": (hypercube(m), G62, "sample", 3_000, seed)
@@ -528,11 +535,7 @@ SEARCH_CASES = {
     "h3-sp42-sample": (hypercube(3), G42, "sample", 10**5, 4),
     "sp42-sp62": (G42, G62, "sample", 20_000, 6),
     # a disconnected target: unreachable pairs meet no distance constraint
-    "h2-two-squares": (
-        hypercube(2),
-        graph_from_edges(list(range(8)), [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)]),
-        "exhaustive", 1_000, 0,
-    ),
+    "h2-two-squares": (hypercube(2), TWO_SQUARES, "exhaustive", 1_000, 0),
     # a budget below the 40 vertices leaves some root branches no budget
     "sp43-sp43-b30": (G43, G43, "exhaustive", 30, 0),
     "sp43-sp43-b30-sample": (G43, G43, "sample", 30, 2),
@@ -625,6 +628,129 @@ def test_counting_sample_search_parses_no_shuffle_it_counts_whole(target, monkey
     _, stats = search_isometric_embeddings(hypercube(1), target, "sample", 10**6, 3, visit=None)
     assert stats["complete"]
     assert stats["embeddings"] == target.num_vertices * len(target.neighbors(0))
+
+
+def branch_sizes(src, dst):
+    """The expansions of each root branch of an exhaustive search of
+    ``src`` in ``dst`` run to its end, from the reference."""
+    _, plan = _source_plan(src)
+    nbrs = [dst.neighbors(v) for v in range(dst.num_vertices)]
+    return [
+        _reference_branch(nbrs, dst.dist, plan, src.num_vertices, root, 10**9, None)[1]
+        for root in range(dst.num_vertices)
+    ]
+
+
+def first_cut(budget, sizes):
+    """The first root branch that ``budget``, split over the roots as the
+    search splits it, leaves incomplete, or None."""
+    nv = len(sizes)
+    q, t = divmod(budget, nv)
+    return next((r for r in range(nv) if q + (r < t) < sizes[r]), None)
+
+
+def cut_budgets(sizes):
+    """Budgets that leave every branch complete, that cut root 0's branch
+    half way, and that make roots 0, the middle and the last the first
+    incomplete branch, one expansion short.  Branch r0 is the first cut by
+    the budget nv (sizes[r0] - 1) + r0 exactly when no earlier branch is
+    larger; on an irregular target the last root may be out of reach, and
+    then the last root that can be cut first stands in for it."""
+    nv = len(sizes)
+    reachable = [r for r in range(nv) if first_cut(nv * (sizes[r] - 1) + r, sizes) == r]
+    middle = min(reachable, key=lambda r: abs(r - nv // 2))
+    budgets = [nv * max(sizes), nv * (sizes[0] // 2)]
+    budgets += [nv * (sizes[r] - 1) + r for r in sorted({0, middle, reachable[-1]})]
+    return budgets
+
+
+def spy_branches(monkeypatch):
+    """The (root, canonical) of every ``_branch_search`` call from now on:
+    canonical when it takes no key set."""
+    real = apartments._branch_search
+    calls = []
+
+    def spy(*args):
+        calls.append((args[4], args[7] is None))
+        return real(*args)
+
+    monkeypatch.setattr(apartments, "_branch_search", spy)
+    return calls
+
+
+COUNT_TARGETS = {
+    "sp42": G42,
+    "sp43": G43,
+    "sp43-thinned": random_subgraph(G43, 0.8, 3),
+    "two-squares": TWO_SQUARES,
+}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("target", COUNT_TARGETS.values(), ids=COUNT_TARGETS.keys())
+def test_canonical_count_matches_the_reference_wherever_the_budget_cuts(target, m, monkeypatch):
+    # the branches before the first incomplete one count canonical leaves;
+    # that branch is run again with the image keys, and so is every
+    # branch after it
+    src = hypercube(m)
+    sizes = branch_sizes(src, target)
+    nv = target.num_vertices
+    budgets = cut_budgets(sizes)
+    cuts = [first_cut(budget, sizes) for budget in budgets]
+    if min(sizes) == max(sizes):
+        assert cuts == [None, 0, 0, nv // 2, nv - 1]
+    else:
+        assert cuts[:3] == [None, 0, 0] and cuts[-1] > 0
+    for budget, cut in zip(budgets, cuts):
+        calls = spy_branches(monkeypatch)
+        _, stats = search_isometric_embeddings(src, target, budget=budget, visit=None)
+        assert stats == reference_search(src, target, "exhaustive", budget, 0)[1]
+        if cut is None:
+            assert calls == [(r, True) for r in range(nv)]
+        else:
+            assert calls == [(r, True) for r in range(cut + 1)] + [(r, False) for r in range(cut, nv)]
+
+
+def relabelled_hypercube(m, seed):
+    """``hypercube(m)`` with its vertices permuted."""
+    perm = list(range(1 << m))
+    random.Random(seed).shuffle(perm)
+    cube = hypercube(m)
+    graph = graph_from_edges(list(range(1 << m)), [(perm[u], perm[v]) for u, v in cube.edges()])
+    assert graph.adj != cube.adj
+    return graph
+
+
+OTHER_SOURCES = {
+    "h2-relabelled-sp43": (relabelled_hypercube(2, 1), G43),
+    "h3-relabelled-sp43-thinned": (relabelled_hypercube(3, 2), COUNT_TARGETS["sp43-thinned"]),
+    "k1-sp42": (graph_from_edges([0], []), G42),
+    "sp42-sp42": (G42, G42),
+}
+
+
+@pytest.mark.parametrize("budget", [10**5, 500])
+@pytest.mark.parametrize("case", OTHER_SOURCES.values(), ids=OTHER_SOURCES.keys())
+def test_counts_of_other_sources_keep_the_image_keys(case, budget, monkeypatch):
+    calls = spy_branches(monkeypatch)
+    _, stats = search_isometric_embeddings(*case, budget=budget, visit=None)
+    assert stats == reference_search(*case, "exhaustive", budget, 0)[1]
+    assert calls and not any(canonical for _, canonical in calls)
+
+
+def test_complete_hypercube_count_keeps_nothing_per_image():
+    # the 73 125 H_2 images of the prebuilt Sp(4,5) graph are counted by
+    # canonical leaves: about 0.04 MB traced, against 5.2 MB for a set of
+    # their int image keys
+    tracemalloc.start()
+    try:
+        _, stats = search_isometric_embeddings(hypercube(2), G45, visit=None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats["complete"]
+    assert (stats["distinct_images"], stats["embeddings"]) == (73_125, 585_000)
+    assert peak < 10**6
 
 
 def test_search_frees_its_visitor_when_it_returns():

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from math import factorial, prod
 from pathlib import Path
 from time import perf_counter
 
@@ -284,6 +285,22 @@ def test_cli_count_embeddings_matches_theorem2(tmp_path):
     report = json.loads((tmp_path / "count_embeddings_p2_n2.json").read_text())
     assert report["counts"]["distinct_images"] == 90
     assert report["counts"]["embeddings"] == 720
+
+
+@pytest.mark.parametrize("p,n,images", [(2, 2, 90), (3, 2, 1_620), (5, 2, 73_125), (2, 3, 30_240)])
+def test_cli_count_embeddings_with_m_n_matches_the_apartment_formula(p, n, images, tmp_path):
+    # Theorem 2 with m = n: the images of H_n are the apartments,
+    # |Sp(2n,p)| / (2^n n! (p-1)^n) of them, each reached once per
+    # automorphism of H_n
+    order = p ** (n * n) * prod(p ** (2 * i) - 1 for i in range(1, n + 1))
+    per_image = 2**n * factorial(n)
+    assert order // (per_image * (p - 1) ** n) == images
+    assert main(["count", "embeddings", "--p", str(p), "--n", str(n), "--m", str(n),
+                 "--output", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / f"count_embeddings_p{p}_n{n}.json").read_text())
+    assert report["complete"]
+    assert report["counts"]["distinct_images"] == images
+    assert report["counts"]["embeddings"] == per_image * images
 
 
 def test_cli_count_embeddings_reports_search_expansions(tmp_path):
