@@ -13,7 +13,6 @@ from .apartments import (
 from .graphs import (
     DenseGraph,
     HypercubeVertex,
-    all_pairs_distances,
     dual_polar_graph,
     hypercube,
     verify_lemma2,

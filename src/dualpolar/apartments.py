@@ -823,19 +823,6 @@ def _witness_from_images(space: PolarSpace, masks: Sequence[int]) -> tuple[int, 
     return base, faces
 
 
-def _apartment_witness(
-    space: PolarSpace, images: Sequence[Subspace], masks: Sequence[int]
-) -> ApartmentWitness:
-    """The witness of the labelling whose images, indexed by sign mask, are
-    ``images`` with point masks ``masks``."""
-    base, faces = _witness_from_images(space, masks)
-    return ApartmentWitness(
-        base=subspace_of_mask(space, base),
-        residue_frame=tuple(subspace_of_mask(space, q) for q in faces),
-        members=tuple(images),
-    )
-
-
 def is_apartment(space: PolarSpace, members) -> ApartmentWitness | None:
     """Recognize an unlabelled set of maximal singular subspaces as an apartment.
 
@@ -859,8 +846,9 @@ def is_apartment(space: PolarSpace, members) -> ApartmentWitness | None:
     if size != 1 << m or not 1 <= m <= space.n:
         return None
     masks = [point_mask(space, s) for s in unique]
-    dist = meet_graph(space, unique, masks).dist
-    nbrs = [v for v in range(size) if dist[0][v] == 1]
+    graph = meet_graph(space, unique, masks)
+    dist = graph.dist
+    nbrs = graph.neighbors(0)
     if len(nbrs) != m:
         return None
     labels = [
@@ -872,7 +860,12 @@ def is_apartment(space: PolarSpace, members) -> ApartmentWitness | None:
     order = [0] * size
     for v, label in enumerate(labels):
         order[label] = v
-    return _apartment_witness(space, [unique[i] for i in order], [masks[i] for i in order])
+    base, faces = _witness_from_images(space, [masks[i] for i in order])
+    return ApartmentWitness(
+        base=subspace_of_mask(space, base),
+        residue_frame=tuple(subspace_of_mask(space, q) for q in faces),
+        members=tuple(unique[i] for i in order),
+    )
 
 
 # -- frame apartments ----------------------------------------------------------
@@ -963,20 +956,18 @@ def verify_lemma1(
                 return
 
     if mode == "exhaustive":
-        nv = graph.num_vertices
-        for v in range(nv):
-            for w in range(v + 1, nv):
-                if graph.dist[v][w] < 2:
-                    continue
-                for path in iter_geodesics(graph, v, w):
-                    if tested >= budget:
-                        complete = False
-                        break
-                    check_path(path)
-                if not complete:
-                    break
-            if not complete:
+        # every pair v < w at distance 2 or more, in index order
+        paths = (
+            path
+            for v, classes in enumerate(graph.at_dist)
+            for w in _bits(reduce(or_, classes[2:], 0) >> v + 1 << v + 1)
+            for path in iter_geodesics(graph, v, w)
+        )
+        for path in paths:
+            if tested >= budget:
+                complete = False
                 break
+            check_path(path)
     elif mode == "sample":
         import numpy as np  # only this sampler's Generator needs it
 
@@ -985,7 +976,7 @@ def verify_lemma1(
         while tested < budget:
             v = int(rng.integers(nv))
             w = int(rng.integers(nv))
-            if graph.dist[v][w] < 2:
+            if v == w or graph.adj[v] >> w & 1:
                 continue
             _, counts = geodesic_count(graph, v, w)
             path = sample_geodesic(graph, v, w, counts, rng)

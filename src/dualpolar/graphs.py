@@ -1,4 +1,4 @@
-"""Dense graphs with precomputed all-pairs distances.
+"""Dense graphs with every distance class precomputed.
 
 Two families are built here: hypercube graphs on the maximal singular sign
 sets of {±1, ..., ±m}, with BFS distances, and dual polar graphs on the
@@ -12,7 +12,10 @@ distance class reads ``UNREACHABLE`` (0xFF).  A BFS takes its classes from
 its frontiers; a dual polar graph takes them from bit-sliced counts of the
 points two maximals share (see ``meet_graph``).  A dual polar graph also
 keeps the point mask of every vertex, which the verifiers take their meets,
-containments and perps from.
+containments and perps from.  Geodesics are walked on the classes alone:
+the vertices at distance i from v on a geodesic to w, d(v, w) = d, are
+``at_dist[v][i] & at_dist[w][d - i]``, so each step of a walk is one AND
+of a vertex's adjacency with such a layer.
 """
 
 from __future__ import annotations
@@ -151,16 +154,6 @@ def _dense_graph(labels: Sequence, adj: Sequence[int], at_dist: Sequence[Sequenc
     )
 
 
-def all_pairs_distances(adj: Sequence[int]) -> tuple[tuple[bytes, ...], bool]:
-    """BFS from every vertex over bitmask adjacency.
-
-    Returns (rows, connected), with one byte row per vertex as in
-    ``DenseGraph.dist``; unreachable entries hold UNREACHABLE.
-    """
-    graph = _dense_graph(range(len(adj)), adj, [_bfs_classes(adj, v) for v in range(len(adj))])
-    return graph.dist, graph.connected
-
-
 def graph_from_edges(labels: Sequence, edges, require_connected: bool = False) -> DenseGraph:
     nv = len(labels)
     adj = [0] * nv
@@ -243,49 +236,44 @@ def dual_polar_graph(space: PolarSpace) -> DenseGraph:
     return space._graph_cache
 
 
+def _geodesic_layers(graph: DenseGraph, v: int, w: int) -> list[int]:
+    """The geodesic interval of v and w by distance from v: entry i is the
+    bitmask ``at_dist[v][i] & at_dist[w][d - i]`` of the vertices on a
+    geodesic at distance i from v, for d = d(v, w) and i = 0..d."""
+    forward, back = graph.at_dist[v], graph.at_dist[w]
+    d = next((d for d, mask in enumerate(forward) if mask >> w & 1), None)
+    if d is None:
+        raise ValueError(f"vertices {v} and {w} are not connected")
+    return [forward[i] & back[d - i] for i in range(d + 1)]
+
+
 def geodesic_count(graph: DenseGraph, v: int, w: int) -> tuple[int, list[int]]:
     """Number of geodesics from v to w, plus the per-vertex path counts used
-    to sample geodesics uniformly."""
-    dvw = graph.dist[v][w]
-    if dvw == UNREACHABLE:
-        raise ValueError(f"vertices {v} and {w} are not connected")
+    to sample geodesics uniformly: a vertex of layer i counts the paths
+    through its neighbors in layer i - 1."""
+    layers = _geodesic_layers(graph, v, w)
     counts = [0] * graph.num_vertices
     counts[v] = 1
-    dv = graph.dist[v]
-    dw = graph.dist[w]
-    interval = [u for u in range(graph.num_vertices) if dv[u] + dw[u] == dvw]
-    interval.sort(key=lambda u: dv[u])
-    for u in interval:
-        if u == v:
-            continue
-        acc = 0
-        du = dv[u]
-        for t in _bits(graph.adj[u]):
-            if dv[t] == du - 1 and dv[t] + dw[t] == dvw:
-                acc += counts[t]
-        counts[u] = acc
+    for below, layer in zip(layers, layers[1:]):
+        for u in _bits(layer):
+            counts[u] = sum(counts[t] for t in _bits(graph.adj[u] & below))
     return counts[w], counts
 
 
 def iter_geodesics(graph: DenseGraph, v: int, w: int) -> Iterator[list[int]]:
     """Every geodesic vertex path from v to w, one at a time, depth first
     with neighbors in index order; v == w yields [v]."""
-    dvw = graph.dist[v][w]
-    if dvw == UNREACHABLE:
-        raise ValueError(f"vertices {v} and {w} are not connected")
-    dv, dw = graph.dist[v], graph.dist[w]
+    layers = _geodesic_layers(graph, v, w)
     path = [v]
 
     def walk() -> Iterator[list[int]]:
-        u = path[-1]
-        if u == w:
+        if len(path) == len(layers):
             yield list(path)
             return
-        for t in _bits(graph.adj[u]):
-            if dv[t] == dv[u] + 1 and dv[t] + dw[t] == dvw:
-                path.append(t)
-                yield from walk()
-                path.pop()
+        for t in _bits(graph.adj[path[-1]] & layers[len(path)]):
+            path.append(t)
+            yield from walk()
+            path.pop()
 
     return walk()
 
@@ -296,11 +284,9 @@ def sample_geodesic(graph: DenseGraph, v: int, w: int, counts: Sequence[int], rn
     is a numpy Generator, whose weighted ``choice`` makes the draws."""
     import numpy as np  # only this sampler's weights need it
 
-    dv = graph.dist[v]
     path = [w]
-    while path[-1] != v:
-        u = path[-1]
-        preds = [t for t in _bits(graph.adj[u]) if dv[t] == dv[u] - 1 and counts[t] > 0]
+    for below in _geodesic_layers(graph, v, w)[-2::-1]:
+        preds = _bits(graph.adj[path[-1]] & below)
         weights = np.array([counts[t] for t in preds], dtype=float)
         path.append(preds[int(rng.choice(len(preds), p=weights / weights.sum()))])
     return path[::-1]
@@ -321,7 +307,7 @@ def verify_lemma2(m_max: int = 8, geodesic_m_max: int = 6) -> dict:
         graph = hypercube(m)
         nv = graph.num_vertices
         for v in range(nv):
-            opposite = [w for w in range(nv) if graph.dist[v][w] == m]
+            opposite = _bits(graph.at_dist[v][m])
             checks += 1
             if len(opposite) != 1:
                 violations.append({"m": m, "vertex": v, "opposite": opposite})
@@ -335,9 +321,7 @@ def verify_lemma2(m_max: int = 8, geodesic_m_max: int = 6) -> dict:
                 ok = (
                     len(path) == m + 1
                     and u in path
-                    and all(
-                        graph.dist[a][b] == 1 for a, b in zip(path, path[1:])
-                    )
+                    and all(graph.adj[a] >> b & 1 for a, b in zip(path, path[1:]))
                 )
                 if not ok:
                     violations.append({"m": m, "v": v, "u": u, "w": w, "path": path})

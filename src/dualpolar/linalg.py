@@ -42,13 +42,6 @@ class Subspace:
     rows: tuple[tuple[int, ...], ...]
     width: int
 
-    def __post_init__(self):
-        # subspaces are dict keys in every hot path; hash once
-        object.__setattr__(self, "_hash", hash((self.rows, self.width)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
     @property
     def rank(self) -> int:
         return len(self.rows)

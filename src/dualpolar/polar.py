@@ -79,12 +79,12 @@ class PolarSpace:
         """For each point x, the bitmask of the points collinear with x, x
         itself left out.
 
-        The form is linear in its second argument, so y -> form(x, y) is
-        sum_c w_c y_c with w_c = form(x, e_c), read off ``form_value`` at the
-        unit vectors.  It is folded in one coordinate at a time over the
-        masks ``coord[c][a]`` of the points whose coordinate c is a:
-        ``res[r]`` holds the points whose partial sum is r, so after the
-        last coordinate ``res[0]`` holds the points y with form(x, y) = 0.
+        The form is linear in y, so form(x, y) is sum_c w_c y_c with the
+        coefficients w_c = form(x, e_c) of ``_form_row``.  It is folded in
+        one coordinate at a time over the masks ``coord[c][a]`` of the
+        points whose coordinate c is a: ``res[r]`` holds the points whose
+        partial sum is r, so after the last coordinate ``res[0]`` holds the
+        points y with form(x, y) = 0.
         """
         if self._collinear_masks is None:
             p, dim = self.p, self.dim
@@ -92,12 +92,10 @@ class PolarSpace:
             for i, pt in enumerate(self.points):
                 for c, a in enumerate(pt):
                     coord[c][a] |= 1 << i
-            units = [tuple(int(k == c) for k in range(dim)) for c in range(dim)]
             masks = []
             for i, pt in enumerate(self.points):
                 res = [(1 << len(self.points)) - 1] + [0] * (p - 1)
-                for c, unit in enumerate(units):
-                    w = form_value(self, pt, unit)
+                for c, w in enumerate(_form_row(self, pt)):
                     if w:
                         res = [
                             reduce(or_, [res[(r - w * a) % p] & coord[c][a] for a in range(p)])
@@ -125,8 +123,7 @@ def form_value(space: PolarSpace, u: Sequence[int], v: Sequence[int]) -> int:
     """The standard alternating form sum_i u_2i v_2i+1 - u_2i+1 v_2i, in
     [0, p).  Its Gram matrix, n blocks [[0, 1], [-1, 0]], is alternating and
     invertible, and e_0, e_2, ..., e_2n-2 span a totally isotropic subspace
-    of rank n, so the model needs no check at construction; ``perp_subspace``
-    hard-codes the same form.
+    of rank n, so the model needs no check at construction.
     """
     if len(u) != space.dim or len(v) != space.dim:
         raise ValueError("vectors must have length 2n")
@@ -134,6 +131,13 @@ def form_value(space: PolarSpace, u: Sequence[int], v: Sequence[int]) -> int:
     for i in range(space.n):
         acc += u[2 * i] * v[2 * i + 1] - u[2 * i + 1] * v[2 * i]
     return acc % space.p
+
+
+def _form_row(space: PolarSpace, u: Sequence[int]) -> list[int]:
+    """The coefficients form(u, e_c) of the linear map y -> form(u, y), read
+    off ``form_value`` at the unit vectors e_c."""
+    dim = space.dim
+    return [form_value(space, u, [int(k == c) for k in range(dim)]) for c in range(dim)]
 
 
 def is_singular(space: PolarSpace, sub: Subspace) -> bool:
@@ -147,16 +151,9 @@ def is_singular(space: PolarSpace, sub: Subspace) -> bool:
 
 
 def perp_subspace(space: PolarSpace, sub: Subspace) -> Subspace:
-    """The full linear subspace of vectors orthogonal to every row of ``sub``."""
-    p = space.p
-    conds = []
-    for row in sub.rows:
-        cond = [0] * space.dim
-        for i in range(space.n):
-            cond[2 * i] = (-row[2 * i + 1]) % p
-            cond[2 * i + 1] = row[2 * i]
-        conds.append(cond)
-    return nullspace(space.field, conds, space.dim)
+    """The full linear subspace of vectors orthogonal to every row of ``sub``:
+    the nullspace of the rows' ``_form_row`` coefficients."""
+    return nullspace(space.field, [_form_row(space, row) for row in sub.rows], space.dim)
 
 
 def points_in_subspace(space: PolarSpace, sub: Subspace) -> list[Point]:

@@ -5,7 +5,9 @@ Meets come from the Zassenhaus block construction, joins and containments
 from row reduction, and frames, frame apartments and the hypercube witness
 from those, as the package computed them before it moved to point masks.
 Isometry of a vertex map is checked pair by pair, and ``collect`` keeps what
-an embedding search streams to its visitor.  ``reference_search`` is the
+an embedding search streams to its visitor.  Geodesic path counts and
+uniform geodesic draws scan every vertex's byte distances for the interval,
+as the package did before it walked the distance classes.  ``reference_search`` is the
 embedding search with a distance test per candidate and, in sample mode, a
 Fisher-Yates shuffle (``_shuffle``) of the parent's full neighbor list at
 every node, as the search drew its shuffles before it read them from blocks
@@ -105,6 +107,36 @@ def collect(search, *args, **kwargs) -> tuple[list, dict]:
     found: list = []
     _, stats = search(*args, visit=lambda first, *rest: found.append(first), **kwargs)
     return found, stats
+
+
+# -- geodesics, by scanning the distance rows ----------------------------------------
+
+
+def geodesic_counts(graph, v: int, w: int) -> list[int]:
+    """For each vertex u, the number of geodesics from v to u that extend to
+    geodesics from v to w (0 off the interval d(v, u) + d(u, w) = d(v, w))."""
+    nv, dv, dw = graph.num_vertices, graph.dist[v], graph.dist[w]
+    interval = sorted((u for u in range(nv) if dv[u] + dw[u] == dv[w]), key=dv.__getitem__)
+    counts = [0] * nv
+    counts[v] = 1
+    for u in interval[1:]:
+        counts[u] = sum(counts[t] for t in interval if dv[t] == dv[u] - 1 and graph.adj[u] >> t & 1)
+    return counts
+
+
+def sample_geodesic(graph, v: int, w: int, counts: Sequence[int], rng) -> list[int]:
+    """One geodesic from v to w, walked back from w: each step draws one of
+    the neighbors one closer to v that lie on the interval, in index order,
+    weighted by ``counts``, with one ``rng.choice`` of a numpy Generator."""
+    dv = graph.dist[v]
+    path = [w]
+    while path[-1] != v:
+        u = path[-1]
+        preds = [t for t in range(graph.num_vertices)
+                 if graph.adj[u] >> t & 1 and dv[t] == dv[u] - 1 and counts[t] > 0]
+        weights = np.array([counts[t] for t in preds], dtype=float)
+        path.append(preds[int(rng.choice(len(preds), p=weights / weights.sum()))])
+    return path[::-1]
 
 
 # -- the embedding search, candidate by candidate ----------------------------------

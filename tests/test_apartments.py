@@ -14,7 +14,7 @@ import pytest
 
 from dualpolar import apartments
 from dualpolar.apartments import (
-    _apartment_witness,
+    ApartmentWitness,
     _branch_seeds,
     _distance_masks,
     _opposite_base,
@@ -76,12 +76,22 @@ def frame_apartment(space, frame):
     return [subspace_of_mask(space, mask) for mask in apartment_of_frame(space, frame)]
 
 
+def witness_of(space, images, masks):
+    """The witness of the labelling whose images, indexed by sign mask, are
+    ``images`` with point masks ``masks``, built as ``is_apartment`` builds
+    it from ``_witness_from_images``."""
+    base, faces = _witness_from_images(space, masks)
+    return ApartmentWitness(
+        base=subspace_of_mask(space, base),
+        residue_frame=tuple(subspace_of_mask(space, q) for q in faces),
+        members=tuple(images),
+    )
+
+
 def labelled_witness(space, graph, order):
     """The witness of the hypercube labelling whose image of sign mask x is
     vertex order[x] of ``graph``."""
-    return _apartment_witness(
-        space, [graph.labels[v] for v in order], [graph.masks[v] for v in order]
-    )
+    return witness_of(space, [graph.labels[v] for v in order], [graph.masks[v] for v in order])
 
 
 def antipodal_base(space, masks):
@@ -266,7 +276,7 @@ def searched_apartment(space, members):
     assert stats["complete"]
     if not orders:
         return None
-    return _apartment_witness(space, [unique[i] for i in orders[0]], [masks[i] for i in orders[0]])
+    return witness_of(space, [unique[i] for i in orders[0]], [masks[i] for i in orders[0]])
 
 
 def test_is_apartment_labels_as_the_search_does():

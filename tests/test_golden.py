@@ -32,6 +32,10 @@ COMMANDS = {
                                 "--mode", "sample", "--budget", "2000", "--seed", "7"],
     "chow_sp42": ["verify", "chow", "--p", "2", "--n", "2"],
     "lemma1_sp42": ["verify", "lemma1", "--p", "2", "--n", "2"],
+    "lemma1_sp43": ["verify", "lemma1", "--p", "3", "--n", "2"],
+    # uniform geodesics drawn from a numpy Generator with the path counts
+    "lemma1_sp62_sample": ["verify", "lemma1", "--p", "2", "--n", "3",
+                           "--mode", "sample", "--budget", "2000", "--seed", "1"],
     "lemma2_m4": ["verify", "lemma2", "--m", "4"],
     "count_embeddings_sp42_m2": ["count", "embeddings", "--p", "2", "--n", "2", "--m", "2"],
     "count_embeddings_sp43_m2": ["count", "embeddings", "--p", "3", "--n", "2", "--m", "2",

@@ -14,7 +14,6 @@ from dualpolar.export import graph_to_dot, graph_to_json
 from dualpolar.graphs import (
     UNREACHABLE,
     HypercubeVertex,
-    all_pairs_distances,
     dual_polar_graph,
     geodesic_count,
     graph_from_edges,
@@ -25,6 +24,7 @@ from dualpolar.graphs import (
     verify_lemma2,
 )
 from dualpolar.polar import PolarSpace, point_mask
+import reference
 from reference import intersect
 
 SP42 = PolarSpace(2, 2)
@@ -48,11 +48,9 @@ def test_path_graph_distances():
 
 
 def test_disconnected_graph_flagged():
-    dist, connected = all_pairs_distances([0, 0])
-    assert not connected
-    assert dist[0][1] == UNREACHABLE
-    g = graph_from_edges("ab", [])
+    g = graph_from_edges(range(2), [])
     assert not g.connected
+    assert g.dist[0][1] == UNREACHABLE
     with pytest.raises(ValueError):
         graph_from_edges("ab", [], require_connected=True)
 
@@ -130,10 +128,10 @@ def test_dual_polar_distance_formula(space):
 @pytest.mark.parametrize("space", ORACLE_SPACES)
 def test_meet_distances_equal_bfs(space):
     g = dual_polar_graph(space)
-    dist, connected = all_pairs_distances(g.adj)
-    assert connected
-    assert len(dist) == len(g.dist)
-    assert all(list(row) == list(bfs) for row, bfs in zip(g.dist, dist))
+    bfs = graph_from_edges(range(g.num_vertices), g.edges())
+    assert bfs.connected
+    assert len(bfs.dist) == len(g.dist)
+    assert all(list(row) == list(ref) for row, ref in zip(g.dist, bfs.dist))
 
 
 @pytest.mark.parametrize("space", ORACLE_SPACES)
@@ -185,7 +183,7 @@ def test_distance_rows_are_built_only_when_read():
     graph_to_json(g)
     graph_to_dot(g)
     assert "dist" not in vars(g)
-    dist, _ = all_pairs_distances(g.adj)
+    dist = graph_from_edges(range(g.num_vertices), g.edges()).dist
     assert g.dist == dist
     assert "dist" in vars(g)
     # the rows are no field, so a copy with other masks builds its own
@@ -277,6 +275,40 @@ def test_geodesic_count_matches_enumeration():
     for v, w in [(0, 1), (0, 50), (3, 100)]:
         total, _ = geodesic_count(g, v, w)
         assert len(list(iter_geodesics(g, v, w))) == total
+
+
+@pytest.mark.parametrize("space", [SP42, SP43, SP62])
+def test_geodesic_counts_are_the_products_of_the_c_i(space):
+    # a distance-regular graph joins two vertices at distance d by
+    # c_1 ... c_d geodesics, and a dual polar graph has c_i = (q^i - 1)/(q - 1)
+    # (BCN 9.4); d is read off the reference meet
+    n, q = space.n, space.p
+    g = dual_polar_graph(space)
+    at_distance = {}
+    for w in range(g.num_vertices):
+        d = n - intersect(space.field, g.labels[0], g.labels[w]).rank
+        want = math.prod((q**i - 1) // (q - 1) for i in range(1, d + 1))
+        assert geodesic_count(g, 0, w)[0] == want
+        at_distance.setdefault(d, []).append((w, want))
+    assert sorted(at_distance) == list(range(n + 1))
+    for pairs in at_distance.values():
+        for w, want in (pairs[0], pairs[-1]):
+            paths = [tuple(path) for path in iter_geodesics(g, 0, w)]
+            assert len(set(paths)) == len(paths) == want
+
+
+def test_geodesic_walks_draw_as_the_distance_scan_does():
+    # the path counts and the sampled stream equal, draw for draw, those of
+    # the reference that finds the interval by scanning every vertex's distances
+    g = dual_polar_graph(SP62)
+    pick = random.Random(5)
+    rng, ref_rng = (np.random.default_rng(np.random.SeedSequence(1)) for _ in range(2))
+    for _ in range(200):
+        v, w = pick.randrange(g.num_vertices), pick.randrange(g.num_vertices)
+        counts = reference.geodesic_counts(g, v, w)
+        assert geodesic_count(g, v, w) == (counts[w], counts)
+        assert sample_geodesic(g, v, w, counts, rng) == reference.sample_geodesic(
+            g, v, w, counts, ref_rng)
 
 
 def test_verify_lemma2_small():

@@ -9,7 +9,7 @@ NAMES = {
     "enumerate_singular", "enumerate_frames", "sample_frames", "is_frame",
     "apartment_of_frame",
     # graphs and the embedding searches
-    "DenseGraph", "HypercubeVertex", "all_pairs_distances", "hypercube",
+    "DenseGraph", "HypercubeVertex", "hypercube",
     "dual_polar_graph", "search_isometric_embeddings", "search_dualpolar_embeddings",
     # decompositions and maps
     "ApartmentWitness", "is_apartment", "GraphEmbedding", "InducedPointMap", "LiftError",
