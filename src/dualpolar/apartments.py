@@ -13,11 +13,10 @@ intersecting the images of opposite hypercube faces, and the reconstruction
 of every image as a span.  A set of maximal singular subspaces is
 recognized as an apartment exactly when such a decomposition exists.
 
-The search needs no numpy: its sample-mode branch seeds are numpy
-SeedSequence's spawn words computed in pure Python (``_branch_seeds``), and
-its distance masks come with the target graph.  Only ``verify_lemma1``'s
-sample mode imports numpy, when it runs, for the Generator its draws come
-from.
+The search needs no numpy: sample mode shuffles candidates with the
+draws of a ``random.Random`` per root branch, and the distance masks come
+with the target graph.  Only ``verify_lemma1``'s sample mode imports numpy,
+when it runs, for the Generator its draws come from.
 """
 
 from __future__ import annotations
@@ -25,9 +24,7 @@ from __future__ import annotations
 import marshal
 import os
 import random
-import re
 import signal
-import struct
 import threading
 import time
 from dataclasses import dataclass
@@ -74,209 +71,17 @@ def _source_plan(src: DenseGraph):
     return order, plan
 
 
-# SeedSequence's constants (numpy.random.bit_generator, after O'Neill's
-# seed_seq, PCG 2015): the initial hash constants and their multipliers for
-# mixing entropy in (A) and drawing state out (B), and the multipliers that
-# mix two words; all arithmetic is mod 2^32
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-
-
-def _branch_seeds(seed: int, count: int) -> list[int]:
-    """The seeds of the first ``count`` root branches: the first uint64
-    word of ``np.random.SeedSequence(seed).spawn(count)[i].generate_state(2,
-    np.uint64)``, bit for bit, computed without numpy.
-
-    Child i's entropy is the seed's 32-bit words (low first, zero-padded to
-    the pool's four) and then i.  Its first four words fill and mix the
-    pool, the same for every child, so that is done once; each child then
-    mixes i into the pool, and its first two state words make its seed.
-    """
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
-    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (4 - len(words))
-    const = _INIT_A
-
-    def hashmix(value: int) -> int:
-        nonlocal const
-        value ^= const
-        const = const * _MULT_A & _MASK32
-        value = value * const & _MASK32
-        return value ^ value >> 16
-
-    def mix(x: int, y: int) -> int:
-        result = (_MIX_L * x - _MIX_R * y) & _MASK32
-        return result ^ result >> 16
-
-    pool = [hashmix(w) for w in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in words[4:]:
-        pool = [mix(x, hashmix(w)) for x in pool]
-    start = const
-    # generate_state's first two hash constants
-    out_a = _INIT_B * _MULT_B & _MASK32
-    out_b = out_a * _MULT_B & _MASK32
-    seeds = []
-    for i in range(count):
-        const = start
-        lo, hi = (mix(x, hashmix(i)) for x in pool[:2])
-        lo = (lo ^ _INIT_B) * out_a & _MASK32
-        hi = (hi ^ out_a) * out_b & _MASK32
-        seeds.append((lo ^ lo >> 16) | (hi ^ hi >> 16) << 32)
-    return seeds
-
-
-# a branch draws its words in blocks, doubling each time up to this many;
-# larger blocks cost more per word (17 ns at 2^14 words, 23 ns at 2^16, on a
-# 2-vCPU x86 host)
-_MAX_BLOCK = 1 << 14
-_ANY_BYTE = b"[\\x00-\\xff]"
-# the struct format of a unit of each width a search keeps
-_UNIT_FORMATS = {1: "B", 2: "H", 4: "I"}
-
-
-def _byte_class(lo: int, hi: int) -> bytes:
-    return b"[\\x%02x-\\x%02x]" % (lo, hi)
-
-
-def _unit_regexes(t: int, width: int) -> tuple[bytes, bytes]:
-    """Regexes, each one atom, of the units of ``width`` bytes, read
-    big-endian, that are at most ``t`` and of those above it, for
-    0 <= t < 256**width - 1."""
-    if width == 1:
-        return _byte_class(0, t), _byte_class(t + 1, 255)
-    top, rest = divmod(t, 256 ** (width - 1))
-    tail = _ANY_BYTE * (width - 1)
-    if rest == 256 ** (width - 1) - 1:
-        # every tail is at most rest, so the top byte decides
-        at_most, above = [_byte_class(0, top) + tail], [_byte_class(top + 1, 255) + tail]
-    else:
-        low, high = _unit_regexes(rest, width - 1)
-        at_most = [b"\\x%02x" % top + low] + [_byte_class(0, top - 1) + tail] * (top > 0)
-        above = [b"\\x%02x" % top + high] + [_byte_class(top + 1, 255) + tail] * (top < 255)
-    return b"(?:%s)" % b"|".join(at_most), b"(?:%s)" % b"|".join(above)
-
-
-@dataclass(frozen=True)
-class _ShuffleShape:
-    """The words that the Fisher-Yates shuffle of a list of one length
-    reads, as regexes over units that keep the top bytes of each word.
-
-    ``random.Random.shuffle``, whose draws this search makes, runs state
-    i = length - 1 down to 1, and each draws ``getrandbits(k)`` with
-    k = (i + 1).bit_length() until the draw is at most i.
-    ``getrandbits(k)`` is the top k bits of the next 32-bit word, so the
-    draw is the unit shifted right by ``shift`` = 8 * width - k.  For each
-    state, ``parse`` matches the rejected units and captures the accepted
-    one; ``states`` holds each state's (i, shift) in the same order,
-    ``units`` reads the captured units as ints, and ``skips`` holds (count,
-    regex of ``count`` whole shuffles), largest count first.
-    """
-
-    states: tuple[tuple[int, int], ...]
-    parse: re.Pattern
-    units: struct.Struct
-    skips: tuple[tuple[int, re.Pattern], ...]
-
-
-def _shuffle_shape(length: int, width: int) -> _ShuffleShape:
-    states, parse, skip = [], [], []
-    for i in range(length - 1, 0, -1):
-        shift = 8 * width - (i + 1).bit_length()
-        accept, reject = _unit_regexes(((i + 1) << shift) - 1, width)
-        states.append((i, shift))
-        parse.append(b"%s*(%s)" % (reject, accept))
-        skip.append(b"%s*%s" % (reject, accept))
-    one = b"".join(skip)
-    return _ShuffleShape(
-        tuple(states),
-        re.compile(b"".join(parse)),
-        struct.Struct(">%d%s" % (len(states), _UNIT_FORMATS[width])),
-        tuple((count, re.compile(b"(?:%s){%d}" % (one, count))) for count in (16, 4, 1)),
-    )
-
-
-class _ShuffleStream:
-    """The shuffles of the neighbor lists that one sample-mode root branch
-    reads, taken lazily off the 32-bit words of its ``random.Random``.
-
-    The words are drawn in blocks: ``getrandbits(32 * K)`` is the next K
-    words, least significant first, as K calls of ``getrandbits(32)`` would
-    give them.  Each word is kept as a unit of its top ``width`` bytes,
-    big-endian, which hold every bit a draw of the shuffle reads
-    (``_ShuffleShape``).  A node with at most one candidate only defers its
-    shuffle (``defer``); a node that needs its order first skips the
-    deferred shuffles by regex matches of 16, 4 and 1 shuffles, and then
-    parses its own (``shuffled``).  The deferred shuffles are all of one
-    length: on an irregular target, a shuffle of another length skips them
-    before it is deferred.  So every word is read by the shuffle that would
-    have drawn it, and the shuffles still deferred when the branch ends are
-    never read, since nothing draws from its ``Random`` again.
-    """
-
-    def __init__(self, rng: random.Random, nbrs, shapes, width: int, block: int):
-        self._rng = rng
-        self._nbrs = nbrs
-        self._shapes = shapes
-        self._width = width
-        self._block = block
-        self._buf = b""
-        self._pos = 0
-        # the deferred shuffles: ``_count`` of them, all of one ``_shape``
-        self._shape: _ShuffleShape | None = None
-        self._count = 0
-
-    def defer(self, v: int) -> None:
-        """Count the shuffle of the neighbors of ``v`` as drawn."""
-        shape = self._shapes[v]
-        if shape is not self._shape:
-            # on an irregular target: the deferred shuffles of another length come first
-            self._skip()
-            self._shape = shape
-        self._count += 1
-
-    def shuffled(self, v: int, allowed: int) -> list[int]:
-        """The neighbors of ``v`` in the mask ``allowed``, in the order of
-        their shuffle."""
-        self._skip()
-        shape = self._shapes[v]
-        items = list(self._nbrs[v])
-        units = shape.units.unpack(b"".join(self._match(shape.parse).groups()))
-        for (i, shift), unit in zip(shape.states, units):
-            j = unit >> shift
-            items[i], items[j] = items[j], items[i]
-        return [item for item in items if allowed >> item & 1]
-
-    def _skip(self) -> None:
-        """Read past the deferred shuffles."""
-        count = self._count
-        if count:
-            for size, pattern in self._shape.skips:
-                while count >= size:
-                    self._match(pattern)
-                    count -= size
-            self._count = 0
-
-    def _match(self, pattern: re.Pattern) -> re.Match:
-        """Match ``pattern`` at the read position and move past it, drawing
-        the next block of words while the match runs off the end."""
-        while (match := pattern.match(self._buf, self._pos)) is None:
-            words, width = self._block, self._width
-            data = self._rng.getrandbits(32 * words).to_bytes(4 * words, "little")
-            units = bytearray(width * words)
-            for t in range(width):
-                units[t::width] = data[3 - t::4]
-            self._buf = self._buf[self._pos:] + units
-            self._pos = 0
-            self._block = min(2 * words, _MAX_BLOCK)
-        self._pos = match.end()
-        return match
+def _shuffle(items: list, getrandbits) -> None:
+    """Shuffle ``items`` in place with the draws of CPython 3.11's
+    ``random.Random.shuffle``: Fisher-Yates from the end, each index drawn
+    by rejection sampling on ``getrandbits``.  It is spelled out so that a
+    seed's embeddings do not depend on the Python version's ``shuffle``."""
+    for i in range(len(items) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        items[i], items[j] = items[j], items[i]
 
 
 def _distance_masks(graph: DenseGraph, max_dist: int) -> tuple[tuple[int, ...], ...]:
@@ -286,7 +91,9 @@ def _distance_masks(graph: DenseGraph, max_dist: int) -> tuple[tuple[int, ...], 
     return tuple(classes + pad for classes in graph.at_dist) if pad else graph.at_dist
 
 
-def _branch_search(dst_adj, at_dist, plan, nsrc, root_img, budget, draws, keys, visit, assign):
+def _branch_search(
+    dst_adj, at_dist, plan, nsrc, root_img, budget, getrandbits, keys, visit, assign
+):
     """Explore one root placement; returns (embeddings, canonical images,
     expansions, complete).
 
@@ -319,21 +126,18 @@ def _branch_search(dst_adj, at_dist, plan, nsrc, root_img, budget, draws, keys, 
     (the target's ``DenseGraph.at_dist``, padded with empty masks up to the
     source's diameter; a pair at ``UNREACHABLE``, 0xFF, is in no mask), so
     the candidates left by every distance constraint are one AND per
-    placed vertex.  They are walked in neighbor order: exhaustive mode
-    (``draws`` None) takes the set bits of that mask in ascending order, and
-    sample mode walks them in the order of a shuffle of the parent's full
-    neighbor list, read from the branch's ``_ShuffleStream`` ``draws``.
-    Every node draws that shuffle, to keep the draws of the nodes after it,
-    but a node with at most one candidate has no order to keep, so it only
-    defers its shuffle and the stream reads it past in C when a later node
-    needs its own.  So does a last-level node of a count (``visit`` None)
-    whose candidates all fit in the budget left: every one of them is
-    counted, in whatever order.  The last source vertex is placed inline, in
-    the frame that computes its candidates, with the budget taken for all of
-    them at once: a canonical count only counts them, a mask of two or more
-    candidates (exhaustive mode, or such a count) is walked bit by bit in
-    place, the low bit being the image key's new bit, and a shuffled list
-    or a lone candidate is walked item by item.
+    placed vertex.  Exhaustive mode (``getrandbits`` None) walks them in
+    ascending order.  Sample mode walks a node's two or more candidates in
+    the order of a Fisher-Yates shuffle (``_shuffle``) drawn from the
+    branch's ``getrandbits``, except at a last level whose candidates all
+    fit in the budget left: every one of them is placed, so they are walked
+    in ascending order and draw nothing, with a visitor or without one.  A
+    node with at most one candidate draws nothing either.  So a count draws
+    what a visiting search draws.  The last source vertex is placed inline,
+    in the frame that computes its candidates, with the budget taken for
+    all of them at once: a canonical count only counts them, a mask is
+    walked bit by bit in place, the low bit being the image key's new bit,
+    and a shuffled list is walked item by item.
     """
     if budget < 1:
         return 0, 0, 0, False
@@ -343,7 +147,6 @@ def _branch_search(dst_adj, at_dist, plan, nsrc, root_img, budget, draws, keys, 
     expansions = 1
     complete = True
     add = None if keys is None else keys.add
-    defer = draws.defer if draws is not None else None
     # a canonical count: plan positions 1..first are the root's neighbours,
     # and ``above`` masks the target vertices above the root
     first = nsrc.bit_length() - 1
@@ -356,22 +159,15 @@ def _branch_search(dst_adj, at_dist, plan, nsrc, root_img, budget, draws, keys, 
         allowed = dst_adj[imgs[parent]]
         for j, d in reqs:
             allowed &= at_dist[imgs[j]][d]
-        if not allowed & (allowed - 1):
-            # at most one candidate, so no order to keep
-            cands = [allowed.bit_length() - 1] if allowed else []
-            if defer is not None:
-                defer(imgs[parent])
-        elif draws is None:
+        if (getrandbits is None or not allowed & (allowed - 1)
+                or k == last and allowed.bit_count() <= budget - expansions):
             # walked as a mask, in ascending order
             cands = None
-        elif visit is None and k == last and allowed.bit_count() <= budget - expansions:
-            # every candidate is counted, so their order does not matter
-            defer(imgs[parent])
-            cands = None
         else:
-            cands = draws.shuffled(imgs[parent], allowed)
+            cands = _bits(allowed)
+            _shuffle(cands, getrandbits)
         if k == last:
-            count = allowed.bit_count() if cands is None else len(cands)
+            count = allowed.bit_count()
             room = budget - expansions
             if count > room:
                 count = room
@@ -536,12 +332,17 @@ def _forked_search(run, nroots: int, visit) -> dict:
         os.waitpid(pid, 0)
 
 
-def _check_search_args(mode: str, budget: int) -> None:
-    """Raise ValueError unless ``mode`` and ``budget`` are a valid search's."""
+def _check_search_args(mode: str, budget: int, seed: int, workers: int) -> None:
+    """Raise ValueError unless ``mode``, ``budget``, ``seed`` and ``workers``
+    are a valid search's; the seed matters only in sample mode."""
     if mode not in ("exhaustive", "sample"):
         raise ValueError(f"unknown mode {mode!r}")
     if budget <= 0:
         raise ValueError("budget must be positive")
+    if mode == "sample" and seed < 0:
+        raise ValueError("seed must be non-negative")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
 
 
 def search_stats(
@@ -584,21 +385,14 @@ def search_isometric_embeddings(
     returns (None, stats).
 
     The node budget is split over the root-placement branches up front and
-    sample mode only permutes candidate order per branch, with one
-    ``random.Random`` per branch seeded by ``_branch_seeds(seed, nv)``: the
-    first uint64 state word of each child of numpy's
-    ``SeedSequence(seed).spawn(nv)``, computed without importing numpy, so
-    the streams are those numpy would give.  A negative seed raises
-    ValueError, as SeedSequence does.  Each node of a sample branch draws a
-    Fisher-Yates shuffle of its parent's neighbor list, with the draws of
-    ``random.Random.shuffle``; a branch reads those draws from blocks of
-    its words (``_ShuffleStream``), with regexes compiled here once for each
-    degree of the target (``_ShuffleShape``), so a node with at most one
-    candidate skips its shuffle in C and the draws stay those of a shuffle
-    at every node.  Exhaustive mode builds none of this.  ``run`` is the
-    whole search: every root branch in root order, calling ``branch_done()``
-    after each, with one set of image keys that the branches fill, and the
-    stats.  With ``workers`` above 1 and a visitor it runs in one forked
+    sample mode only permutes candidate order per branch (``_branch_search``
+    says which nodes draw), with one ``random.Random`` per branch: root r's
+    is seeded with the r-th ``getrandbits(64)`` of ``random.Random(seed)``.
+    A negative seed in sample mode, or fewer than one worker, raises
+    ValueError (``_check_search_args``).  Exhaustive mode draws nothing.
+    ``run`` is the whole search: every root branch in root order, calling
+    ``branch_done()`` after each, with one set of image keys that the
+    branches fill, and the stats.  With ``workers`` above 1 and a visitor it runs in one forked
     process beside the visitor (see ``_forked_search`` and ``_can_fork``),
     whose visitor calls are replayed here in their order, so the
     embeddings, their order and the stats other than ``workers`` are the
@@ -620,7 +414,7 @@ def search_isometric_embeddings(
     cost of one branch's share run twice.  Every other count adds the
     image key of each embedding to the set.
     """
-    _check_search_args(mode, budget)
+    _check_search_args(mode, budget, seed, workers)
     if not src.connected:
         raise ValueError("source graph is disconnected; only connected sources are supported")
     order, plan = _source_plan(src)
@@ -632,25 +426,8 @@ def search_isometric_embeddings(
     shares = [budget // nv + (1 if i < budget % nv else 0) for i in range(nv)]
     if mode == "sample":
         # one independent stream per root branch, all split from the one seed
-        seeds = _branch_seeds(seed, nv)
-        nbrs = tuple(tuple(_bits(mask)) for mask in dst.adj)
-        degree = max(map(len, nbrs))
-        # bytes kept per word: 1, 2 or 4, enough for the top k bits that
-        # the first state of the longest shuffle reads
-        k = degree.bit_length()
-        width = 1 if k <= 8 else 2 if k <= 16 else 4
-        shape_of = {length: _shuffle_shape(length, width) for length in set(map(len, nbrs))}
-        shapes = tuple(shape_of[len(vs)] for vs in nbrs)
-
-        def branch_draws(root: int) -> _ShuffleStream:
-            # a shuffle of d items reads 1.4 (d - 1) words on average and a
-            # branch draws at most one per expansion, so this first block is
-            # mostly all that the branch reads
-            block = min(max(1, shares[root] * 3 * degree // 2), _MAX_BLOCK)
-            return _ShuffleStream(random.Random(seeds[root]), nbrs, shapes, width, block)
-    else:
-        branch_draws = None
-
+        rng = random.Random(seed)
+        seeds = [rng.getrandbits(64) for _ in range(nv)]
     # position in the plan of each source vertex
     plan_pos = sorted(range(nsrc), key=order.__getitem__)
     # the assignment of a leaf's images; itemgetter of two or more positions
@@ -671,7 +448,7 @@ def search_isometric_embeddings(
         # the vertices below the first incomplete branch of a canonical count
         done = 0
         for root in range(nv):
-            draws = branch_draws(root) if branch_draws else None
+            draws = random.Random(seeds[root]).getrandbits if mode == "sample" else None
             branch = (dst.adj, at_dist, plan, nsrc, root, shares[root], draws)
             emb, img, exp, comp = _branch_search(
                 *branch, None if canonical and complete else keys, on_found, assign

@@ -122,7 +122,7 @@ def search_dualpolar_embeddings(
     A source of larger diameter admits none, and that case returns as soon
     as its arguments are checked.
     """
-    _check_search_args(mode, budget)
+    _check_search_args(mode, budget, seed, workers)
     if src_space.n > dst_space.n:
         return None, search_stats(mode, budget, seed, workers)
     src, dst = dual_polar_graph(src_space), dual_polar_graph(dst_space)

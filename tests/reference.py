@@ -7,11 +7,10 @@ from those, as the package computed them before it moved to point masks.
 Isometry of a vertex map is checked pair by pair, and ``collect`` keeps what
 an embedding search streams to its visitor.  Geodesic path counts and
 uniform geodesic draws scan every vertex's byte distances for the interval,
-as the package did before it walked the distance classes.  ``reference_search`` is the
-embedding search with a distance test per candidate and, in sample mode, a
-Fisher-Yates shuffle (``_shuffle``) of the parent's full neighbor list at
-every node, as the search drew its shuffles before it read them from blocks
-of words.
+as the package did before it walked the distance classes.
+``reference_search`` is the embedding search with a distance test per
+candidate and, in sample mode, the stdlib's ``random.Random.shuffle`` of
+the surviving candidates.
 """
 
 import random
@@ -142,24 +141,12 @@ def sample_geodesic(graph, v: int, w: int, counts: Sequence[int], rng) -> list[i
 # -- the embedding search, candidate by candidate ----------------------------------
 
 
-def _shuffle(items: list, rng: random.Random) -> None:
-    """Shuffle ``items`` in place with the draws of ``random.Random.shuffle``:
-    Fisher-Yates from the end, each index drawn by rejection sampling on
-    ``getrandbits``, so a sample stream does not depend on the Python
-    version's ``shuffle``."""
-    getrandbits = rng.getrandbits
-    for i in range(len(items) - 1, 0, -1):
-        k = (i + 1).bit_length()
-        j = getrandbits(k)
-        while j > i:
-            j = getrandbits(k)
-        items[i], items[j] = items[j], items[i]
-
-
 def _reference_branch(dst_nbrs, dst_dist, plan, nsrc, root_img, budget, rng):
     """One root branch: (image tuples in plan order, expansions, complete).
-    Every candidate is tested against every placed vertex's distance, and
-    with an ``rng`` every node shuffles its parent's full neighbor list."""
+    Every neighbor of the parent is tested against every placed vertex's
+    distance.  With an ``rng``, a node shuffles its two or more surviving
+    candidates with ``random.Random.shuffle``, unless they are the last
+    level's and the budget left places them all."""
     if budget < 1:
         return [], 0, False
     found = []
@@ -171,13 +158,12 @@ def _reference_branch(dst_nbrs, dst_dist, plan, nsrc, root_img, budget, rng):
             found.append(tuple(imgs))
             return
         parent, reqs = plan[k - 1]
-        cands = dst_nbrs[imgs[parent]]
-        if rng is not None:
-            cands = list(cands)
-            _shuffle(cands, rng)
+        cands = [cand for cand in dst_nbrs[imgs[parent]]
+                 if all(dst_dist[cand][imgs[j]] == d for j, d in reqs)]
+        fits = k == nsrc - 1 and len(cands) <= budget - state["expansions"]
+        if rng is not None and not fits:
+            rng.shuffle(cands)
         for cand in cands:
-            if any(dst_dist[cand][imgs[j]] != d for j, d in reqs):
-                continue
             if state["expansions"] >= budget:
                 state["complete"] = False
                 return
@@ -196,16 +182,17 @@ def _reference_branch(dst_nbrs, dst_dist, plan, nsrc, root_img, budget, rng):
 
 
 def reference_search(src, dst, mode, budget, seed):
-    """``search_isometric_embeddings`` over ``_reference_branch``, with the
-    branch seeds drawn from numpy's ``SeedSequence``: (visits, stats), the
-    visits being the (assignment, new) pairs the search streams, in order."""
+    """``search_isometric_embeddings`` over ``_reference_branch``, root r's
+    ``random.Random`` seeded with the r-th 64-bit draw of
+    ``random.Random(seed)``: (visits, stats), the visits being the
+    (assignment, new) pairs the search streams, in order."""
     order, plan = _source_plan(src)
     nsrc, nv = src.num_vertices, dst.num_vertices
     nbrs = [dst.neighbors(v) for v in range(nv)]
     shares = [budget // nv + (1 if i < budget % nv else 0) for i in range(nv)]
     if mode == "sample":
-        children = np.random.SeedSequence(seed).spawn(nv)
-        rngs = [random.Random(int(c.generate_state(2, np.uint64)[0])) for c in children]
+        seeds = random.Random(seed)
+        rngs = [random.Random(seeds.getrandbits(64)) for _ in range(nv)]
     else:
         rngs = [None] * nv
     visits, images, expansions, complete = [], set(), 0, True

@@ -2,7 +2,6 @@ import dataclasses
 import gc
 import os
 import random
-import re
 import tracemalloc
 import weakref
 from functools import reduce
@@ -15,13 +14,10 @@ import pytest
 from dualpolar import apartments
 from dualpolar.apartments import (
     ApartmentWitness,
-    _branch_seeds,
     _distance_masks,
     _opposite_base,
-    _shuffle_shape,
-    _ShuffleStream,
+    _shuffle,
     _source_plan,
-    _unit_regexes,
     _witness_from_images,
     frame_vertices,
     is_apartment,
@@ -39,6 +35,7 @@ from dualpolar.graphs import (
     meet_graph,
 )
 from dualpolar.linalg import rref
+from dualpolar.morphisms import search_dualpolar_embeddings
 from dualpolar.polar import (
     Frame,
     PolarSpace,
@@ -53,7 +50,6 @@ from dualpolar.polar import (
 from dualpolar.reporting import CounterexampleError
 from reference import (
     _reference_branch,
-    _shuffle,
     collect,
     contains,
     intersect,
@@ -454,26 +450,6 @@ def test_labelled_validation_rejects_swapped_images(space, graph):
     assert is_apartment(space, [graph.labels[v] for v in order]) is not None
 
 
-def numpy_spawn_words(seed, count):
-    return [int(c.generate_state(2, np.uint64)[0]) for c in np.random.SeedSequence(seed).spawn(count)]
-
-
-@pytest.mark.parametrize("seed", [0, 1, 7, 11, 2**31, 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 7,
-                                  2**70 + 3, 2**128 - 1, 2**128, 2**160 + 9, 3**100])
-@pytest.mark.parametrize("count", [0, 1, 2, 135, 1_120])
-def test_branch_seeds_are_numpy_spawn_words(seed, count):
-    # seeds of one to eleven 32-bit words: up to four fill the pool, the
-    # rest are mixed in one by one ahead of each child's index
-    assert _branch_seeds(seed, count) == numpy_spawn_words(seed, count)
-
-
-def test_branch_seeds_reject_a_negative_seed_as_numpy_does():
-    with pytest.raises(ValueError):
-        np.random.SeedSequence(-1)
-    with pytest.raises(ValueError):
-        _branch_seeds(-1, 3)
-
-
 def packbits_distance_masks(graph, max_dist):
     """``at_dist`` as numpy's packbits builds it from the distance rows, one
     column per vertex."""
@@ -559,12 +535,11 @@ SEARCH_CASES = {
     "h2-sp43-b1000": (hypercube(2), G43, "exhaustive", 1_000, 0),
     "h2-sp45-b1000-sample": (hypercube(2), G45, "sample", 1_000, 3),
     "h2-sp43-b2000-sample": (hypercube(2), G43, "sample", 2_000, 13),
-    # irregular targets: the parents of deferred shuffles change degree
+    # irregular targets: candidate counts vary from node to node
     "h2-sp43-thinned-sample": (hypercube(2), random_subgraph(G43, 0.8, 3), "sample", 6_000, 5),
     "h3-sp62-thinned-sample": (hypercube(3), random_subgraph(G62, 0.9, 8), "sample", 8_000, 2),
-    # degree 298, past 256: two bytes kept per word; an octahedron (the
-    # cocktail-party graph on six vertices) embeds with one candidate at
-    # every partner
+    # degree 298: an octahedron (the cocktail-party graph on six vertices)
+    # embeds with one candidate at every partner
     "octahedron-cp150-sample": (cocktail_party(3), cocktail_party(150), "sample", 4_000, 9),
 }
 
@@ -627,17 +602,76 @@ def test_counting_search_returns_the_stats_of_a_visiting_one(case, workers, two_
     assert counted == visited == {**reference_search(*case)[1], "workers": workers}
 
 
+def spy_shuffles(monkeypatch):
+    """The length of every list ``_shuffle`` is given from now on."""
+    real = apartments._shuffle
+    lengths = []
+
+    def spy(items, getrandbits):
+        lengths.append(len(items))
+        real(items, getrandbits)
+
+    monkeypatch.setattr(apartments, "_shuffle", spy)
+    return lengths
+
+
 @pytest.mark.parametrize("target", [G43, G45], ids=["sp43", "sp45"])
 def test_counting_sample_search_parses_no_shuffle_it_counts_whole(target, monkeypatch):
     # H_1's one placement after the root is the last level: with the budget
-    # ample, every candidate is counted, so no order is ever needed
-    def no_shuffle(self, v, allowed):
-        raise AssertionError("a shuffle was parsed")
-
-    monkeypatch.setattr(apartments._ShuffleStream, "shuffled", no_shuffle)
+    # ample, every candidate is counted, so no order is ever drawn
+    lengths = spy_shuffles(monkeypatch)
     _, stats = search_isometric_embeddings(hypercube(1), target, "sample", 10**6, 3, visit=None)
     assert stats["complete"]
     assert stats["embeddings"] == target.num_vertices * len(target.neighbors(0))
+    assert lengths == []
+
+
+def test_sample_search_shuffles_only_two_or_more_candidates(monkeypatch):
+    # a node with at most one candidate has no order to draw
+    lengths = spy_shuffles(monkeypatch)
+    for case in SEARCH_CASES.values():
+        if case[2] == "sample":
+            search_isometric_embeddings(*case, visit=lambda *found: None)
+    assert lengths and min(lengths) >= 2
+
+
+def test_sample_search_places_each_neighbour_first_uniformly():
+    # at budget 2 per root, each root of H_1 in Sp(4,2) places the first of
+    # its six shuffled neighbours; over 200 seeds, the 90 (root, neighbour)
+    # counts pass a chi-squared test at 75 degrees of freedom: a uniform
+    # draw exceeds 150 with probability below 1e-6 (the 0.999 quantile is
+    # 118.6)
+    nv, seeds = G42.num_vertices, range(200)
+    counts = {}
+    for seed in seeds:
+        embs, _ = cube_embeddings(1, G42, mode="sample", budget=2 * nv, seed=seed)
+        assert sorted(root for root, _ in embs) == list(range(nv))
+        for edge in embs:
+            counts[edge] = counts.get(edge, 0) + 1
+    cells = [(v, w) for v in range(nv) for w in G42.neighbors(v)]
+    assert len(cells) == 90 and set(counts) <= set(cells)
+    expected = len(seeds) / 6
+    chi2 = sum((counts.get(cell, 0) - expected) ** 2 / expected for cell in cells)
+    assert chi2 < 150
+
+
+def test_search_checks_seed_and_workers_before_any_early_return():
+    # a larger source diameter, an empty target and a full search reject
+    # them alike; the seed matters only in sample mode
+    empty = graph_from_edges([], [])
+    searches = [
+        lambda **kw: search_dualpolar_embeddings(SP62, SP42, budget=100, visit=None, **kw),
+        lambda **kw: search_dualpolar_embeddings(SP42, SP42, budget=100, visit=None, **kw),
+        lambda **kw: search_isometric_embeddings(hypercube(2), empty, budget=100, visit=None, **kw),
+        lambda **kw: search_isometric_embeddings(hypercube(2), G42, budget=100, visit=None, **kw),
+    ]
+    for search in searches:
+        with pytest.raises(ValueError, match="seed"):
+            search(mode="sample", seed=-1)
+        for workers in (0, -2):
+            with pytest.raises(ValueError, match="workers"):
+                search(mode="sample", seed=1, workers=workers)
+        assert search(mode="exhaustive", seed=-1)[1]["seed"] is None
 
 
 def branch_sizes(src, dst):
@@ -786,86 +820,10 @@ def test_shuffle_makes_the_draws_of_random_shuffle():
         for length in range(41):
             mine, ref = random.Random(seed), random.Random(seed)
             got, want = list(range(length)), list(range(length))
-            _shuffle(got, mine)
+            _shuffle(got, mine.getrandbits)
             ref.shuffle(want)
             assert got == want
             assert mine.getstate() == ref.getstate()
-
-
-# -- sample-mode shuffles read from blocks of words ------------------------------
-
-
-@pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
-def test_getrandbits_of_a_block_is_its_words_least_significant_first(seed):
-    blocks, words = random.Random(seed), random.Random(seed)
-    for count in (1, 2, 3, 100, 1):
-        block = blocks.getrandbits(32 * count)
-        assert block == sum(words.getrandbits(32) << 32 * t for t in range(count))
-    assert blocks.getstate() == words.getstate()
-
-
-@pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
-def test_getrandbits_of_k_bits_is_the_top_of_the_next_word(seed):
-    draws, words = random.Random(seed), random.Random(seed)
-    for k in [*range(1, 33), *range(32, 0, -3)]:
-        assert draws.getrandbits(k) == words.getrandbits(32) >> 32 - k
-    assert draws.getstate() == words.getstate()
-
-
-@pytest.mark.parametrize("width,thresholds", [
-    (1, range(255)),
-    (2, [0, 1, 0xFF, 0x100, 0x17F, 0x7FFF, 0x8000, 0xABCD, 0xFEFF, 0xFFFE]),
-])
-def test_unit_regexes_split_every_unit_at_the_threshold(width, thresholds):
-    values = range(256**width)
-    units = [value.to_bytes(width, "big") for value in values]
-    for t in thresholds:
-        at_most, above = (re.compile(regex) for regex in _unit_regexes(t, width))
-        assert [bool(at_most.fullmatch(unit)) for unit in units] == [v <= t for v in values]
-        assert [bool(above.fullmatch(unit)) for unit in units] == [v > t for v in values]
-
-
-@pytest.mark.parametrize("t", [0, 0x00FFFFFF, 0x01000000, 0x12345678, 0x7FFFFFFF, 0xFFFEFFFF,
-                               0xFFFFFFFE])
-def test_unit_regexes_split_four_byte_units_at_the_threshold(t):
-    rng = random.Random(t)
-    values = {0, t - 1, t, t + 1, 2**32 - 1} | {rng.getrandbits(32) for _ in range(2000)}
-    values |= {t ^ 1 << b for b in range(32)}
-    at_most, above = (re.compile(regex) for regex in _unit_regexes(t, 4))
-    for v in sorted(values - {-1, 2**32}):
-        unit = v.to_bytes(4, "big")
-        assert bool(at_most.fullmatch(unit)) == (v <= t)
-        assert bool(above.fullmatch(unit)) == (v > t)
-
-
-@pytest.mark.parametrize("seed", [0, 1, 5, 2**33 + 1])
-@pytest.mark.parametrize("longest,width", [(255, 1), (300, 2), (300, 4)])
-def test_shuffle_stream_makes_the_draws_of_a_shuffle_at_every_node(seed, longest, width):
-    # lists of mixed lengths, from 0 to ``longest`` (past 256 with wider
-    # units), deferred or read at random: every list read is the one a
-    # shuffle of every list, in turn, on a fresh Random(seed) gives
-    rng = random.Random(seed)
-    lengths = sorted({0, 1, 2, 3, 14, 255, longest, *rng.sample(range(longest + 1), 3)})
-    nbrs = tuple(tuple(range(length)) for length in lengths)
-    shapes = tuple(_shuffle_shape(length, width) for length in lengths)
-    stream = _ShuffleStream(random.Random(seed), nbrs, shapes, width, rng.randrange(1, 40))
-    ref = random.Random(seed)
-    read = 0
-    for _ in range(400):
-        v = rng.randrange(len(nbrs))
-        # runs of the same list, so that skips of 16 and 4 shuffles come up
-        for _ in range(rng.choice([1, 1, 5, 20])):
-            want = list(nbrs[v])
-            _shuffle(want, ref)
-            if rng.random() < 0.8:
-                stream.defer(v)
-            else:
-                allowed = (1 << len(want)) - 1
-                if rng.random() < 0.3:
-                    allowed = rng.getrandbits(len(want))
-                assert stream.shuffled(v, allowed) == [x for x in want if allowed >> x & 1]
-                read += 1
-    assert read > 0
 
 
 # -- the rref reference for the witness ------------------------------------------

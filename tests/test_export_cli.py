@@ -110,7 +110,7 @@ def test_cli_rejects_bad_parameters(tmp_path, capsys):
 
 
 def test_cli_rejects_a_negative_seed(tmp_path, capsys):
-    # numpy's SeedSequence would raise ValueError, and a crash exits 1, the
+    # the search would raise ValueError, and a crash exits 1, the
     # counterexample code
     assert main(["verify", "theorem2", "--p", "2", "--n", "2", "--m", "2", "--mode", "sample",
                  "--budget", "100", "--seed", "-1", "--output", str(tmp_path)]) == 64

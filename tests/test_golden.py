@@ -23,8 +23,13 @@ GOLDEN = Path(__file__).parent / "golden"
 
 COMMANDS = {
     "theorem2_sp42_m2": ["verify", "theorem2", "--p", "2", "--n", "2", "--m", "2"],
+    # each of the 135 roots gets fewer expansions than H_3's 8 placements:
+    # the honest report of a sample that places nothing
     "theorem2_sp62_m3_sample": ["verify", "theorem2", "--p", "2", "--n", "3", "--m", "3",
                                 "--mode", "sample", "--budget", "500", "--seed", "11"],
+    # the benchmark's configuration, which places and validates images
+    "theorem2_sp62_m3_sample_b5000": ["verify", "theorem2", "--p", "2", "--n", "3", "--m", "3",
+                                      "--mode", "sample", "--budget", "5000", "--seed", "11"],
     "theorem3_sp42_sp42": ["verify", "theorem3", "--p", "2", "--n", "2"],
     "theorem3_sp42_sp62_sample": ["verify", "theorem3", "--p", "2", "--n", "2", "--n-prime", "3",
                                   "--mode", "sample", "--budget", "2000", "--seed", "7"],
