@@ -626,6 +626,59 @@ def test_counting_sample_search_parses_no_shuffle_it_counts_whole(target, monkey
     assert lengths == []
 
 
+SEED_TARGETS = {
+    "empty": graph_from_edges([], []),
+    "k1": graph_from_edges([0], []),
+    "k2": hypercube(1),
+    "sp62": G62,
+    "edgeless-1120": graph_from_edges(list(range(1_120)), []),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 11, 2**31, 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 7,
+                                  2**70 + 3, 2**128 - 1, 2**128, 2**160 + 9, 3**100])
+@pytest.mark.parametrize("target", SEED_TARGETS.values(), ids=SEED_TARGETS.keys())
+def test_root_branches_draw_from_the_64_bit_draws_of_one_random(seed, target, monkeypatch):
+    # root r's stream is a fresh Random seeded with the r-th getrandbits(64)
+    # of Random(seed), before the branch draws anything, for seeds of any
+    # size and for every root
+    real = apartments._branch_search
+    seeds, roots = random.Random(seed), []
+
+    def spy(*branch):
+        root, getrandbits = branch[4], branch[6]
+        want = random.Random(seeds.getrandbits(64))
+        assert getrandbits.__self__.getstate() == want.getstate()
+        roots.append(root)
+        return real(*branch)
+
+    monkeypatch.setattr(apartments, "_branch_search", spy)
+    src = graph_from_edges([0], [])
+    _, stats = search_isometric_embeddings(src, target, "sample", 10**4, seed, visit=None)
+    assert roots == list(range(target.num_vertices))
+    assert stats["seed"] == seed and stats["embeddings"] == target.num_vertices
+
+
+SEED_SWEEP_CASES = {
+    "h2-sp43": (hypercube(2), G43, 2_000),
+    "h2-sp43-thinned": (hypercube(2), random_subgraph(G43, 0.8, 3), 6_000),
+    # degree 298: the root's candidate lists run past 256
+    "octahedron-cp150": (cocktail_party(3), cocktail_party(150), 4_000),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 2**33 + 1])
+@pytest.mark.parametrize("case", SEED_SWEEP_CASES.values(), ids=SEED_SWEEP_CASES.keys())
+def test_sample_search_matches_the_reference_at_every_seed(case, seed):
+    # the reference shuffles with random.Random.shuffle and shares no code
+    # with the search: the same embeddings, in order, and the same stats
+    src, dst, budget = case
+    embs, stats = collect(search_isometric_embeddings, src, dst, "sample", budget, seed)
+    ref, ref_stats = reference_search(src, dst, "sample", budget, seed)
+    assert embs == [assignment for assignment, _ in ref]
+    assert stats == ref_stats
+
+
 def test_sample_search_shuffles_only_two_or_more_candidates(monkeypatch):
     # a node with at most one candidate has no order to draw
     lengths = spy_shuffles(monkeypatch)
@@ -815,15 +868,16 @@ def test_search_frees_its_visitor_when_it_returns():
         gc.enable()
 
 
-def test_shuffle_makes_the_draws_of_random_shuffle():
-    for seed in range(20):
-        for length in range(41):
-            mine, ref = random.Random(seed), random.Random(seed)
-            got, want = list(range(length)), list(range(length))
-            _shuffle(got, mine.getrandbits)
-            ref.shuffle(want)
-            assert got == want
-            assert mine.getstate() == ref.getstate()
+@pytest.mark.parametrize("seed", range(20))
+def test_shuffle_makes_the_draws_of_random_shuffle(seed):
+    # lengths past 256 too, as at a root of the degree-298 target
+    for length in [*range(41), 255, 256, 257, 298]:
+        mine, ref = random.Random(seed), random.Random(seed)
+        got, want = list(range(length)), list(range(length))
+        _shuffle(got, mine.getrandbits)
+        ref.shuffle(want)
+        assert got == want
+        assert mine.getstate() == ref.getstate()
 
 
 # -- the rref reference for the witness ------------------------------------------
