@@ -13,10 +13,9 @@ intersecting the images of opposite hypercube faces, and the reconstruction
 of every image as a span.  A set of maximal singular subspaces is
 recognized as an apartment exactly when such a decomposition exists.
 
-The search needs no numpy: sample mode shuffles candidates with the
-draws of a ``random.Random`` per root branch, and the distance masks come
-with the target graph.  Only ``verify_lemma1``'s sample mode imports numpy,
-when it runs, for the Generator its draws come from.
+Every draw comes from ``random.Random``: sample mode shuffles candidates
+with the draws of one per root branch, and ``verify_lemma1``'s sample mode
+draws its pairs and geodesics from ``random.Random(seed)``.
 """
 
 from __future__ import annotations
@@ -708,7 +707,10 @@ def verify_lemma1(
     mode draws ``budget`` seeded uniform geodesics from random pairs.  Meets
     and containments are taken on the point masks the graph keeps for its
     vertices, so a given ``graph`` must be a dual polar graph of ``space``.
+    An unknown mode, a budget below 1 or, in sample mode, a negative seed
+    raises ValueError (``_check_search_args``).
     """
+    _check_search_args(mode, budget, seed, 1)
     start = time.perf_counter()
     if graph is None:
         graph = dual_polar_graph(space)
@@ -745,21 +747,16 @@ def verify_lemma1(
                 complete = False
                 break
             check_path(path)
-    elif mode == "sample":
-        import numpy as np  # only this sampler's Generator needs it
-
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
+    else:
+        rng = random.Random(seed)
         nv = graph.num_vertices
         while tested < budget:
-            v = int(rng.integers(nv))
-            w = int(rng.integers(nv))
+            v, w = rng.randrange(nv), rng.randrange(nv)
             if v == w or graph.adj[v] >> w & 1:
                 continue
             _, counts = geodesic_count(graph, v, w)
             path = sample_geodesic(graph, v, w, counts, rng)
             check_path(path)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
 
     return make_report(
         "lemma1", {"p": space.p, "n": space.n, "m": None}, start, {"geodesics": tested},

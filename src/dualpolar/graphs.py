@@ -279,16 +279,23 @@ def iter_geodesics(graph: DenseGraph, v: int, w: int) -> Iterator[list[int]]:
 
 
 def sample_geodesic(graph: DenseGraph, v: int, w: int, counts: Sequence[int], rng) -> list[int]:
-    """One uniform geodesic from v to w, drawn from ``rng`` by walking back
-    from w with the path counts of ``geodesic_count(graph, v, w)``; ``rng``
-    is a numpy Generator, whose weighted ``choice`` makes the draws."""
-    import numpy as np  # only this sampler's weights need it
-
+    """One uniform geodesic from v to w, drawn from the ``random.Random``
+    ``rng`` by walking back from w with the path counts of
+    ``geodesic_count(graph, v, w)``.  At u a step draws r =
+    ``rng.randrange(counts[u])`` and takes the first predecessor t, in index
+    order, whose running sum of ``counts[t]`` passes r.  ``counts[u]`` is the
+    sum of its predecessors' counts, so t is drawn with probability
+    ``counts[t] / counts[u]`` exactly, and the products telescope to
+    ``1 / counts[w]`` for every geodesic."""
     path = [w]
     for below in _geodesic_layers(graph, v, w)[-2::-1]:
-        preds = _bits(graph.adj[path[-1]] & below)
-        weights = np.array([counts[t] for t in preds], dtype=float)
-        path.append(preds[int(rng.choice(len(preds), p=weights / weights.sum()))])
+        u = path[-1]
+        r = rng.randrange(counts[u])
+        for t in _bits(graph.adj[u] & below):
+            r -= counts[t]
+            if r < 0:
+                break
+        path.append(t)
     return path[::-1]
 
 

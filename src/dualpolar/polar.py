@@ -11,6 +11,7 @@ perpendicular point, so it is built exactly once.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
@@ -525,14 +526,18 @@ def frame_count(space: PolarSpace) -> int:
 
 
 def sample_frames(space: PolarSpace, count: int, seed: int) -> list[Frame]:
-    """``count`` distinct seeded random frames: n times, a point a drawn
-    uniformly from the perp of everything chosen so far and a partner b from
-    the points of that perp not collinear with a, with the perp narrowed as
-    in ``enumerate_frames``.  The perp of k hyperbolic pairs is
-    non-degenerate, so a always has a partner."""
-    import numpy as np  # only this sampler's Generator needs it
-
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    """``count`` distinct random frames drawn from ``random.Random(seed)``:
+    n times, a point a chosen uniformly from the perp of everything chosen
+    so far and a partner b from the points of that perp not collinear with
+    a, with the perp narrowed as in ``enumerate_frames``.  The perp of k
+    hyperbolic pairs is non-degenerate, so a always has a partner.  A
+    negative seed, or a count above ``frame_count(space)``, raises
+    ValueError."""
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    if count > frame_count(space):
+        raise ValueError(f"asked for {count} frames, the space has {frame_count(space)}")
+    rng = random.Random(seed)
     collinear = space.collinear_masks()
     out: dict[int, Frame] = {}
     attempts = 0
@@ -542,21 +547,14 @@ def sample_frames(space: PolarSpace, count: int, seed: int) -> list[Frame]:
             raise RuntimeError("frame sampling failed to reach the requested count")
         chosen, cands = 0, (1 << len(space.points)) - 1
         for _ in range(space.n):
-            a = _draw_bit(rng, cands)
+            a = rng.choice(_bits(cands))
             a_perp = collinear[a] | 1 << a
-            b = _draw_bit(rng, cands & ~a_perp)
+            b = rng.choice(_bits(cands & ~a_perp))
             chosen |= 1 << a | 1 << b
             cands &= a_perp & (collinear[b] | 1 << b)
         if chosen not in out:
             out[chosen] = _frame_of_indices(space, _bits(chosen))
     return list(out.values())
-
-
-def _draw_bit(rng, mask: int) -> int:
-    """A set bit of ``mask`` drawn uniformly from the numpy Generator ``rng``,
-    as the index of a list of the set bits in ascending order."""
-    bits = _bits(mask)
-    return bits[int(rng.integers(len(bits)))]
 
 
 def apartment_of_frame(space: PolarSpace, frame: Frame) -> tuple[int, ...]:

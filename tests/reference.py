@@ -14,10 +14,10 @@ the surviving candidates.
 """
 
 import random
+from bisect import bisect_right
 from functools import reduce
+from itertools import accumulate
 from typing import Sequence
-
-import numpy as np
 
 from dualpolar.apartments import _source_plan, search_stats
 from dualpolar.linalg import GF, Subspace, rref, zero_subspace
@@ -124,17 +124,18 @@ def geodesic_counts(graph, v: int, w: int) -> list[int]:
 
 
 def sample_geodesic(graph, v: int, w: int, counts: Sequence[int], rng) -> list[int]:
-    """One geodesic from v to w, walked back from w: each step draws one of
-    the neighbors one closer to v that lie on the interval, in index order,
-    weighted by ``counts``, with one ``rng.choice`` of a numpy Generator."""
+    """One geodesic from v to w, walked back from w: at u each step draws
+    r = ``rng.randrange(counts[u])`` of a ``random.Random`` and takes the
+    first of the neighbors one closer to v that lie on the interval, in
+    index order, whose cumulative count exceeds r."""
     dv = graph.dist[v]
     path = [w]
     while path[-1] != v:
         u = path[-1]
         preds = [t for t in range(graph.num_vertices)
                  if graph.adj[u] >> t & 1 and dv[t] == dv[u] - 1 and counts[t] > 0]
-        weights = np.array([counts[t] for t in preds], dtype=float)
-        path.append(preds[int(rng.choice(len(preds), p=weights / weights.sum()))])
+        r = rng.randrange(counts[u])
+        path.append(preds[bisect_right(list(accumulate(counts[t] for t in preds)), r)])
     return path[::-1]
 
 

@@ -347,6 +347,16 @@ def test_verify_lemma1_sampled_sp62():
     assert report["counts"]["geodesics"] == 500
 
 
+@pytest.mark.parametrize("budget, seed, match", [(0, 0, "budget"), (-3, 0, "budget"),
+                                                 (100, -1, "seed")])
+def test_lemma1_sample_mode_rejects_a_run_that_would_check_nothing_or_reuse_a_seed(
+        budget, seed, match):
+    # budget 0 used to report a complete run of 0 geodesics, and
+    # random.Random(-s) seeds the stream of random.Random(s)
+    with pytest.raises(ValueError, match=match):
+        verify_lemma1(SP42, mode="sample", budget=budget, seed=seed)
+
+
 def test_lemma1_reports_an_interior_vertex_missing_the_meet():
     # odd vertices lose every point, so they miss any nonempty meet
     masks = tuple(0 if v % 2 else mask for v, mask in enumerate(G62.masks))

@@ -142,6 +142,24 @@ print(codes, "numpy" in sys.modules)
     assert done.stdout.splitlines()[-1] == "[0, 2, 0, 0] False"
 
 
+def test_samplers_run_with_numpy_unavailable(tmp_path):
+    script = f"""
+import sys
+sys.modules["numpy"] = None  # any import of numpy raises ImportError
+from dualpolar.cli import main
+from dualpolar.polar import PolarSpace, sample_frames
+code = main(["verify", "lemma1", "--p", "2", "--n", "3", "--mode", "sample",
+             "--budget", "200", "--seed", "1", "--output", {str(tmp_path)!r}])
+print(code, len(sample_frames(PolarSpace(3, 2), 5, seed=5)))
+"""
+    src = str(Path(dualpolar.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.splitlines()[-1] == "0 5"
+
+
 def test_cli_verify_theorem2_exhaustive(tmp_path):
     code = main([
         "verify", "theorem2", "--p", "2", "--n", "2", "--m", "2",

@@ -38,7 +38,7 @@ COMMANDS = {
     "chow_sp42": ["verify", "chow", "--p", "2", "--n", "2"],
     "lemma1_sp42": ["verify", "lemma1", "--p", "2", "--n", "2"],
     "lemma1_sp43": ["verify", "lemma1", "--p", "3", "--n", "2"],
-    # uniform geodesics drawn from a numpy Generator with the path counts
+    # uniform geodesics drawn from random.Random(seed) with the path counts
     "lemma1_sp62_sample": ["verify", "lemma1", "--p", "2", "--n", "3",
                            "--mode", "sample", "--budget", "2000", "--seed", "1"],
     "lemma2_m4": ["verify", "lemma2", "--m", "4"],

@@ -247,7 +247,7 @@ def test_geodesics_budget_sampling():
     _, counts = geodesic_count(g, 0, 15)
 
     def draws(seed):
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        rng = random.Random(seed)
         return [sample_geodesic(g, 0, 15, counts, rng) for _ in range(5)]
 
     paths = draws(1)
@@ -264,7 +264,7 @@ def test_sampled_geodesics_draw_from_one_stream():
     g = dual_polar_graph(SP62)
     v, w = 0, next(u for u in range(g.num_vertices) if g.dist[0][u] == 3)
     total, counts = geodesic_count(g, v, w)
-    rng = np.random.default_rng(np.random.SeedSequence(9))
+    rng = random.Random(9)
     drawn = Counter(tuple(sample_geodesic(g, v, w, counts, rng)) for _ in range(50 * total))
     assert set(drawn) == {tuple(p) for p in iter_geodesics(g, v, w)}
     assert 25 <= min(drawn.values()) and max(drawn.values()) <= 80
@@ -302,7 +302,7 @@ def test_geodesic_walks_draw_as_the_distance_scan_does():
     # the reference that finds the interval by scanning every vertex's distances
     g = dual_polar_graph(SP62)
     pick = random.Random(5)
-    rng, ref_rng = (np.random.default_rng(np.random.SeedSequence(1)) for _ in range(2))
+    rng, ref_rng = random.Random(1), random.Random(1)
     for _ in range(200):
         v, w = pick.randrange(g.num_vertices), pick.randrange(g.num_vertices)
         counts = reference.geodesic_counts(g, v, w)

@@ -404,6 +404,15 @@ def test_sample_frames_reaches_every_frame():
     assert set(sample_frames(SP42, 90, seed=1)) == set(enumerate_frames(SP42)[0])
 
 
+def test_sample_frames_rejects_a_negative_seed_and_more_frames_than_exist():
+    with pytest.raises(ValueError, match="seed"):
+        sample_frames(SP42, 1, seed=-1)
+    # Sp(4,2) has 90 frames; asking for 91 fails at once, not after the
+    # attempt guard runs out
+    with pytest.raises(ValueError, match="91 frames"):
+        sample_frames(SP42, 91, seed=1)
+
+
 def test_star_of_empty_subspace_is_all_maximals():
     got = star(SP42, zero_subspace(SP42.dim), 1)
     assert got == enumerate_singular(SP42, 1)
