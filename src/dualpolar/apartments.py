@@ -107,14 +107,14 @@ def _branch_search(
     the mode exhaustive, and the branch counts the images whose smallest
     vertex is the root without building any key.  An embedding is its
     image's canonical one when the root is the image's smallest vertex
-    (at a leaf frame, ``key & -key`` is the root's bit and the last
-    vertex's image lies above the root) and the first-level images, plan
-    positions 1..m, which are the root's neighbours, ascend (``canon``,
-    carried down the DFS).  A leaf frame that is canonical so far counts its
-    candidates above the root; for H_1 the last level is the first level,
-    so that is the ascending rule too.  Exactly one embedding of an image is
-    canonical: distances are preserved, so an image induces H_m, and two
-    embeddings onto it differ by an automorphism of H_m.  Those with
+    (no placed vertex lies below the root, and the last vertex's image lies
+    above it) and the first-level images, plan positions 1..m, which are
+    the root's neighbours, ascend (``canon``, carried down the DFS, and
+    ``floor``).  A canonical placement of position last - 1 counts its last
+    vertex's candidates above the root; for H_1 the last level is the first
+    level, so that is the ascending rule too.  Exactly one embedding of an
+    image is canonical: distances are preserved, so an image induces H_m,
+    and two embeddings onto it differ by an automorphism of H_m.  Those with
     e(0) = r match the m! orderings of r's neighbours in the image, since
     the stabiliser of 0 acts as S_m on N(0) and only the identity fixes
     N(0) pointwise.  A complete branch r finds every embedding with
@@ -132,18 +132,27 @@ def _branch_search(
     fit in the budget left: every one of them is placed, so they are walked
     in ascending order and draw nothing, with a visitor or without one.  A
     node with at most one candidate draws nothing either.  So a count draws
-    what a visiting search draws.  The last source vertex is placed inline,
-    in the frame that computes its candidates, with the budget taken for
-    all of them at once: a canonical count only counts them, a mask is
-    walked bit by bit in place, the low bit being the image key's new bit,
-    and a shuffled list is walked item by item.
+    what a visiting search draws.
+
+    The last source vertex is placed inline, in the frame that places
+    position last - 1, with no frame of its own.  That frame ANDs the last
+    vertex's constraints on earlier positions once (its parent's adjacency
+    being its distance-1 class), and each of its candidates ANDs in only
+    its own row.  The budget is taken for the whole last level at once: a
+    canonical count only counts it, a mask is walked bit by bit in place,
+    the low bit being the image key's new bit, and a shuffled list is
+    walked item by item.  Frames start at position 1, the root placed, or
+    at position last - 1 when that is lower: the root's for H_1, and -1 for
+    K_1, whose root is its last vertex.  The expansions start at the number
+    of positions placed before the first frame, so K_1's frame, which
+    places the root once more (``imgs[-1]`` is ``imgs[0]``), counts it once.
     """
     if budget < 1:
         return 0, 0, 0, False
     imgs = [root_img] * nsrc
     last = nsrc - 1
+    pen = last - 1
     found = images = 0
-    expansions = 1
     complete = True
     add = None if keys is None else keys.add
     # a canonical count: plan positions 1..first are the root's neighbours,
@@ -151,78 +160,104 @@ def _branch_search(
     first = nsrc.bit_length() - 1
     root_bit = 1 << root_img
     above = -2 << root_img
+    # the last vertex's constraints as (position, distance): the one on
+    # position pen is ANDed per candidate, at distance ``dist_pen``
+    if last:
+        parent, reqs = plan[-1]
+        constraints = ((parent, 1),) + reqs
+    else:
+        constraints = ((pen, 0),)
+    dist_pen = next(d for j, d in constraints if j == pen)
+    earlier = tuple((j, d) for j, d in constraints if j != pen)
 
     def dfs(k: int, key: int, canon: bool) -> None:
         nonlocal found, images, expansions, complete
-        parent, reqs = plan[k - 1]
-        allowed = dst_adj[imgs[parent]]
-        for j, d in reqs:
-            allowed &= at_dist[imgs[j]][d]
-        if (getrandbits is None or not allowed & (allowed - 1)
-                or k == last and allowed.bit_count() <= budget - expansions):
-            # walked as a mask, in ascending order
-            cands = None
+        if k > 0:
+            parent, reqs = plan[k - 1]
+            allowed = dst_adj[imgs[parent]]
+            for j, d in reqs:
+                allowed &= at_dist[imgs[j]][d]
         else:
-            cands = _bits(allowed)
+            allowed = root_bit
+        cands = _bits(allowed)
+        if getrandbits is not None and len(cands) > 1:
             _shuffle(cands, getrandbits)
-        if k == last:
-            count = allowed.bit_count()
-            room = budget - expansions
-            if count > room:
-                count = room
-                complete = False
-            found += count
-            expansions += count
-            if add is None:
-                if canon and key & -key == root_bit:
-                    images += (allowed & above).bit_count()
-            elif cands is not None:
-                del cands[count:]
-                if visit is None:
-                    for cand in cands:
-                        add(key | 1 << cand)
+        # the first level ascends in a canonical embedding
+        floor = imgs[k - 1] if 0 < k <= first else -1
+        if k < pen:
+            for cand in cands:
+                if expansions >= budget:
+                    complete = False
                     return
-                for cand in cands:
-                    imgs[k] = cand
-                    leaf = key | 1 << cand
-                    new = leaf not in keys
-                    if new:
-                        add(leaf)
-                    visit(assign(imgs), new)
-            elif visit is None:
-                for _ in range(count):
-                    low = allowed & -allowed
-                    add(key | low)
-                    allowed ^= low
-            else:
-                for _ in range(count):
-                    low = allowed & -allowed
-                    allowed ^= low
-                    imgs[k] = low.bit_length() - 1
-                    leaf = key | low
-                    new = leaf not in keys
-                    if new:
-                        add(leaf)
-                    visit(assign(imgs), new)
+                expansions += 1
+                imgs[k] = cand
+                dfs(k + 1, key | 1 << cand, canon and cand > floor)
+                if not complete:
+                    return
             return
-        for cand in _bits(allowed) if cands is None else cands:
+        base = -1
+        for j, d in earlier:
+            base &= at_dist[imgs[j]][d]
+        # a candidate above ``floor`` completes canonical embeddings, and
+        # none does once a placed vertex lies below the root
+        if canon and key & -key == root_bit:
+            floor = max(floor, root_img - 1)
+        else:
+            floor = len(dst_adj)
+        for cand in cands:
             if expansions >= budget:
                 complete = False
                 return
             expansions += 1
             imgs[k] = cand
-            dfs(k + 1, key | 1 << cand, canon and (k > first or cand > imgs[k - 1]))
+            allowed = base & at_dist[cand][dist_pen]
+            total = allowed.bit_count()
+            count = budget - expansions
+            if total <= count:
+                count = total
+            else:
+                complete = False
+            found += count
+            expansions += count
+            if add is None:
+                if cand > floor:
+                    images += (allowed & above).bit_count()
+            elif complete or getrandbits is None or not allowed & (allowed - 1):
+                # a level that fits in the budget, or has at most one
+                # candidate, draws nothing: walked as a mask, ascending
+                leaf_key = key | 1 << cand
+                if visit is None:
+                    for _ in range(count):
+                        low = allowed & -allowed
+                        add(leaf_key | low)
+                        allowed ^= low
+                else:
+                    for _ in range(count):
+                        low = allowed & -allowed
+                        allowed ^= low
+                        imgs[last] = low.bit_length() - 1
+                        leaf = leaf_key | low
+                        new = leaf not in keys
+                        if new:
+                            add(leaf)
+                        visit(assign(imgs), new)
+            else:
+                leaves = _bits(allowed)
+                _shuffle(leaves, getrandbits)
+                for img in leaves[:count]:
+                    imgs[last] = img
+                    leaf = key | 1 << cand | 1 << img
+                    new = leaf not in keys
+                    if new:
+                        add(leaf)
+                    if visit is not None:
+                        visit(assign(imgs), new)
             if not complete:
                 return
 
-    if nsrc > 1:
-        dfs(1, root_bit, add is None)
-    else:
-        found = 1
-        new = root_bit not in keys
-        add(root_bit)
-        if visit is not None:
-            visit(assign(imgs), new)
+    top = min(pen, 1)
+    expansions = top
+    dfs(top, root_bit, add is None)
     # dfs refers to itself; unbinding it frees the branch, and the caller's
     # visitor, now instead of at the next garbage collection
     del dfs

@@ -785,11 +785,24 @@ def spy_branches(monkeypatch):
     return calls
 
 
+def relabelled_hypercube(m, seed):
+    """``hypercube(m)`` with its vertices permuted."""
+    perm = list(range(1 << m))
+    random.Random(seed).shuffle(perm)
+    cube = hypercube(m)
+    graph = graph_from_edges(list(range(1 << m)), [(perm[u], perm[v]) for u, v in cube.edges()])
+    assert graph.adj != cube.adj
+    return graph
+
+
 COUNT_TARGETS = {
     "sp42": G42,
     "sp43": G43,
     "sp43-thinned": random_subgraph(G43, 0.8, 3),
     "two-squares": TWO_SQUARES,
+    # labels that put some images' distance-2 vertices below a root that is
+    # smaller than its neighbours in the image: that embedding is not canonical
+    "h4-relabelled": relabelled_hypercube(4, 1),
 }
 
 
@@ -818,14 +831,49 @@ def test_canonical_count_matches_the_reference_wherever_the_budget_cuts(target, 
             assert calls == [(r, True) for r in range(cut + 1)] + [(r, False) for r in range(cut, nv)]
 
 
-def relabelled_hypercube(m, seed):
-    """``hypercube(m)`` with its vertices permuted."""
-    perm = list(range(1 << m))
-    random.Random(seed).shuffle(perm)
-    cube = hypercube(m)
-    graph = graph_from_edges(list(range(1 << m)), [(perm[u], perm[v]) for u, v in cube.edges()])
-    assert graph.adj != cube.adj
-    return graph
+# the sources swept over Sp(4,2), each with the per-root shares it is run
+# at: every share of a hypercube's whole branch of 7 or 79 expansions, and
+# for the 565 of Sp(4,2) itself every share through its first leaves, then
+# one in 47 up to the whole branch
+SHARE_SWEEPS = {
+    "h1": (hypercube(1), range(8)),
+    "h2": (hypercube(2), range(80)),
+    "h3": (hypercube(3), range(80)),
+    "sp42": (G42, [*range(48), *range(48, 566, 47), 565]),
+}
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sample"])
+@pytest.mark.parametrize("sweep", SHARE_SWEEPS.values(), ids=SHARE_SWEEPS.keys())
+def test_search_matches_the_reference_at_every_per_root_share(sweep, mode, monkeypatch):
+    # a budget of share s per root, and one more for the first half of the
+    # roots, cuts every branch at its s-th or (s + 1)-th expansion: between
+    # two placements of position last - 1, part way through a last level,
+    # and at the first incomplete branch of a canonical count, which is
+    # then run again with the image keys
+    src, shares = sweep
+    nv = G42.num_vertices
+    sizes = branch_sizes(src, G42)
+    assert shares[-1] >= max(sizes)
+    calls = spy_branches(monkeypatch)
+    for share in shares:
+        budget = share * nv + nv // 2
+        calls.clear()
+        streamed = []
+        _, visited = search_isometric_embeddings(
+            src, G42, mode, budget, 5, visit=lambda *found: streamed.append(found)
+        )
+        _, counted = search_isometric_embeddings(src, G42, mode, budget, 5, visit=None)
+        ref, ref_stats = reference_search(src, G42, mode, budget, 5)
+        assert streamed == ref
+        assert counted == visited == ref_stats
+        if mode == "exhaustive" and src is not G42:
+            # the visiting search keeps the keys, then the count is canonical
+            # up to its first cut branch
+            cut = first_cut(budget, sizes)
+            canonical = [(r, True) for r in range(nv if cut is None else cut + 1)]
+            redone = [] if cut is None else [(r, False) for r in range(cut, nv)]
+            assert calls == [(r, False) for r in range(nv)] + canonical + redone
 
 
 OTHER_SOURCES = {

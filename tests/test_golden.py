@@ -5,7 +5,9 @@ The report schema and the exit codes are the contract, so a refactor must
 reproduce these files exactly.  After a change that is meant to alter a
 report, rewrite them with ``PYTHONPATH=src python tests/test_golden.py`` and
 review the diff.  The same script rewrites ``build_digests.json``, the
-SHA-256 digests of the files ``build`` writes in both formats.
+SHA-256 digests of the files ``build`` writes in both formats.  Given run
+names, ``python tests/test_golden.py NAME...`` rewrites only those golden
+files and leaves every other file, the digests included, as it is.
 """
 
 import hashlib
@@ -51,6 +53,11 @@ COMMANDS = {
                                        "--budget", "5000"],
     "count_embeddings_sp43_m2_sample": ["count", "embeddings", "--p", "3", "--n", "2", "--m", "2",
                                         "--mode", "sample", "--budget", "5000", "--seed", "5"],
+    # the benchmark's count: 585 000 embeddings onto the 73 125 apartments
+    "count_embeddings_sp45_m2": ["count", "embeddings", "--p", "5", "--n", "2", "--m", "2"],
+    # H_3 into a rank-3 target, with a budget that cuts every root branch
+    "count_embeddings_sp62_m3_b300000": ["count", "embeddings", "--p", "2", "--n", "3", "--m", "3",
+                                         "--budget", "300000"],
     "count_frames_sp42": ["count", "frames", "--p", "2", "--n", "2"],
     # --mode does not apply to frames, which are always enumerated exhaustively
     "count_frames_sp42_sample": ["count", "frames", "--p", "2", "--n", "2", "--mode", "sample"],
@@ -104,16 +111,41 @@ def test_build_exports_match_golden_digests(p, n, tmp_path):
     assert len(got) == 3
 
 
-if __name__ == "__main__":
+def write_golden(names: list[str]) -> None:
+    """Rewrite the golden files of the runs ``names``, or of every run and
+    the build digests when ``names`` is empty."""
+    unknown = sorted(set(names) - set(COMMANDS))
+    if unknown:
+        raise SystemExit(f"unknown golden run(s): {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
-    for name, argv in COMMANDS.items():
+    for name in names or COMMANDS:
         with tempfile.TemporaryDirectory() as out:
-            result = run(argv, Path(out))
+            result = run(COMMANDS[name], Path(out))
         (GOLDEN / f"{name}.json").write_text(json.dumps(result, sort_keys=True, indent=1) + "\n")
         print(f"wrote {name}: exit {result['exit_code']}", file=sys.stderr)
+    if names:
+        return
     digests = {}
     for p, n in BUILDS:
         with tempfile.TemporaryDirectory() as out:
             digests.update(build_digests(p, n, Path(out)))
     (GOLDEN / "build_digests.json").write_text(json.dumps(digests, sort_keys=True, indent=1) + "\n")
     print("wrote build_digests", file=sys.stderr)
+
+
+def test_rewriting_named_runs_leaves_every_other_file(tmp_path, monkeypatch):
+    pinned = GOLDEN / "count_frames_sp42.json"
+    monkeypatch.setitem(globals(), "GOLDEN", tmp_path)
+    (tmp_path / "build_digests.json").write_text("kept\n")
+    write_golden(["count_frames_sp42"])
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "build_digests.json", "count_frames_sp42.json"]
+    assert (tmp_path / "build_digests.json").read_text() == "kept\n"
+    assert (tmp_path / "count_frames_sp42.json").read_text() == pinned.read_text()
+    with pytest.raises(SystemExit, match="unknown golden run.*: nosuch"):
+        write_golden(["count_frames_sp42", "nosuch"])
+    assert (tmp_path / "build_digests.json").read_text() == "kept\n"
+
+
+if __name__ == "__main__":
+    write_golden(sys.argv[1:])
