@@ -423,7 +423,8 @@ def search_isometric_embeddings(
     says which nodes draw), with one ``random.Random`` per branch: root r's
     is seeded with the r-th ``getrandbits(64)`` of ``random.Random(seed)``.
     A negative seed in sample mode, or fewer than one worker, raises
-    ValueError (``_check_search_args``).  Exhaustive mode draws nothing.
+    ValueError (``_check_search_args``), and so does an empty or
+    disconnected source.  Exhaustive mode draws nothing.
     ``run`` is the whole search: every root branch in root order, calling
     ``branch_done()`` after each, with one set of image keys that the
     branches fill, and the stats.  With ``workers`` above 1 and a visitor it runs in one forked
@@ -449,6 +450,8 @@ def search_isometric_embeddings(
     image key of each embedding to the set.
     """
     _check_search_args(mode, budget, seed, workers)
+    if not src.num_vertices:
+        raise ValueError("source graph is empty; it has no embedding to search for")
     if not src.connected:
         raise ValueError("source graph is disconnected; only connected sources are supported")
     order, plan = _source_plan(src)
@@ -533,9 +536,10 @@ class ApartmentWitness:
 
         It is None only for a witness built by hand.  For one that
         ``is_apartment`` returns, ``_witness_from_images`` has checked that
-        the 2n faces are distinct single points, each collinear with every
-        other except its partner, which is what ``polar.is_frame`` asks of a
-        frame.
+        the 2n faces are single points, each collinear with every other
+        except its partner, which is what ``polar.is_frame`` asks of a
+        frame.  They are distinct without a check of their own, as
+        ``_witness_from_images`` argues.
         """
         if self.base.rank != 0:
             raise ValueError("frame points exist only for full-rank witnesses")
@@ -589,6 +593,15 @@ def _witness_from_images(space: PolarSpace, masks: Sequence[int]) -> tuple[int, 
     maximal, hence its own perp, so it is the span of its chosen faces
     exactly when their perps meet in it.
 
+    The 2m faces are not checked to be distinct either.  For s != t, some
+    image on s's side has its antipode on t's side (any image on s's side
+    when t is its partner, else one off t's side), so q_s = q_t would lie
+    in their meet, the base, one rank below a face.  The residue-frame check
+    would reject it too: a face is totally singular, so q_s = q_t puts q_t
+    in perp(q_s).  That fails the pair {s, t} if t is the partner s' of s,
+    and else one of {s, s'} and {t, s'}, which want q_s' outside and inside
+    perp(q_s) = perp(q_t).
+
     An image then holds exactly its chosen faces, so that is not checked.
     A chosen face is the meet of the images on its side, this one among
     them.  An unchosen face's partner is chosen, so if the image held both,
@@ -612,8 +625,6 @@ def _witness_from_images(space: PolarSpace, masks: Sequence[int]) -> tuple[int, 
                  "got": subspace_json(subspace_of_mask(space, q))},
             )
         faces.append(q)
-    if len(set(faces)) != 2 * m:
-        raise CounterexampleError("theorem2", {"kind": "face_subspaces_collide"})
     perps = [perp_mask(space, q) for q in faces]
     for s in range(2 * m):
         for t in range(s + 1, 2 * m):
@@ -654,7 +665,7 @@ def is_apartment(space: PolarSpace, members) -> ApartmentWitness | None:
             raise ValueError("members must be maximal singular subspaces")
     size = len(unique)
     m = size.bit_length() - 1
-    if size != 1 << m or not 1 <= m <= space.n:
+    if not 1 <= m <= space.n or size != 1 << m:
         return None
     masks = [point_mask(space, s) for s in unique]
     graph = meet_graph(space, unique, masks)

@@ -156,32 +156,36 @@ def verify_lemma5(emb: GraphEmbedding) -> Subspace:
 
 def _point_images(
     emb: GraphEmbedding, members: list[list[int]], perp_of: dict[int, int]
-) -> tuple[int, list[int], list[int]]:
-    """Masks of the base and of every g(p), in ``src_space.points`` order, and
-    the perp of every g(p); the checks are those of ``induced_point_map``.
-    ``members`` lists the point indices of each source vertex
-    (``_members(emb.source)``) and ``perp_of`` maps masks to their perps:
-    pass one of each through a verifier call, since every embedding has the
-    same source and the g(p) of different embeddings repeat.
+) -> tuple[list[int], list[int]]:
+    """Masks of every g(p), in ``src_space.points`` order, and the perp of
+    every g(p); the checks are those of ``induced_point_map``.  ``members``
+    lists the point indices of each source vertex (``_members(emb.source)``)
+    and ``perp_of`` maps masks to their perps: pass one of each through a
+    verifier call, since every embedding has the same source and the g(p)
+    of different embeddings repeat.
 
-    Once each g(p) lies one step above the base B and g is injective, g spans
-    the image W of every maximal M over B, so that is not checked again: each
+    Each g(p) is only checked for its rank and g for injectivity.  The base
+    B lies in every g(p) once it lies in every image, since g(p) is a meet
+    of images, and every caller has settled that first: ``verify_theorem3``
+    and ``induced_point_map`` run ``verify_lemma5``, whose pair check puts B
+    in every image (every vertex has an opposite one), and in ``verify_chow``
+    B is empty.
+
+    Once each g(p) lies one step above B and g is injective, g spans the
+    image W of every maximal M over B, so that is not checked again: each
     g(p) with p in M lies in W, and W/B has rank n, so the (p^n - 1)/(p - 1)
     points of M go to as many distinct elements one step above B in W, which
     are all of them.
     """
     space = emb.dst_space
-    rank = space.n - emb.src_space.n + 1
     imgs = _image_masks(emb)
-    i0, j0 = _opposite_pairs(emb.source)[0]
-    base = imgs[i0] & imgs[j0]
     g = [(1 << len(space.points)) - 1] * len(emb.src_space.points)
     for pts, img in zip(members, imgs):
         for p in pts:
             g[p] &= img
-    size = subspace_size(space, rank)
+    size = subspace_size(space, space.n - emb.src_space.n + 1)
     for p, gp in enumerate(g):
-        if gp.bit_count() != size or base & ~gp:
+        if gp.bit_count() != size:
             raise CounterexampleError(
                 "theorem3",
                 {"kind": "point_image_defect", "point": list(emb.src_space.points[p]),
@@ -195,21 +199,24 @@ def _point_images(
         if perp is None:
             perp = perp_of[gp] = perp_mask(space, gp)
         perps.append(perp)
-    return base, g, perps
+    return g, perps
 
 
 def induced_point_map(emb: GraphEmbedding) -> InducedPointMap:
     """Recover the point map: g(p) is the intersection of the images of all
     maximal singular subspaces containing p.
 
-    Validates that every g(p) lies one step above the base and that g is
-    injective, which makes g span the image of every maximal singular
-    subspace (see ``_point_images``); failures raise CounterexampleError.
+    The base is that of ``verify_lemma5``, which checks every opposite pair
+    and so puts it in every image and every g(p).  Then every g(p) is
+    checked to lie one step above it and g to be injective, which makes g
+    span the image of every maximal singular subspace (see
+    ``_point_images``); failures raise CounterexampleError.
     """
+    base = verify_lemma5(emb)
+    g, _ = _point_images(emb, _members(emb.source), {})
     space = emb.dst_space
-    base, g, _ = _point_images(emb, _members(emb.source), {})
     assignment = {pt: subspace_of_mask(space, gp) for pt, gp in zip(emb.src_space.points, g)}
-    return InducedPointMap(emb.src_space, space, subspace_of_mask(space, base), assignment)
+    return InducedPointMap(emb.src_space, space, base, assignment)
 
 
 def _collinearity_break(
@@ -282,7 +289,10 @@ def lift_frame_preserving_map(
 
     Each maximal singular subspace is sent to the span of the images of its
     points; a non-singular span, a dimension defect, or a failed distance
-    check raises LiftError naming the offending subspace.
+    check raises LiftError naming the offending subspace or pair.  The
+    distance check also decides injectivity: two source vertices sent to
+    one target vertex are at target distance 0 but at source distance at
+    least 1, so it names such a pair, if no earlier pair failed.
     """
     if base.rank != dst_space.n - src_space.n:
         raise LiftError(
@@ -307,8 +317,6 @@ def lift_frame_preserving_map(
                  "span": subspace_json(subspace_of_mask(dst_space, points))},
             )
         assignment.append(vertex_of[perp])
-    if len(set(assignment)) != len(assignment):
-        raise LiftError("lifted map is not injective", {})
     for i in range(len(assignment)):
         for j in range(i + 1, len(assignment)):
             d = dst.dist[assignment[i]][assignment[j]]
@@ -401,14 +409,18 @@ def verify_theorem3(
 ) -> dict:
     """Search for graph embeddings and validate the induced-point-map picture.
 
-    Every found embedding must yield a base subspace (pair-independent, in
-    every image), an induced point map spanning back to the embedding, and a
-    point map preserving collinearity both ways, which carries every frame
-    to a residue frame (see ``_collinearity_break``), so ``frames_checked``
-    is the number of frames.  For the first 50 embeddings, the first two
-    frame apartments are also pushed through the embedding and decomposed,
-    in the sign-mask labelling they come with, as apartments over the same
-    base.
+    Every found embedding must yield a base subspace (``verify_lemma5``:
+    pair-independent, hence in every image), an induced point map spanning
+    back to the embedding (``_point_images``), and a point map preserving
+    collinearity both ways, which carries every frame to a residue frame
+    (see ``_collinearity_break``), so ``frames_checked`` is the number of
+    frames.  For the first 50 embeddings, the first two frame apartments
+    are also pushed through the embedding and decomposed, in the sign-mask
+    labelling they come with, as apartments; a transfer fails exactly when
+    the decomposition raises.  Its base is Lemma 5's without a check: the
+    antipodal members of a frame apartment are opposite source vertices,
+    so ``verify_lemma5`` has already found that their images meet in the
+    base, with the rank n' - n that the decomposition asks of it.
     """
     start = time.perf_counter()
     # the last pair of a frame has p >= 2 choices of partner, so the first
@@ -429,7 +441,7 @@ def verify_theorem3(
         visited += 1
         try:
             verify_lemma5(emb)
-            base, g, perps = _point_images(emb, members, perp_of)
+            g, perps = _point_images(emb, members, perp_of)
             if broken := _collinearity_break("theorem3", collinear, g, perps):
                 violations.append(broken)
             if first:
@@ -439,15 +451,13 @@ def verify_theorem3(
                     masks = [emb.target.masks[emb.assignment[v]] for v in vertices]
                     checked_apartments += 1
                     try:
-                        transferred = _witness_from_images(dst_space, masks)[0] == base
+                        _witness_from_images(dst_space, masks)
                     except CounterexampleError:
-                        transferred = False
-                    if not transferred:
                         raise CounterexampleError(
                             "theorem3",
                             {"kind": "apartment_transfer_failure",
                              "frame": [list(pt) for pt in frame.points]},
-                        )
+                        ) from None
         except CounterexampleError as exc:
             violations.append(exc.as_violation())
 
@@ -474,8 +484,9 @@ def verify_chow(
     Nothing else can fail, so nothing else is checked.  An isometric
     embedding is injective, and its source and target are the same finite
     graph, so it is a bijection.  Opposite images in the rank-n target meet
-    in 0, so the base is empty, and ``_point_images`` has required each g(p)
-    to be a single point and g to be injective: g permutes the points.  Over
+    in 0, so the base is empty and lies in every g(p) without a check, and
+    ``_point_images`` has required each g(p) to be a single point and g to
+    be injective: g permutes the points.  Over
     an empty base, residue collinearity is collinearity, and the pair check
     decides every frame (see ``_collinearity_break``), so ``frames_checked``
     is the number of frames.
@@ -488,7 +499,7 @@ def verify_chow(
 
     def check(emb: GraphEmbedding) -> None:
         try:
-            _, g, perps = _point_images(emb, members, perp_of)
+            g, perps = _point_images(emb, members, perp_of)
             broken = _collinearity_break("chow", collinear, g, perps)
         except CounterexampleError as exc:
             broken = exc.as_violation()

@@ -162,6 +162,17 @@ def test_search_rejects_a_disconnected_source():
         collect(search_isometric_embeddings, two_edges, G42)
 
 
+def test_search_rejects_an_empty_source():
+    # an empty source has no plan to search; it is rejected whatever the
+    # target, counting or visiting
+    empty = graph_from_edges([], [])
+    for target in (empty, hypercube(1), G42):
+        with pytest.raises(ValueError, match="empty"):
+            search_isometric_embeddings(empty, target, visit=None)
+        with pytest.raises(ValueError, match="empty"):
+            collect(search_isometric_embeddings, empty, target, "sample", 100, 3)
+
+
 def test_no_hypercube_above_rank():
     # H_3 has a larger diameter than the graph: the distance constraints
     # prune every branch
@@ -239,6 +250,8 @@ def test_is_apartment_rejects_wrong_sizes():
     maximals = list(G42.labels)
     assert is_apartment(SP42, maximals[:3]) is None
     assert is_apartment(SP42, maximals[:1]) is None
+    assert is_apartment(SP42, []) is None
+    assert is_apartment(SP62, ()) is None
     with pytest.raises(ValueError):
         is_apartment(SP42, [rref(SP42.field, [(1, 0, 0, 0)], 4)])
 
@@ -994,7 +1007,7 @@ def test_full_rank_witness_is_a_frame_apartment():
     # the apartment of that frame is the image
     witness_kinds = {
         "base_dimension", "base_depends_on_opposite_pair", "face_intersection_defect",
-        "face_subspaces_collide", "residue_frame_condition", "image_not_spanned_by_faces",
+        "residue_frame_condition", "image_not_spanned_by_faces",
     }
     passed, failed = set(), 0
     for space, graph, order in _perturbed_labellings(600, seed=23):
@@ -1051,3 +1064,36 @@ def test_pair_meets_catch_every_image_missing_the_base():
             assert info.value.details["kind"] in ("base_dimension", "base_depends_on_opposite_pair")
             caught += 1
     assert caught
+
+
+def test_colliding_faces_fail_the_base_or_face_checks():
+    # _witness_from_images no longer checks that the faces are distinct: for
+    # faces s != t, some image on s's side has its antipode on t's, so equal
+    # faces lie in the base.  Labellings with an image copied onto another
+    # or replaced at random: every one whose faces collide fails the base
+    # or face-rank check, and the reference, which still checks collisions,
+    # agrees
+    rng = random.Random(37)
+    cases = _labellings()
+    collided = set()
+    for k in range(1_500):
+        space, graph, order = cases[rng.randrange(len(cases))]
+        order = list(order)
+        i, j = rng.sample(range(len(order)), 2)
+        order[i] = order[j] if k % 2 else rng.randrange(graph.num_vertices)
+        masks = [graph.masks[v] for v in order]
+        m = (len(masks) - 1).bit_length()
+        faces = [reduce(and_, (img for x, img in enumerate(masks) if x >> (s % m) & 1 == (s >= m)))
+                 for s in range(2 * m)]
+        if len(set(faces)) == 2 * m:
+            continue
+        with pytest.raises(CounterexampleError) as info:
+            _witness_from_images(space, masks)
+        violation = info.value.as_violation()
+        assert violation["kind"] in ("base_dimension", "base_depends_on_opposite_pair",
+                                     "face_intersection_defect")
+        with pytest.raises(CounterexampleError) as info:
+            witness_from_images(space, [graph.labels[v] for v in order])
+        assert info.value.as_violation() == violation
+        collided.add((space, m))
+    assert collided >= {(SP42, 1), (SP42, 2), (SP43, 2), (SP62, 2), (SP62, 3)}

@@ -3,6 +3,7 @@ import json
 import random
 import weakref
 from functools import reduce
+from itertools import chain
 from operator import and_, or_
 
 import pytest
@@ -10,8 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualpolar import morphisms, polar
-from dualpolar.apartments import _witness_from_images, search_isometric_embeddings
-from dualpolar.graphs import dual_polar_graph, hypercube
+from dualpolar.apartments import (
+    _witness_from_images,
+    frame_vertices,
+    search_isometric_embeddings,
+    search_stats,
+)
+from dualpolar.graphs import _bits, dual_polar_graph, hypercube
 from dualpolar.linalg import rref, zero_subspace
 from dualpolar.morphisms import (
     GraphEmbedding,
@@ -215,7 +221,7 @@ def test_chow_names_the_first_pair_whose_collinearity_breaks(monkeypatch):
     found = []
 
     def swapped(emb, members, perp_of):
-        base, g, perps = _point_images(emb, members, perp_of)
+        g, perps = _point_images(emb, members, perp_of)
         g, perps = list(g), list(perps)
         for seq in (g, perps):
             seq[swap[0]], seq[swap[1]] = seq[swap[1]], seq[swap[0]]
@@ -224,7 +230,7 @@ def test_chow_names_the_first_pair_whose_collinearity_breaks(monkeypatch):
             [i, j] for i in range(len(perm)) for j in range(i + 1, len(perm))
             if (masks[i] >> j & 1) != (masks[perm[i]] >> perm[j] & 1)
         ))
-        return base, g, perps
+        return g, perps
 
     monkeypatch.setattr(morphisms, "_point_images", swapped)
     report = verify_chow(SP42, budget=100_000)
@@ -245,12 +251,12 @@ def test_theorem3_reports_a_collinearity_break_that_no_frame_it_reads_shows(monk
     monkeypatch.setattr(polar, "enumerate_frames", lambda space, budget, visit=None: (frames, True))
 
     def broken(emb, members, perp_of):
-        base, g, perps = _point_images(emb, members, perp_of)
+        g, perps = _point_images(emb, members, perp_of)
         # over the empty base each g(p) is one point, so toggling it in the
         # perp of the first image flips the residue collinearity of the pair
         perps = list(perps)
         perps[pair[0]] ^= g[pair[1]]
-        return base, g, perps
+        return g, perps
 
     monkeypatch.setattr(morphisms, "_point_images", broken)
     report = verify_theorem3(SP42, SP42, mode="exhaustive")
@@ -353,28 +359,36 @@ def reference_lemma5(emb):
     )
 
 
-def reference_point_map(emb):
-    """induced_point_map with Zassenhaus meets, containments and joins."""
+def reference_point_images(emb, base=None):
+    """The g(p) of ``_point_images``, in source point order, as Zassenhaus
+    meets: each checked for its rank, and to contain ``base`` when one is
+    given, and g for injectivity."""
     field = emb.dst_space.field
     n, n_prime = emb.src_space.n, emb.dst_space.n
-    i0, j0 = _reference_opposite_pairs(emb.source)[0]
-    base = intersect(field, emb.image_of(i0), emb.image_of(j0))
     points_of = [points_in_subspace(emb.src_space, sub) for sub in emb.source.labels]
-    stars = {pt: [] for pt in emb.src_space.points}
-    for i, pts in enumerate(points_of):
-        for pt in pts:
-            stars[pt].append(i)
-    assignment = {}
+    images = []
     for pt in emb.src_space.points:
-        g = reduce(lambda a, b: intersect(field, a, b), (emb.image_of(i) for i in stars[pt]))
-        if g.rank != n_prime - n + 1 or not contains_subspace(field, g, base):
+        g = reduce(lambda a, b: intersect(field, a, b),
+                   (emb.image_of(i) for i, pts in enumerate(points_of) if pt in pts))
+        if g.rank != n_prime - n + 1 or (base is not None and not contains_subspace(field, g, base)):
             raise CounterexampleError(
                 "theorem3",
                 {"kind": "point_image_defect", "point": list(pt), "got": subspace_json(g)},
             )
-        assignment[pt] = g
-    if len(set(assignment.values())) != len(assignment):
+        images.append(g)
+    if len(set(images)) != len(images):
         raise CounterexampleError("theorem3", {"kind": "point_map_not_injective"})
+    return images
+
+
+def reference_point_map(emb):
+    """induced_point_map with Zassenhaus meets, containments and joins, over
+    the base of ``reference_lemma5``; each g(p) is still checked to contain
+    it."""
+    field = emb.dst_space.field
+    base = reference_lemma5(emb)
+    assignment = dict(zip(emb.src_space.points, reference_point_images(emb, base)))
+    points_of = [points_in_subspace(emb.src_space, sub) for sub in emb.source.labels]
     for v in range(emb.source.num_vertices):
         span = reduce(lambda a, b: sum_span(field, a, b), (assignment[pt] for pt in points_of[v]))
         if span != emb.image_of(v):
@@ -383,6 +397,12 @@ def reference_point_map(emb):
                 {"kind": "image_not_spanned_by_point_map", "vertex": v, "span": subspace_json(span)},
             )
     return InducedPointMap(emb.src_space, emb.dst_space, base, assignment)
+
+
+def _point_images_alone(emb):
+    """The g(p) of ``_point_images`` as subspaces, with no base check before."""
+    g, _ = _point_images(emb, _members(emb.source), {})
+    return [subspace_of_mask(emb.dst_space, gp) for gp in g]
 
 
 def _outcome(fn, emb):
@@ -416,9 +436,12 @@ def _perturbed(embs, count, seed):
 def test_mask_verifiers_match_the_reference(src, dst, mode, budget):
     embs, _ = collect(search_dualpolar_embeddings, src, dst, mode=mode, budget=budget, seed=6)
     assert embs
+    # induced_point_map checks lemma5's base first, so the point images are
+    # also compared on their own, where the perturbations reach their checks
     kinds = set()
     for emb in _perturbed(embs, 300, seed=17):
-        for new, ref in ((verify_lemma5, reference_lemma5), (induced_point_map, reference_point_map)):
+        for new, ref in ((verify_lemma5, reference_lemma5), (induced_point_map, reference_point_map),
+                         (_point_images_alone, reference_point_images)):
             got = _outcome(new, emb)
             assert got == _outcome(ref, emb)
             kinds.add(got.get("kind") if isinstance(got, dict) else "ok")
@@ -459,7 +482,7 @@ def test_frame_check_matches_the_per_frame_reference(src, dst, mode, budget):
     assert embs and complete
     collinear = src.collinear_masks()
     members, perp_of = _members(embs[0].source), {}
-    images = [_point_images(emb, members, perp_of)[:2] for emb in embs]
+    images = [(verify_lemma5(emb), _point_images(emb, members, perp_of)[0]) for emb in embs]
     pool = [gp for _, g in images for gp in g]
     rng = random.Random(23)
     verdicts, checked = set(), set()
@@ -481,7 +504,7 @@ def test_frame_check_matches_the_per_frame_reference(src, dst, mode, budget):
                                    "pair": broken[0]} or None)
         verdicts.add(got is not None)
         if k % 10 == 0:
-            pm = InducedPointMap(src, dst, subspace_of_mask(dst, base),
+            pm = InducedPointMap(src, dst, base,
                                  {pt: subspace_of_mask(dst, gp) for pt, gp in zip(src.points, g)})
             report = check_frames_preserving(pm)
             assert report["violations"] == ([{**got, "statement": "frames_preserving"}] if got else [])
@@ -500,6 +523,7 @@ def test_earlier_checks_catch_what_the_dropped_checks_would(src, dst, mode, budg
     # lemma5 no longer checks that the base lies in every image, nor the
     # point map that g spans every image: on the perturbed embeddings where
     # either would fail, the base or point-image checks have raised first
+    # (induced_point_map runs lemma5's base checks before its own)
     embs, _ = collect(search_dualpolar_embeddings, src, dst, mode=mode, budget=budget, seed=6)
     missing = unspanned = 0
     for emb in _perturbed(embs, 300, seed=17):
@@ -521,9 +545,146 @@ def test_earlier_checks_catch_what_the_dropped_checks_would(src, dst, mode, budg
         if any(span != emb.image_of(v) for v, span in enumerate(spans)):
             with pytest.raises(CounterexampleError) as info:
                 induced_point_map(emb)
-            assert info.value.details["kind"] in ("point_image_defect", "point_map_not_injective")
+            assert info.value.details["kind"] in (
+                "base_dimension", "base_depends_on_opposite_pair",
+                "point_image_defect", "point_map_not_injective",
+            )
             unspanned += 1
     assert missing and unspanned
+
+
+LEMMA5_KINDS = ("base_dimension", "base_depends_on_opposite_pair")
+PAIRS = pytest.mark.parametrize(
+    "src,dst,mode,budget",
+    [(SP42, SP62, "sample", 40_000), (SP42, SP42, "exhaustive", 100_000), (SP43, SP43, "sample", 20_000)],
+    ids=["sp42-sp62", "sp42-sp42", "sp43-sp43"],
+)
+
+
+def _opposition_preserving(emb, count, seed):
+    """Seeded vertex maps, found by backtracking, that send each opposite
+    pair of the source to two images meeting in the base of ``emb``:
+    ``verify_lemma5`` accepts them all, though most are no embeddings."""
+    rng = random.Random(seed)
+    src, dst = emb.source, emb.target
+    base = point_mask(emb.dst_space, verify_lemma5(emb))
+    over_base = sum(1 << u for u, mask in enumerate(dst.masks) if not base & ~mask)
+    meets = [sum(1 << u for u, other in enumerate(dst.masks) if mask & other == base)
+             for mask in dst.masks]
+    opposite = [_bits(classes[src.diameter] & ((1 << v) - 1)) for v, classes in enumerate(src.at_dist)]
+
+    def extend(a):
+        if len(a) == len(opposite):
+            return a
+        free = over_base
+        for j in opposite[len(a)]:
+            free &= meets[a[j]]
+        for t in rng.sample(_bits(free), free.bit_count()):
+            if done := extend(a + [t]):
+                return done
+        return None
+
+    for _ in range(count):
+        yield GraphEmbedding(emb.src_space, emb.dst_space, src, dst, tuple(extend([])))
+
+
+def _theorem3_on(emb, monkeypatch):
+    """The violations of ``verify_theorem3`` when its search streams ``emb``
+    alone, so that its frame apartments are pushed through it too."""
+
+    def stream(src_space, dst_space, mode, budget, seed, workers, *, visit):
+        visit(emb)
+        return None, search_stats(mode, budget, seed, workers, 1, 1, 1)
+
+    monkeypatch.setattr(morphisms, "search_dualpolar_embeddings", stream)
+    return verify_theorem3(emb.src_space, emb.dst_space)["violations"]
+
+
+@PAIRS
+def test_lemma5_rejects_every_point_image_that_misses_the_base(src, dst, mode, budget, monkeypatch):
+    # _point_images no longer checks that every g(p) contains the meet of
+    # the first opposite pair: each perturbed embedding with a g(p) that
+    # misses that meet is rejected by lemma5's base checks, in lemma5,
+    # induced_point_map and theorem3 alike
+    embs, _ = collect(search_dualpolar_embeddings, src, dst, mode=mode, budget=budget, seed=6)
+    missed = 0
+    for emb in _perturbed(embs, 300, seed=17):
+        imgs = [emb.target.masks[a] for a in emb.assignment]
+        i0, j0 = _reference_opposite_pairs(emb.source)[0]
+        base = imgs[i0] & imgs[j0]
+        g = [reduce(and_, (img for sub, img in zip(emb.source.masks, imgs) if sub >> p & 1))
+             for p in range(len(src.points))]
+        if not any(base & ~gp for gp in g):
+            continue
+        violation = _outcome(verify_lemma5, emb)
+        assert violation["kind"] in LEMMA5_KINDS
+        assert _outcome(induced_point_map, emb) == violation
+        assert _theorem3_on(emb, monkeypatch) == [violation]
+        missed += 1
+    assert missed
+
+
+@PAIRS
+def test_every_pushed_frame_apartment_has_lemma5s_base(src, dst, mode, budget, monkeypatch):
+    # theorem3 no longer compares the base of a pushed frame apartment with
+    # lemma5's: on every perturbed embedding lemma5 accepts, the antipodal
+    # members of each frame apartment are opposite, so their images meet in
+    # lemma5's base, every decomposition that succeeds returns it, and
+    # theorem3 reports a transfer failure exactly when the decomposition of
+    # one of its first two frames raises.  Every perturbed embedding lemma5
+    # accepts is an embedding, so on Sp(4,2) maps that only keep opposite
+    # pairs opposite over the base are added (on Sp(4,3) backtracking
+    # finds none quickly)
+    embs, _ = collect(search_dualpolar_embeddings, src, dst, mode=mode, budget=budget, seed=6)
+    found = {emb.assignment for emb in embs}
+    extra = _opposition_preserving(embs[0], 30, seed=7) if src == SP42 else ()
+    apartment = frame_vertices(src, embs[0].source)
+    frames = enumerate_frames(src, budget=100)[0]
+    assert frames[:2] == enumerate_frames(src, budget=src.n + 1)[0]
+    full = (1 << src.n) - 1
+    accepted, decomposed, undecomposed = set(), 0, 0
+    for emb in chain(_perturbed(embs, 300, seed=17), extra):
+        try:
+            base = point_mask(dst, verify_lemma5(emb))
+        except CounterexampleError:
+            continue
+        accepted.add(emb.assignment in found)
+        failed = []
+        for frame in frames:
+            masks = [emb.target.masks[emb.assignment[v]] for v in apartment(frame)]
+            assert all(masks[x] & masks[x ^ full] == base for x in range(len(masks)))
+            try:
+                witness_base, _ = _witness_from_images(dst, masks)
+            except CounterexampleError:
+                failed.append([list(pt) for pt in frame.points])
+                undecomposed += 1
+                continue
+            assert witness_base == base
+            decomposed += 1
+        transfers = [v["frame"] for v in _theorem3_on(emb, monkeypatch)
+                     if v["kind"] == "apartment_transfer_failure"]
+        # transfers follow the point-image checks, and the first failed one
+        # raises, so it is the only one reported
+        first_two = [[list(pt) for pt in frame.points] for frame in frames[:2]]
+        reached = isinstance(_outcome(_point_images_alone, emb), list)
+        assert transfers == [f for f in failed if f in first_two][:reached]
+    assert decomposed and accepted == ({True, False} if src == SP42 else {True})
+    assert bool(undecomposed) == (src == SP42)
+
+
+@pytest.mark.parametrize("dst", [SP42, SP62], ids=["sp42-sp42", "sp42-sp62"])
+def test_lift_names_a_collapsed_pair_in_its_distance_check(dst):
+    # the lift no longer checks injectivity on its own: a point map sending
+    # every point to one maximal W over the base spans W from every source
+    # maximal, and the distance check names the first pair, at distance 0
+    base, _ = shifted_point_injection(SP42, dst)
+    source = dual_polar_graph(SP42)
+    maximals = star(dst, base, dst.n - 1) if base.rank else enumerate_singular(dst, dst.n - 1)
+    assert maximals
+    for w in maximals:
+        with pytest.raises(LiftError, match="does not preserve distances") as info:
+            lift_frame_preserving_map(SP42, dst, base, {pt: w for pt in SP42.points})
+        assert info.value.details == {"pair": [0, 1], "expected": source.dist[0][1], "got": 0}
 
 
 @pytest.mark.parametrize(
@@ -586,8 +747,6 @@ def _reference_lift_outcome(src, dst, base, point_map):
                 {"source": subspace_json(sub), "span": subspace_json(span)})
     graph, source = dual_polar_graph(dst), dual_polar_graph(src)
     assignment = tuple(graph.labels.index(s) for s in images)
-    if len(set(assignment)) != len(assignment):
-        return "lifted map is not injective", {}
     for i in range(len(images)):
         for j in range(i + 1, len(images)):
             d = graph.dist[assignment[i]][assignment[j]]
