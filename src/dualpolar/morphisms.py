@@ -154,15 +154,11 @@ def verify_lemma5(emb: GraphEmbedding) -> Subspace:
     return subspace_of_mask(space, base)
 
 
-def _point_images(
-    emb: GraphEmbedding, members: list[list[int]], perp_of: dict[int, int]
-) -> tuple[list[int], list[int]]:
-    """Masks of every g(p), in ``src_space.points`` order, and the perp of
-    every g(p); the checks are those of ``induced_point_map``.  ``members``
-    lists the point indices of each source vertex (``_members(emb.source)``)
-    and ``perp_of`` maps masks to their perps: pass one of each through a
-    verifier call, since every embedding has the same source and the g(p)
-    of different embeddings repeat.
+def _point_images(emb: GraphEmbedding, members: list[list[int]]) -> list[int]:
+    """Masks of every g(p), in ``src_space.points`` order; the checks are
+    those of ``induced_point_map``.  ``members`` lists the point indices of
+    each source vertex (``_members(emb.source)``): pass one list through a
+    verifier call, since every embedding has the same source.
 
     Each g(p) is only checked for its rank and g for injectivity.  The base
     B lies in every g(p) once it lies in every image, since g(p) is a meet
@@ -176,6 +172,11 @@ def _point_images(
     g(p) with p in M lies in W, and W/B has rank n, so the (p^n - 1)/(p - 1)
     points of M go to as many distinct elements one step above B in W, which
     are all of them.
+
+    Being a meet of images, g also carries collinear points to
+    residue-collinear elements, whatever the assignment: collinear p, q lie
+    in a common maximal M, so g(p) and g(q) lie in the totally singular
+    image of M.  ``_collinearity_check`` builds on that.
     """
     space = emb.dst_space
     imgs = _image_masks(emb)
@@ -193,13 +194,7 @@ def _point_images(
             )
     if len(set(g)) != len(g):
         raise CounterexampleError("theorem3", {"kind": "point_map_not_injective"})
-    perps = []
-    for gp in g:
-        perp = perp_of.get(gp)
-        if perp is None:
-            perp = perp_of[gp] = perp_mask(space, gp)
-        perps.append(perp)
-    return g, perps
+    return g
 
 
 def induced_point_map(emb: GraphEmbedding) -> InducedPointMap:
@@ -213,7 +208,7 @@ def induced_point_map(emb: GraphEmbedding) -> InducedPointMap:
     ``_point_images``); failures raise CounterexampleError.
     """
     base = verify_lemma5(emb)
-    g, _ = _point_images(emb, _members(emb.source), {})
+    g = _point_images(emb, _members(emb.source))
     space = emb.dst_space
     assignment = {pt: subspace_of_mask(space, gp) for pt, gp in zip(emb.src_space.points, g)}
     return InducedPointMap(emb.src_space, space, base, assignment)
@@ -240,6 +235,10 @@ def _collinearity_break(
     residue-collinear exactly off its partners, so the point map carries
     every frame to a residue frame exactly when it preserves collinearity
     both ways.
+
+    ``check_frames_preserving`` runs this scan on every map it is given.
+    The verifiers run it only on a map that ``_collinearity_check`` has
+    already found broken, to name the pair.
     """
     rc_masks = [0] * len(g)
     for i in range(len(g)):
@@ -257,6 +256,53 @@ def _collinearity_break(
     return None
 
 
+def _residue_collinear_pairs(g: list[int], perps: list[int]) -> int:
+    """The number of pairs i < j whose images are residue-collinear, i.e.
+    with g[j] in the perp ``perps[i]`` of g[i]."""
+    return sum(
+        not g[j] & ~perps[i] for i in range(len(g)) for j in range(i + 1, len(g))
+    )
+
+
+def _collinearity_check(statement: str, src_space: PolarSpace, dst_space: PolarSpace):
+    """A check of the point images ``g`` of a graph embedding from
+    ``src_space`` to ``dst_space`` (as ``_point_images`` returns them) that
+    returns what ``_collinearity_break`` would, with one pair count per
+    distinct set of images.  Make one per verifier call: its dicts hold the
+    perps and the counts that call has taken.
+
+    ``_point_images`` gives g as meets of images, so g carries every
+    collinear pair to a residue-collinear one, and it is injective, so it
+    carries distinct pairs to distinct pairs.  Collinearity is then
+    preserved both ways exactly when the images have as many
+    residue-collinear pairs as the source has collinear pairs.  That count
+    depends only on the set of images, so it is taken once per set, on the
+    first embedding with that set, and only a count that differs from the
+    source's runs ``_collinearity_break`` to name the first broken pair.
+    """
+    collinear = src_space.collinear_masks()
+    pairs = sum(mask.bit_count() for mask in collinear) // 2
+    perp_of: dict[int, int] = {}
+    count_of: dict[frozenset[int], int] = {}
+
+    def perps(g: list[int]) -> list[int]:
+        for gp in g:
+            if gp not in perp_of:
+                perp_of[gp] = perp_mask(dst_space, gp)
+        return [perp_of[gp] for gp in g]
+
+    def check(g: list[int]) -> dict | None:
+        key = frozenset(g)
+        count = count_of.get(key)
+        if count is None:
+            count = count_of[key] = _residue_collinear_pairs(g, perps(g))
+        if count == pairs:
+            return None
+        return _collinearity_break(statement, collinear, g, perps(g))
+
+    return check
+
+
 def check_frames_preserving(pm: InducedPointMap) -> dict:
     """Check that the point map carries every frame of its source to a
     residue frame over its base.
@@ -264,7 +310,10 @@ def check_frames_preserving(pm: InducedPointMap) -> dict:
     The pair check of ``_collinearity_break`` decides every frame at once,
     so the report is complete and exhaustive, its ``frames`` count is the
     closed form ``polar.frame_count``, and a broken map gives one violation
-    naming the first pair of source point indices that it breaks.
+    naming the first pair of source point indices that it breaks.  The map
+    may be any map, not one read off an embedding, so every pair is
+    scanned: the pair count of ``_collinearity_check`` holds only for
+    meets of images.
     """
     start = time.perf_counter()
     src, dst = pm.src_space, pm.dst_space
@@ -414,13 +463,16 @@ def verify_theorem3(
     back to the embedding (``_point_images``), and a point map preserving
     collinearity both ways, which carries every frame to a residue frame
     (see ``_collinearity_break``), so ``frames_checked`` is the number of
-    frames.  For the first 50 embeddings, the first two frame apartments
-    are also pushed through the embedding and decomposed, in the sign-mask
-    labelling they come with, as apartments; a transfer fails exactly when
-    the decomposition raises.  Its base is Lemma 5's without a check: the
-    antipodal members of a frame apartment are opposite source vertices,
-    so ``verify_lemma5`` has already found that their images meet in the
-    base, with the rank n' - n that the decomposition asks of it.
+    frames.  The residue-collinear pairs are counted once per distinct set
+    of point images (``_collinearity_check``), and scanned only on a set
+    whose count differs from the source's.  For the first 50 embeddings,
+    the first two frame apartments are also pushed through the embedding
+    and decomposed, in the sign-mask labelling they come with, as
+    apartments; a transfer fails exactly when the decomposition raises.
+    Its base is Lemma 5's without a check: the antipodal members of a
+    frame apartment are opposite source vertices, so ``verify_lemma5`` has
+    already found that their images meet in the base, with the rank n' - n
+    that the decomposition asks of it.
     """
     start = time.perf_counter()
     # the last pair of a frame has p >= 2 choices of partner, so the first
@@ -430,9 +482,8 @@ def verify_theorem3(
     apartment = frame_vertices(src_space, src)
     pushed = [(frame, apartment(frame)) for frame in first_frames]
     members = _members(src)
-    collinear = src_space.collinear_masks()
+    collinearity = _collinearity_check("theorem3", src_space, dst_space)
     violations: list[dict] = []
-    perp_of: dict[int, int] = {}
     visited = checked_apartments = 0
 
     def check(emb: GraphEmbedding) -> None:
@@ -441,8 +492,7 @@ def verify_theorem3(
         visited += 1
         try:
             verify_lemma5(emb)
-            g, perps = _point_images(emb, members, perp_of)
-            if broken := _collinearity_break("theorem3", collinear, g, perps):
+            if broken := collinearity(_point_images(emb, members)):
                 violations.append(broken)
             if first:
                 for frame, vertices in pushed:
@@ -489,18 +539,19 @@ def verify_chow(
     be injective: g permutes the points.  Over
     an empty base, residue collinearity is collinearity, and the pair check
     decides every frame (see ``_collinearity_break``), so ``frames_checked``
-    is the number of frames.
+    is the number of frames.  Every g has the whole point set as its set of
+    images, so the collinear pairs are counted once per call
+    (``_collinearity_check``), and scanned only if that count differs from
+    the source's.
     """
     start = time.perf_counter()
-    collinear = space.collinear_masks()
     members = _members(dual_polar_graph(space))
+    collinearity = _collinearity_check("chow", space, space)
     violations: list[dict] = []
-    perp_of: dict[int, int] = {}
 
     def check(emb: GraphEmbedding) -> None:
         try:
-            g, perps = _point_images(emb, members, perp_of)
-            broken = _collinearity_break("chow", collinear, g, perps)
+            broken = collinearity(_point_images(emb, members))
         except CounterexampleError as exc:
             broken = exc.as_violation()
         if broken:

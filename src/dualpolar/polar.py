@@ -220,12 +220,16 @@ def subspace_size(space: PolarSpace, rank: int) -> int:
 
 
 def subspace_of_mask(space: PolarSpace, mask: int) -> Subspace:
-    """The canonical RREF subspace spanned by the points of ``mask``."""
+    """The canonical RREF subspace spanned by the points of ``mask``.  A
+    normalized point is its own RREF, so a mask of at most one point needs
+    no reduction."""
     rows = []
     while mask:
         low = mask & -mask
         rows.append(space.points[low.bit_length() - 1])
         mask ^= low
+    if len(rows) <= 1:
+        return Subspace(tuple(rows), space.dim)
     return rref(space.field, rows, space.dim)
 
 

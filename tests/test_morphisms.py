@@ -213,57 +213,152 @@ def test_a_verifier_call_takes_each_perp_once(monkeypatch, run):
 
 
 def test_chow_names_the_first_pair_whose_collinearity_breaks(monkeypatch):
-    # swap the images of two points on every embedding; the violation must
-    # name the first pair, in (i, j) order, that the swapped map breaks
+    # toggle the collinearity of two pairs of target points in the perps
+    # the check reads, so that the images have two more residue-collinear
+    # pairs than the source has collinear pairs; the violation must name
+    # the first pair, in (i, j) order, that each embedding then breaks
     masks = SP42.collinear_masks()
-    swap = (0, 7)
-    assert (masks[0] >> 1 & 1) != (masks[7] >> 1 & 1)
+    toggled = [(0, 9), (1, 2)]
+    assert not any(masks[a] >> b & 1 for a, b in toggled)
+    tampered = list(masks)
+    for a, b in toggled:
+        tampered[a] ^= 1 << b
+        tampered[b] ^= 1 << a
+
+    def tampered_perp(space, mask):
+        # over the empty base each g(p) is one point, whose perp is the
+        # points collinear with it and itself
+        return tampered[mask.bit_length() - 1] | mask
+
     found = []
 
-    def swapped(emb, members, perp_of):
-        g, perps = _point_images(emb, members, perp_of)
-        g, perps = list(g), list(perps)
-        for seq in (g, perps):
-            seq[swap[0]], seq[swap[1]] = seq[swap[1]], seq[swap[0]]
+    def spied(emb, members):
+        g = _point_images(emb, members)
         perm = [gp.bit_length() - 1 for gp in g]
         found.append(next(
             [i, j] for i in range(len(perm)) for j in range(i + 1, len(perm))
-            if (masks[i] >> j & 1) != (masks[perm[i]] >> perm[j] & 1)
+            if (masks[i] >> j & 1) != (tampered[perm[i]] >> perm[j] & 1)
         ))
-        return g, perps
+        return g
 
-    monkeypatch.setattr(morphisms, "_point_images", swapped)
+    monkeypatch.setattr(morphisms, "perp_mask", tampered_perp)
+    monkeypatch.setattr(morphisms, "_point_images", spied)
     report = verify_chow(SP42, budget=100_000)
-    assert len(found) == 720
+    assert len(found) == 720 and len({tuple(pair) for pair in found}) > 1
     assert report["violations"] == [
         {"statement": "chow", "kind": "collinearity_not_preserved", "pair": pair} for pair in found
     ]
 
 
 def test_theorem3_reports_a_collinearity_break_that_no_frame_it_reads_shows(monkeypatch):
-    # break the collinearity of one pair of points on every embedding, and
-    # hand out only frames that avoid that pair: a frame scan over them sees
-    # nothing, but the pair check decides every frame
+    # break the collinearity of one pair of points in a source that is its
+    # own object, beside an untouched target, and hand out only frames that
+    # avoid both points: a frame scan over them sees nothing, but the pair
+    # check decides every frame
     pair = (1, 2)
-    frames = [f for f in enumerate_frames(SP42)[0]
-              if not {SP42.points[i] for i in pair} <= set(f.points)]
+    src = PolarSpace(2, 2)
+    dual_polar_graph(src)
+    frames = [f for f in enumerate_frames(src)[0]
+              if not {src.points[i] for i in pair} & set(f.points)]
     assert 0 < len(frames) < 90
     monkeypatch.setattr(polar, "enumerate_frames", lambda space, budget, visit=None: (frames, True))
-
-    def broken(emb, members, perp_of):
-        g, perps = _point_images(emb, members, perp_of)
-        # over the empty base each g(p) is one point, so toggling it in the
-        # perp of the first image flips the residue collinearity of the pair
-        perps = list(perps)
-        perps[pair[0]] ^= g[pair[1]]
-        return g, perps
-
-    monkeypatch.setattr(morphisms, "_point_images", broken)
-    report = verify_theorem3(SP42, SP42, mode="exhaustive")
+    # the frames hold neither point, so their apartments do not read the
+    # toggled bits
+    tampered = list(src.collinear_masks())
+    tampered[pair[0]] ^= 1 << pair[1]
+    tampered[pair[1]] ^= 1 << pair[0]
+    monkeypatch.setattr(src, "_collinear_masks", tampered)
+    report = verify_theorem3(src, SP42, mode="exhaustive")
     assert report["complete"] and report["counts"]["embeddings"] == 720
     assert report["violations"] == [
         {"statement": "theorem3", "kind": "collinearity_not_preserved", "pair": list(pair)}
     ] * 720
+
+
+def _meets(emb):
+    """g(p) for every source point p: the AND of the images of the source
+    maximals through p, with no check."""
+    imgs = [emb.target.masks[a] for a in emb.assignment]
+    return [reduce(and_, (img for sub, img in zip(emb.source.masks, imgs) if sub >> p & 1))
+            for p in range(len(emb.src_space.points))]
+
+
+@pytest.mark.parametrize("src,dst,budget", [(SP42, SP62, 40_000), (SP43, SP43, 20_000)],
+                         ids=["sp42-sp62", "sp43-sp43"])
+@pytest.mark.parametrize("seed", range(3))
+def test_meets_of_any_assignment_carry_collinear_pairs_to_residue_collinear_ones(src, dst, budget, seed):
+    # the premise of the pair count: g(p) is a meet of images, so collinear
+    # p, q lie in a common maximal M and g(p), g(q) in the totally singular
+    # image of M, whatever target vertices the maximals are sent to; the
+    # assignments are found embeddings with k of their images replaced by
+    # random target vertices, for every k up to all of them
+    embs, _ = collect(search_dualpolar_embeddings, src, dst, mode="sample", budget=budget, seed=6)
+    rng = random.Random(seed)
+    collinear = src.collinear_masks()
+    source, target = embs[0].source, embs[0].target
+    proper = 0
+    for _ in range(100):
+        a = list(embs[rng.randrange(len(embs))].assignment)
+        for v in rng.sample(range(len(a)), rng.randint(1, len(a))):
+            a[v] = rng.randrange(target.num_vertices)
+        g = _meets(GraphEmbedding(src, dst, source, target, tuple(a)))
+        for p, q in ((p, q) for p in range(len(g)) for q in _bits(collinear[p]) if q > p):
+            assert not g[q] & ~perp_mask(dst, g[p])
+            # a pair neither of whose images holds the other tests the perp
+            proper += bool(g[p] & ~g[q] and g[q] & ~g[p])
+    assert proper
+
+
+def test_the_pair_count_agrees_with_the_pair_scan_on_every_c11_embedding():
+    # every embedding of Sp(4,2) in Sp(6,2) (criterion 11's complete run)
+    # gets the same verdict from the set-keyed count as from the full scan
+    members = _members(dual_polar_graph(SP42))
+    collinear = SP42.collinear_masks()
+    check = morphisms._collinearity_check("theorem3", SP42, SP62)
+    perp_of = {}
+    seen = []
+
+    def visit(emb):
+        g = _point_images(emb, members)
+        for gp in g:
+            if gp not in perp_of:
+                perp_of[gp] = perp_mask(SP62, gp)
+        perps = [perp_of[gp] for gp in g]
+        assert check(g) == _collinearity_break("theorem3", collinear, g, perps)
+        seen.append(frozenset(g))
+
+    _, stats = search_dualpolar_embeddings(SP42, SP62, "sample", 10**7, seed=5, visit=visit)
+    assert stats["complete"] and len(seen) == 45_360 and len(set(seen)) == 63
+
+
+@pytest.mark.parametrize(
+    "run",
+    [lambda: verify_theorem3(SP42, SP62, mode="sample", budget=100_000, seed=11),
+     lambda: verify_chow(SP43, budget=20_000)],
+    ids=["theorem3", "chow"],
+)
+def test_a_verifier_call_counts_the_pairs_once_per_set_of_point_images(monkeypatch, run):
+    # the memo is measured by count: one pair scan per distinct frozenset(g),
+    # in the order the sets are first seen, far fewer than the embeddings
+    sets, scanned = [], []
+
+    def spied(emb, members):
+        g = _point_images(emb, members)
+        sets.append(frozenset(g))
+        return g
+
+    scan = morphisms._residue_collinear_pairs
+
+    def counting(g, perps):
+        scanned.append(frozenset(g))
+        return scan(g, perps)
+
+    monkeypatch.setattr(morphisms, "_point_images", spied)
+    monkeypatch.setattr(morphisms, "_residue_collinear_pairs", counting)
+    report = run()
+    assert report["violations"] == [] and len(sets) == report["counts"]["embeddings"]
+    assert scanned == list(dict.fromkeys(sets))
+    assert 20 * len(scanned) < len(sets)
 
 
 def test_counterexample_payloads_are_jsonable():
@@ -401,7 +496,7 @@ def reference_point_map(emb):
 
 def _point_images_alone(emb):
     """The g(p) of ``_point_images`` as subspaces, with no base check before."""
-    g, _ = _point_images(emb, _members(emb.source), {})
+    g = _point_images(emb, _members(emb.source))
     return [subspace_of_mask(emb.dst_space, gp) for gp in g]
 
 
@@ -481,8 +576,8 @@ def test_frame_check_matches_the_per_frame_reference(src, dst, mode, budget):
     frames, complete = enumerate_frames(src)
     assert embs and complete
     collinear = src.collinear_masks()
-    members, perp_of = _members(embs[0].source), {}
-    images = [(verify_lemma5(emb), _point_images(emb, members, perp_of)[0]) for emb in embs]
+    members = _members(embs[0].source)
+    images = [(verify_lemma5(emb), _point_images(emb, members)) for emb in embs]
     pool = [gp for _, g in images for gp in g]
     rng = random.Random(23)
     verdicts, checked = set(), set()

@@ -530,6 +530,14 @@ def singular_pairs(draw):
     return space, pick(), pick()
 
 
+@pytest.mark.parametrize("space", [SP42, SP43, SP62, SP45], ids=["sp42", "sp43", "sp62", "sp45"])
+def test_a_mask_of_at_most_one_point_is_its_own_rref(space):
+    # subspace_of_mask reduces nothing for one point or none
+    assert subspace_of_mask(space, 0) == rref(space.field, [], space.dim) == zero_subspace(space.dim)
+    for i, pt in enumerate(space.points):
+        assert subspace_of_mask(space, 1 << i) == rref(space.field, [pt], space.dim)
+
+
 @settings(max_examples=200, deadline=None)
 @given(singular_pairs())
 def test_point_masks_agree_with_rref(data):
