@@ -17,7 +17,7 @@ from .graphs import (
     hypercube,
     verify_lemma2,
 )
-from .linalg import GF, Subspace, gf, rref
+from .linalg import GF, Subspace, rref
 from .morphisms import (
     GraphEmbedding,
     InducedPointMap,

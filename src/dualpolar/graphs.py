@@ -83,10 +83,6 @@ class HypercubeVertex:
             -(i + 1) if (self.mask >> i) & 1 else i + 1 for i in range(self.m)
         )
 
-    def has(self, signed: int) -> bool:
-        i = abs(signed) - 1
-        return ((self.mask >> i) & 1) == (1 if signed < 0 else 0)
-
 
 # byte i of int.from_bytes(format(mask, f"0{nv}b").encode().translate(_SPREAD))
 # is bit i of mask
@@ -299,11 +295,11 @@ def sample_geodesic(graph: DenseGraph, v: int, w: int, counts: Sequence[int], rn
     return path[::-1]
 
 
-def verify_lemma2(m_max: int = 8, geodesic_m_max: int = 6) -> dict:
+def verify_lemma2(m_max: int = 8) -> dict:
     """Check the two hypercube facts behind the embedding analysis.
 
     For every m <= m_max each vertex of H_m has exactly one vertex at
-    distance m; for every m <= geodesic_m_max and every opposite pair
+    distance m; for every m <= min(m_max, 6) and every opposite pair
     (v, w), every vertex u lies on an explicitly constructed geodesic from
     v to w.
     """
@@ -318,7 +314,7 @@ def verify_lemma2(m_max: int = 8, geodesic_m_max: int = 6) -> dict:
             checks += 1
             if len(opposite) != 1:
                 violations.append({"m": m, "vertex": v, "opposite": opposite})
-        if m > geodesic_m_max:
+        if m > 6:
             continue
         for v in range(nv):
             w = v ^ (nv - 1)

@@ -9,7 +9,6 @@ joins and containments of subspaces are taken on point masks in ``polar``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 
@@ -24,11 +23,6 @@ class GF:
 
     def __repr__(self) -> str:
         return f"GF({self.p})"
-
-
-@lru_cache(maxsize=None)
-def gf(p: int) -> GF:
-    return GF(p)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,6 @@ from .linalg import Subspace, rref
 from .polar import (
     Point,
     PolarSpace,
-    mask_rank,
     perp_mask,
     point_mask,
     subspace_of_mask,
@@ -75,9 +74,6 @@ class InducedPointMap:
     dst_space: PolarSpace
     base: Subspace
     assignment: dict
-
-    def __call__(self, pt: Point) -> Subspace:
-        return self.assignment[pt]
 
 
 @lru_cache(maxsize=1)
@@ -154,11 +150,12 @@ def verify_lemma5(emb: GraphEmbedding) -> Subspace:
     return subspace_of_mask(space, base)
 
 
-def _point_images(emb: GraphEmbedding, members: list[list[int]]) -> list[int]:
+def _point_images(statement: str, emb: GraphEmbedding, members: list[list[int]]) -> list[int]:
     """Masks of every g(p), in ``src_space.points`` order; the checks are
-    those of ``induced_point_map``.  ``members`` lists the point indices of
-    each source vertex (``_members(emb.source)``): pass one list through a
-    verifier call, since every embedding has the same source.
+    those of ``induced_point_map``, and a failure is a violation of
+    ``statement``.  ``members`` lists the point indices of each source
+    vertex (``_members(emb.source)``): pass one list through a verifier
+    call, since every embedding has the same source.
 
     Each g(p) is only checked for its rank and g for injectivity.  The base
     B lies in every g(p) once it lies in every image, since g(p) is a meet
@@ -188,12 +185,12 @@ def _point_images(emb: GraphEmbedding, members: list[list[int]]) -> list[int]:
     for p, gp in enumerate(g):
         if gp.bit_count() != size:
             raise CounterexampleError(
-                "theorem3",
+                statement,
                 {"kind": "point_image_defect", "point": list(emb.src_space.points[p]),
                  "got": subspace_json(subspace_of_mask(space, gp))},
             )
     if len(set(g)) != len(g):
-        raise CounterexampleError("theorem3", {"kind": "point_map_not_injective"})
+        raise CounterexampleError(statement, {"kind": "point_map_not_injective"})
     return g
 
 
@@ -208,21 +205,31 @@ def induced_point_map(emb: GraphEmbedding) -> InducedPointMap:
     ``_point_images``); failures raise CounterexampleError.
     """
     base = verify_lemma5(emb)
-    g = _point_images(emb, _members(emb.source))
+    g = _point_images("theorem3", emb, _members(emb.source))
     space = emb.dst_space
     assignment = {pt: subspace_of_mask(space, gp) for pt, gp in zip(emb.src_space.points, g)}
     return InducedPointMap(emb.src_space, space, base, assignment)
 
 
-def _collinearity_break(
-    statement: str, collinear: list[int], g: list[int], perps: list[int]
-) -> dict | None:
+def _residue_collinear(g: list[int], perps: list[int]) -> list[int]:
+    """Each point image's mask of residue-collinear partners: bit j of entry
+    i is set when g[j] lies in the perp ``perps[i]`` of g[i], i.e. when the
+    span of the two images over the base is singular."""
+    rc = [0] * len(g)
+    for i in range(len(g)):
+        for j in range(i + 1, len(g)):
+            if not g[j] & ~perps[i]:
+                rc[i] |= 1 << j
+                rc[j] |= 1 << i
+    return rc
+
+
+def _collinearity_break(statement: str, collinear: list[int], rc: list[int]) -> dict | None:
     """The violation of ``statement`` naming the first pair (i, j), i < j, of
-    source points, with collinearity masks ``collinear``, whose point images
-    (masks ``g`` with perps ``perps``) are residue-collinear where the points
-    are not or the other way round; None when collinearity is preserved both
-    ways.  Two images over the base are residue-collinear exactly when their
-    span is singular, i.e. when one lies in the perp of the other.
+    source points, with collinearity masks ``collinear``, whose point images,
+    with residue-collinearity masks ``rc`` (``_residue_collinear``), are
+    residue-collinear where the points are not or the other way round; None
+    when collinearity is preserved both ways.
 
     This decides every frame at once, for ``theorem3``, ``chow`` and
     ``check_frames_preserving`` alike.  In a polar space of rank >= 2 any two
@@ -234,21 +241,9 @@ def _collinearity_break(
     A frame goes to a residue frame exactly when its images are
     residue-collinear exactly off its partners, so the point map carries
     every frame to a residue frame exactly when it preserves collinearity
-    both ways.
-
-    ``check_frames_preserving`` runs this scan on every map it is given.
-    The verifiers run it only on a map that ``_collinearity_check`` has
-    already found broken, to name the pair.
+    both ways, i.e. when ``rc`` equals ``collinear``.
     """
-    rc_masks = [0] * len(g)
-    for i in range(len(g)):
-        for j in range(i + 1, len(g)):
-            if not g[j] & ~perps[i]:
-                rc_masks[i] |= 1 << j
-                rc_masks[j] |= 1 << i
-    if rc_masks == collinear:
-        return None
-    for i, (got, want) in enumerate(zip(rc_masks, collinear)):
+    for i, (got, want) in enumerate(zip(rc, collinear)):
         later = (got ^ want) >> (i + 1)
         if later:
             j = i + (later & -later).bit_length()
@@ -256,29 +251,23 @@ def _collinearity_break(
     return None
 
 
-def _residue_collinear_pairs(g: list[int], perps: list[int]) -> int:
-    """The number of pairs i < j whose images are residue-collinear, i.e.
-    with g[j] in the perp ``perps[i]`` of g[i]."""
-    return sum(
-        not g[j] & ~perps[i] for i in range(len(g)) for j in range(i + 1, len(g))
-    )
-
-
 def _collinearity_check(statement: str, src_space: PolarSpace, dst_space: PolarSpace):
     """A check of the point images ``g`` of a graph embedding from
     ``src_space`` to ``dst_space`` (as ``_point_images`` returns them) that
-    returns what ``_collinearity_break`` would, with one pair count per
-    distinct set of images.  Make one per verifier call: its dicts hold the
-    perps and the counts that call has taken.
+    returns what ``_collinearity_break`` would, reading the relation of
+    ``_residue_collinear`` once per distinct set of images.  Make one per
+    verifier call: its dicts hold the perps and the counts that call has
+    taken.
 
     ``_point_images`` gives g as meets of images, so g carries every
     collinear pair to a residue-collinear one, and it is injective, so it
     carries distinct pairs to distinct pairs.  Collinearity is then
     preserved both ways exactly when the images have as many
-    residue-collinear pairs as the source has collinear pairs.  That count
-    depends only on the set of images, so it is taken once per set, on the
-    first embedding with that set, and only a count that differs from the
-    source's runs ``_collinearity_break`` to name the first broken pair.
+    residue-collinear pairs (half the popcounts of the masks) as the source
+    has collinear pairs.  That count depends only on the set of images, so
+    it is taken once per set, on the first embedding with that set, and
+    only on a set whose count differs from the source's is the relation read
+    again, in that embedding's order, to name the first broken pair.
     """
     collinear = src_space.collinear_masks()
     pairs = sum(mask.bit_count() for mask in collinear) // 2
@@ -293,12 +282,11 @@ def _collinearity_check(statement: str, src_space: PolarSpace, dst_space: PolarS
 
     def check(g: list[int]) -> dict | None:
         key = frozenset(g)
-        count = count_of.get(key)
-        if count is None:
-            count = count_of[key] = _residue_collinear_pairs(g, perps(g))
-        if count == pairs:
+        if key not in count_of:
+            count_of[key] = sum(mask.bit_count() for mask in _residue_collinear(g, perps(g))) // 2
+        if count_of[key] == pairs:
             return None
-        return _collinearity_break(statement, collinear, g, perps(g))
+        return _collinearity_break(statement, collinear, _residue_collinear(g, perps(g)))
 
     return check
 
@@ -307,19 +295,20 @@ def check_frames_preserving(pm: InducedPointMap) -> dict:
     """Check that the point map carries every frame of its source to a
     residue frame over its base.
 
-    The pair check of ``_collinearity_break`` decides every frame at once,
-    so the report is complete and exhaustive, its ``frames`` count is the
-    closed form ``polar.frame_count``, and a broken map gives one violation
-    naming the first pair of source point indices that it breaks.  The map
-    may be any map, not one read off an embedding, so every pair is
-    scanned: the pair count of ``_collinearity_check`` holds only for
+    The images' residue collinearity (``_residue_collinear``) against the
+    source's collinearity decides every frame at once
+    (``_collinearity_break``), so the report is complete and exhaustive, its
+    ``frames`` count is the closed form ``polar.frame_count``, and a broken
+    map gives one violation naming the first pair of source point indices
+    that it breaks.  The map may be any map, so the whole relation is
+    compared: the pair count of ``_collinearity_check`` holds only for
     meets of images.
     """
     start = time.perf_counter()
     src, dst = pm.src_space, pm.dst_space
     g = [point_mask(dst, pm.assignment[pt]) for pt in src.points]
-    perps = [perp_mask(dst, gp) for gp in g]
-    broken = _collinearity_break("frames_preserving", src.collinear_masks(), g, perps)
+    rc = _residue_collinear(g, [perp_mask(dst, gp) for gp in g])
+    broken = _collinearity_break("frames_preserving", src.collinear_masks(), rc)
     frames = polar.frame_count(src)
     return make_report(
         "frames_preserving", {"p": src.p, "n": src.n, "m": None, "n_prime": dst.n},
@@ -353,13 +342,14 @@ def lift_frame_preserving_map(
     vertex_of = {mask: v for v, mask in enumerate(dst.masks)}
     base_mask = point_mask(dst_space, base)
     g = [point_mask(dst_space, point_map[pt]) for pt in src_space.points]
+    maximal_size = subspace_size(dst_space, dst_space.n)
     assignment = []
     for v, members in enumerate(src.masks):
         points = reduce(or_, (g[p] for p in _bits(members)), base_mask)
         # the span S is maximal singular exactly when it is its own perp:
         # then S lies in perp(S), and perp(S) has rank n'
         perp = perp_mask(dst_space, points)
-        if points & ~perp or mask_rank(dst_space, perp) != dst_space.n:
+        if points & ~perp or perp.bit_count() != maximal_size:
             raise LiftError(
                 "span of point images is not maximal singular",
                 {"source": subspace_json(src.labels[v]),
@@ -492,7 +482,7 @@ def verify_theorem3(
         visited += 1
         try:
             verify_lemma5(emb)
-            if broken := collinearity(_point_images(emb, members)):
+            if broken := collinearity(_point_images("theorem3", emb, members)):
                 violations.append(broken)
             if first:
                 for frame, vertices in pushed:
@@ -551,7 +541,7 @@ def verify_chow(
 
     def check(emb: GraphEmbedding) -> None:
         try:
-            broken = collinearity(_point_images(emb, members))
+            broken = collinearity(_point_images("chow", emb, members))
         except CounterexampleError as exc:
             broken = exc.as_violation()
         if broken:

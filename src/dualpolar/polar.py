@@ -19,7 +19,7 @@ from math import factorial, prod
 from operator import or_
 from typing import Iterable, Sequence
 
-from .linalg import GF, Subspace, gf, nullspace, rref
+from .linalg import GF, Subspace, nullspace, rref
 
 SUPPORTED_PRIMES = (2, 3, 5)
 
@@ -55,7 +55,7 @@ class PolarSpace:
         self.n = n
         self.p = p
         self.dim = 2 * n
-        self.field = gf(p)
+        self.field = GF(p)
         self.points: tuple[Point, ...] = tuple(sorted(self._all_points()))
         self.point_index = {pt: i for i, pt in enumerate(self.points)}
         self._collinear_masks: list[int] | None = None
@@ -201,16 +201,6 @@ def point_mask(space: PolarSpace, sub: Subspace) -> int:
     for pt in points_in_subspace(space, sub):
         mask |= 1 << index[pt]
     return mask
-
-
-def mask_rank(space: PolarSpace, mask: int) -> int:
-    """Linear rank of the subspace whose point set is ``mask``."""
-    count = mask.bit_count()
-    rank = size = 0
-    while size < count:
-        rank += 1
-        size = size * space.p + 1
-    return rank
 
 
 def subspace_size(space: PolarSpace, rank: int) -> int:

@@ -42,7 +42,6 @@ def make_report(
     mode: str | None = None,
     budget: int | None = None,
     seed: int | None = None,
-    workers: int = 1,
     search: dict | None = None,
 ) -> dict:
     """The report of a run that began at ``start`` (a ``time.perf_counter``
@@ -52,8 +51,9 @@ def make_report(
     (see ``apartments.search_stats``): they give the report's mode, budget,
     seed, workers and expansions, its ``embeddings`` and ``distinct_images``
     counts ahead of ``counts``, and the completeness it ANDs with
-    ``complete``.
+    ``complete``.  Any other run is one process: its ``workers`` is 1.
     """
+    workers = 1
     if search is not None:
         mode, budget, seed = search["mode"], search["budget"], search["seed"]
         workers, expansions = search["workers"], search["expansions"]

@@ -126,7 +126,7 @@ def test_criterion_04_lemma1():
 def test_criterion_05_lemma2():
     with criterion(5, "hypercube opposites unique (m<=8), geodesics through any vertex (m<=6) (<60s)"):
         start = time.perf_counter()
-        report = verify_lemma2(m_max=8, geodesic_m_max=6)
+        report = verify_lemma2(m_max=8)
         assert report["complete"] and report["violations"] == []
         assert time.perf_counter() - start < 60
 

@@ -66,8 +66,6 @@ def test_hypercube_smallest():
 def test_hypercube_vertex_members():
     v = HypercubeVertex(mask=0b101, m=3)
     assert v.members() == (-1, 2, -3)
-    assert v.has(-1) and v.has(2) and v.has(-3)
-    assert not v.has(1)
 
 
 def test_hypercube_antipodal_distance():
@@ -312,6 +310,6 @@ def test_geodesic_walks_draw_as_the_distance_scan_does():
 
 
 def test_verify_lemma2_small():
-    report = verify_lemma2(m_max=5, geodesic_m_max=4)
+    report = verify_lemma2(m_max=5)
     assert report["violations"] == []
     assert report["complete"]

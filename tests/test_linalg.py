@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualpolar.linalg import Subspace, gf, nullspace, rref, zero_subspace
+from dualpolar.linalg import GF, Subspace, nullspace, rref, zero_subspace
 from reference import contains, intersect, sum_span
 
 
@@ -28,19 +28,19 @@ def random_rows(rng, p, count, width):
 
 
 def test_rref_identity_is_fixed():
-    f2 = gf(2)
+    f2 = GF(2)
     ident = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
     assert rref(f2, ident, 4).rows == tuple(ident)
 
 
 def test_rref_single_elimination():
-    f2 = gf(2)
+    f2 = GF(2)
     got = rref(f2, [(1, 1, 0, 0), (0, 1, 0, 0)], 4)
     assert got.rows == ((1, 0, 0, 0), (0, 1, 0, 0))
 
 
 def test_rref_preserves_row_space_gf3():
-    f3 = gf(3)
+    f3 = GF(3)
     rng = random.Random(42)
     for _ in range(100):
         rows = random_rows(rng, 3, 3, 6)
@@ -55,17 +55,17 @@ def test_rref_preserves_row_space_gf3():
 
 def test_rref_rejects_ragged_rows():
     with pytest.raises(ValueError):
-        rref(gf(2), [(1, 0), (1, 0, 0)], 2)
+        rref(GF(2), [(1, 0), (1, 0, 0)], 2)
 
 
 def test_intersect_idempotent():
-    f2 = gf(2)
+    f2 = GF(2)
     a = rref(f2, [(1, 0, 1, 0), (0, 1, 1, 1)], 4)
     assert intersect(f2, a, a) == a
 
 
 def test_intersect_coordinate_planes():
-    f2 = gf(2)
+    f2 = GF(2)
     e = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]
     a = rref(f2, e[:2], 4)
     b = rref(f2, e[1:], 4)
@@ -73,7 +73,7 @@ def test_intersect_coordinate_planes():
 
 
 def test_intersect_matches_exhaustive_membership_gf3():
-    f3 = gf(3)
+    f3 = GF(3)
     rng = random.Random(7)
     for _ in range(40):
         a = rref(f3, random_rows(rng, 3, 3, 6), 6)
@@ -86,33 +86,33 @@ def test_intersect_matches_exhaustive_membership_gf3():
 
 
 def test_intersect_ambient_mismatch():
-    f2 = gf(2)
+    f2 = GF(2)
     with pytest.raises(ValueError):
         intersect(f2, rref(f2, [(1, 0)], 2), rref(f2, [(1, 0, 0)], 3))
 
 
 def test_sum_span_zero_is_identity():
-    f3 = gf(3)
+    f3 = GF(3)
     a = rref(f3, [(1, 2, 0, 1)], 4)
     assert sum_span(f3, a, zero_subspace(4)) == a
 
 
 def test_sum_span_units():
-    f2 = gf(2)
+    f2 = GF(2)
     a = rref(f2, [(1, 0, 0, 0)], 4)
     b = rref(f2, [(0, 1, 0, 0)], 4)
     assert sum_span(f2, a, b).rows == ((1, 0, 0, 0), (0, 1, 0, 0))
 
 
 def test_contains_basics():
-    f2 = gf(2)
+    f2 = GF(2)
     a = rref(f2, [(1, 0, 0, 0)], 4)
     assert contains(f2, a, (0, 0, 0, 0))
     assert not contains(f2, a, (0, 1, 0, 0))
 
 
 def test_contains_random_members():
-    f5 = gf(5)
+    f5 = GF(5)
     rng = random.Random(3)
     for _ in range(50):
         a = rref(f5, random_rows(rng, 5, 2, 5), 5)
@@ -126,7 +126,7 @@ def test_contains_random_members():
 
 
 def test_sum_span_contains_both_sides():
-    f3 = gf(3)
+    f3 = GF(3)
     rng = random.Random(21)
     for _ in range(30):
         a = rref(f3, random_rows(rng, 3, 2, 5), 5)
@@ -137,7 +137,7 @@ def test_sum_span_contains_both_sides():
 
 
 def all_subspaces_gf2_dim4():
-    f2 = gf(2)
+    f2 = GF(2)
     vectors = [v for v in product(range(2), repeat=4) if any(v)]
     seen = {zero_subspace(4)}
     for size in range(1, 5):
@@ -147,7 +147,7 @@ def all_subspaces_gf2_dim4():
 
 
 def test_modular_dimension_law_exhaustive_gf2_dim4():
-    f2 = gf(2)
+    f2 = GF(2)
     subs = all_subspaces_gf2_dim4()
     # 1 + 15 + 35 + 15 + 1 subspaces of F_2^4
     assert len(subs) == 67
@@ -157,7 +157,7 @@ def test_modular_dimension_law_exhaustive_gf2_dim4():
 
 
 def test_rref_uniqueness_on_equal_row_spaces():
-    f3 = gf(3)
+    f3 = GF(3)
     rng = random.Random(11)
     for _ in range(50):
         rows = random_rows(rng, 3, 3, 5)
@@ -175,7 +175,7 @@ def test_rref_uniqueness_on_equal_row_spaces():
 
 
 def test_nullspace_orthogonality():
-    f3 = gf(3)
+    f3 = GF(3)
     rng = random.Random(5)
     for _ in range(30):
         rows = random_rows(rng, 3, 2, 5)
@@ -202,7 +202,7 @@ def matrices(draw):
 @given(matrices())
 def test_rref_idempotent(data):
     p, rows, width = data
-    field = gf(p)
+    field = GF(p)
     red = rref(field, rows, width)
     assert rref(field, red.rows, width) == red
     for row in rows:
@@ -213,7 +213,7 @@ def test_rref_idempotent(data):
 @given(matrices(), st.randoms(use_true_random=False))
 def test_sum_and_meet_are_commutative(data, rnd):
     p, rows, width = data
-    field = gf(p)
+    field = GF(p)
     half = rnd.randint(0, len(rows))
     a = rref(field, rows[:half], width)
     b = rref(field, rows[half:], width)
@@ -223,11 +223,11 @@ def test_sum_and_meet_are_commutative(data, rnd):
 
 def test_gf_requires_prime():
     with pytest.raises(ValueError):
-        gf(6)
+        GF(6)
 
 
 def test_subspace_equality_and_hash():
-    f2 = gf(2)
+    f2 = GF(2)
     a = rref(f2, [(1, 1, 0, 0)], 4)
     b = rref(f2, [(1, 1, 0, 0), (0, 0, 0, 0)], 4)
     assert a == b and hash(a) == hash(b)

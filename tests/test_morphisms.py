@@ -26,6 +26,7 @@ from dualpolar.morphisms import (
     _collinearity_break,
     _members,
     _point_images,
+    _residue_collinear,
     check_frames_preserving,
     induced_point_map,
     lift_frame_preserving_map,
@@ -232,8 +233,8 @@ def test_chow_names_the_first_pair_whose_collinearity_breaks(monkeypatch):
 
     found = []
 
-    def spied(emb, members):
-        g = _point_images(emb, members)
+    def spied(statement, emb, members):
+        g = _point_images(statement, emb, members)
         perm = [gp.bit_length() - 1 for gp in g]
         found.append(next(
             [i, j] for i in range(len(perm)) for j in range(i + 1, len(perm))
@@ -319,12 +320,12 @@ def test_the_pair_count_agrees_with_the_pair_scan_on_every_c11_embedding():
     seen = []
 
     def visit(emb):
-        g = _point_images(emb, members)
+        g = _point_images("theorem3", emb, members)
         for gp in g:
             if gp not in perp_of:
                 perp_of[gp] = perp_mask(SP62, gp)
         perps = [perp_of[gp] for gp in g]
-        assert check(g) == _collinearity_break("theorem3", collinear, g, perps)
+        assert check(g) == _collinearity_break("theorem3", collinear, _residue_collinear(g, perps))
         seen.append(frozenset(g))
 
     _, stats = search_dualpolar_embeddings(SP42, SP62, "sample", 10**7, seed=5, visit=visit)
@@ -342,19 +343,17 @@ def test_a_verifier_call_counts_the_pairs_once_per_set_of_point_images(monkeypat
     # in the order the sets are first seen, far fewer than the embeddings
     sets, scanned = [], []
 
-    def spied(emb, members):
-        g = _point_images(emb, members)
+    def spied(statement, emb, members):
+        g = _point_images(statement, emb, members)
         sets.append(frozenset(g))
         return g
 
-    scan = morphisms._residue_collinear_pairs
-
     def counting(g, perps):
         scanned.append(frozenset(g))
-        return scan(g, perps)
+        return _residue_collinear(g, perps)
 
     monkeypatch.setattr(morphisms, "_point_images", spied)
-    monkeypatch.setattr(morphisms, "_residue_collinear_pairs", counting)
+    monkeypatch.setattr(morphisms, "_residue_collinear", counting)
     report = run()
     assert report["violations"] == [] and len(sets) == report["counts"]["embeddings"]
     assert scanned == list(dict.fromkeys(sets))
@@ -496,7 +495,7 @@ def reference_point_map(emb):
 
 def _point_images_alone(emb):
     """The g(p) of ``_point_images`` as subspaces, with no base check before."""
-    g = _point_images(emb, _members(emb.source))
+    g = _point_images("theorem3", emb, _members(emb.source))
     return [subspace_of_mask(emb.dst_space, gp) for gp in g]
 
 
@@ -577,7 +576,7 @@ def test_frame_check_matches_the_per_frame_reference(src, dst, mode, budget):
     assert embs and complete
     collinear = src.collinear_masks()
     members = _members(embs[0].source)
-    images = [(verify_lemma5(emb), _point_images(emb, members)) for emb in embs]
+    images = [(verify_lemma5(emb), _point_images("theorem3", emb, members)) for emb in embs]
     pool = [gp for _, g in images for gp in g]
     rng = random.Random(23)
     verdicts, checked = set(), set()
@@ -590,7 +589,7 @@ def test_frame_check_matches_the_per_frame_reference(src, dst, mode, budget):
         elif k % 3 == 2:
             g[rng.randrange(len(g))] = pool[rng.randrange(len(pool))]
         perps = [perp_mask(dst, gp) for gp in g]
-        got = _collinearity_break("theorem3", collinear, g, perps)
+        got = _collinearity_break("theorem3", collinear, _residue_collinear(g, perps))
         reference_broken = bool(reference_frame_violations(src, g, perps, frames))
         assert (got is not None) == reference_broken
         broken = [[i, j] for i in range(len(g)) for j in range(i + 1, len(g))
@@ -693,6 +692,23 @@ def _theorem3_on(emb, monkeypatch):
 
     monkeypatch.setattr(morphisms, "search_dualpolar_embeddings", stream)
     return verify_theorem3(emb.src_space, emb.dst_space)["violations"]
+
+
+def test_chow_names_itself_for_a_point_map_that_is_not_injective(monkeypatch):
+    # a hand-built self-map of Sp(4,2)'s dual polar graph whose every g(p)
+    # is one point, though g is not injective: verify_chow runs no base
+    # check, so the injectivity check of _point_images rejects it, as a
+    # violation of chow; under theorem3, Lemma 5 rejects it first
+    source = dual_polar_graph(SP42)
+    emb = GraphEmbedding(SP42, SP42, source, source, (14, 2, 2, 2, 0, 1, 1, 1, 2, 1, 2, 2, 2, 2, 1))
+
+    def stream(src_space, dst_space, mode, budget, seed=0, workers=1, *, visit):
+        visit(emb)
+        return None, search_stats(mode, budget, seed, workers, 1, 1, 1)
+
+    monkeypatch.setattr(morphisms, "search_dualpolar_embeddings", stream)
+    assert verify_chow(SP42)["violations"] == [{"statement": "chow", "kind": "point_map_not_injective"}]
+    assert [v["kind"] for v in _theorem3_on(emb, monkeypatch)] == ["base_depends_on_opposite_pair"]
 
 
 @PAIRS
