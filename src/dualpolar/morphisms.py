@@ -462,7 +462,13 @@ def verify_theorem3(
     Its base is Lemma 5's without a check: the antipodal members of a
     frame apartment are opposite source vertices, so ``verify_lemma5`` has
     already found that their images meet in the base, with the rank n' - n
-    that the decomposition asks of it.
+    that the decomposition asks of it.  No genuine input has reached a
+    failed transfer: on Sp(4,2) into itself, the vertex maps that
+    ``verify_lemma5`` and ``_point_images`` accept are exactly the 720
+    embeddings, found by backtracking over every vertex map, and each
+    carries every frame apartment to one that decomposes
+    (``test_only_embeddings_pass_the_checks_before_the_transfer``).  The
+    transfer stays for the ``apartments_checked`` count of the report.
     """
     start = time.perf_counter()
     # the last pair of a frame has p >= 2 choices of partner, so the first

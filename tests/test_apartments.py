@@ -11,7 +11,7 @@ from operator import and_, or_
 import numpy as np
 import pytest
 
-from dualpolar import apartments
+from dualpolar import apartments, polar
 from dualpolar.apartments import (
     ApartmentWitness,
     _distance_masks,
@@ -404,8 +404,8 @@ def _sp_order(m, q):
 
 
 @pytest.mark.parametrize(
-    "n,q,m", [(2, 2, 1), (2, 2, 2), (3, 2, 1), (2, 3, 1), (2, 3, 2), (2, 5, 2)],
-    ids=["sp42-h1", "sp42-h2", "sp62-h1", "sp43-h1", "sp43-h2", "sp45-h2"],
+    "n,q,m", [(2, 2, 1), (2, 2, 2), (3, 2, 1), (2, 3, 1), (2, 3, 2), (2, 5, 2), (3, 2, 3)],
+    ids=["sp42-h1", "sp42-h2", "sp62-h1", "sp43-h1", "sp43-h2", "sp45-h2", "sp62-h3"],
 )
 def test_theorem2_counts_match_the_closed_form(n, q, m):
     # the images of H_m are the apartments of the stars of the singular
@@ -422,6 +422,20 @@ def test_theorem2_counts_match_the_closed_form(n, q, m):
         assert report["counts"]["apartments"] == frame_count(space) == images
     else:
         assert report["counts"]["apartments"] is None
+
+
+def test_theorem2_reports_an_image_count_off_the_frame_count(monkeypatch):
+    # verify_theorem2 compares the distinct H_n images of a complete search
+    # with the closed form frame_count; one frame too many is reported once
+    frames = frame_count(SP42)
+    monkeypatch.setattr(polar, "frame_count", lambda space: frames + 1)
+    report = verify_theorem2(SP42, 2)
+    assert report["complete"] and report["counts"]["distinct_images"] == frames
+    assert report["counts"]["apartments"] == frames + 1
+    assert report["violations"] == [
+        {"statement": "theorem2", "kind": "image_count_vs_apartments",
+         "distinct_images": frames, "apartments": frames + 1},
+    ]
 
 
 def test_verify_theorem2_argument_check():
@@ -1004,11 +1018,9 @@ def test_mask_witness_matches_the_reference():
 def test_full_rank_witness_is_a_frame_apartment():
     # verify_theorem2 neither recovers a frame from an image that passes the
     # decomposition with m = n nor round-trips it: its faces are a frame, and
-    # the apartment of that frame is the image
-    witness_kinds = {
-        "base_dimension", "base_depends_on_opposite_pair", "face_intersection_defect",
-        "residue_frame_condition", "image_not_spanned_by_faces",
-    }
+    # the apartment of that frame is the image.  The base and face checks
+    # are the only ones, and they imply both
+    witness_kinds = {"base_dimension", "base_depends_on_opposite_pair", "face_intersection_defect"}
     passed, failed = set(), 0
     for space, graph, order in _perturbed_labellings(600, seed=23):
         if len(order) != 1 << space.n:

@@ -10,6 +10,7 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
+from dualpolar import graphs
 from dualpolar.export import graph_to_dot, graph_to_json
 from dualpolar.graphs import (
     UNREACHABLE,
@@ -313,3 +314,18 @@ def test_verify_lemma2_small():
     report = verify_lemma2(m_max=5)
     assert report["violations"] == []
     assert report["complete"]
+
+
+def test_verify_lemma2_reports_graphs_that_are_no_hypercubes(monkeypatch):
+    # verify_lemma2 checks the graphs hypercube() builds, so other graphs in
+    # place of H_2 reach its two checks: the star K_{1,3} has no vertex at
+    # distance 2 from its centre, and in the 4-cycle 0-1-2-3 the sign-mask
+    # antipode 3 of vertex 0 is its neighbour
+    real = hypercube
+    for edges, first in [
+        ([(0, 1), (0, 2), (0, 3)], {"m": 2, "vertex": 0, "opposite": []}),
+        ([(0, 1), (1, 2), (2, 3), (3, 0)], {"m": 2, "v": 0, "u": 0, "w": 3, "path": [0, 3]}),
+    ]:
+        fake = graph_from_edges(range(4), edges)
+        monkeypatch.setattr(graphs, "hypercube", lambda m: fake if m == 2 else real(m))
+        assert verify_lemma2(m_max=2)["violations"][0] == first

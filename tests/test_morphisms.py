@@ -135,7 +135,7 @@ def test_lift_rejects_collapsed_points(lifted):
 def test_lift_rejects_wrong_base_rank():
     base, point_map = shifted_point_injection(SP42, SP62)
     wrong = rref(SP62.field, base.rows + ((0, 0, 1, 0, 0, 0),), 6)
-    with pytest.raises(LiftError):
+    with pytest.raises(LiftError, match="wrong dimension"):
         lift_frame_preserving_map(SP42, SP62, wrong, point_map)
 
 
@@ -682,8 +682,8 @@ def _opposition_preserving(emb, count, seed):
         yield GraphEmbedding(emb.src_space, emb.dst_space, src, dst, tuple(extend([])))
 
 
-def _theorem3_on(emb, monkeypatch):
-    """The violations of ``verify_theorem3`` when its search streams ``emb``
+def _theorem3_report_on(emb, monkeypatch):
+    """The report of ``verify_theorem3`` when its search streams ``emb``
     alone, so that its frame apartments are pushed through it too."""
 
     def stream(src_space, dst_space, mode, budget, seed, workers, *, visit):
@@ -691,7 +691,12 @@ def _theorem3_on(emb, monkeypatch):
         return None, search_stats(mode, budget, seed, workers, 1, 1, 1)
 
     monkeypatch.setattr(morphisms, "search_dualpolar_embeddings", stream)
-    return verify_theorem3(emb.src_space, emb.dst_space)["violations"]
+    return verify_theorem3(emb.src_space, emb.dst_space)
+
+
+def _theorem3_on(emb, monkeypatch):
+    """The violations of ``_theorem3_report_on``."""
+    return _theorem3_report_on(emb, monkeypatch)["violations"]
 
 
 def test_chow_names_itself_for_a_point_map_that_is_not_injective(monkeypatch):
@@ -781,6 +786,90 @@ def test_every_pushed_frame_apartment_has_lemma5s_base(src, dst, mode, budget, m
         assert transfers == [f for f in failed if f in first_two][:reached]
     assert decomposed and accepted == ({True, False} if src == SP42 else {True})
     assert bool(undecomposed) == (src == SP42)
+
+
+def _maps_passing_the_point_images(space):
+    """Every vertex map of the dual polar graph of ``space`` into itself
+    that ``verify_lemma5`` and ``_point_images`` accept: opposite vertices
+    go to vertices meeting in 0, and g(p), the meet of the images of the
+    vertices through p, is one point, distinct for distinct p.  Found by
+    backtracking in vertex order, each partial g(p) kept nonzero."""
+    graph = dual_polar_graph(space)
+    nv, npts = graph.num_vertices, len(space.points)
+    members = _members(graph)
+    last = [max(v for v in range(nv) if p in members[v]) for p in range(npts)]
+    opposite = [_bits(classes[graph.diameter] & ((1 << v) - 1)) for v, classes in enumerate(graph.at_dist)]
+    disjoint = [sum(1 << u for u, other in enumerate(graph.masks) if not mask & other)
+                for mask in graph.masks]
+    maps, a, g = [], [], [(1 << npts) - 1] * npts
+
+    def extend(used):
+        if len(a) == nv:
+            maps.append(tuple(a))
+            return
+        v = len(a)
+        allowed = (1 << nv) - 1
+        for j in opposite[v]:
+            allowed &= disjoint[a[j]]
+        for t in _bits(allowed):
+            saved = [g[p] for p in members[v]]
+            done, ok = used, True
+            for p in members[v]:
+                g[p] &= graph.masks[t]
+                if not g[p] or p == last[v] and (g[p] & (g[p] - 1) or done & g[p]):
+                    ok = False
+                    break
+                if p == last[v]:
+                    done |= g[p]
+            if ok:
+                a.append(t)
+                extend(done)
+                a.pop()
+            for p, gp in zip(members[v], saved):
+                g[p] = gp
+
+    extend(0)
+    return graph, maps
+
+
+def test_only_embeddings_pass_the_checks_before_the_transfer():
+    # the transfer of verify_theorem3 runs after lemma5 and the point
+    # images; on Sp(4,2) into itself every vertex map those accept is one
+    # of the 720 embeddings, and every frame apartment pushed through one
+    # decomposes, so no genuine input reaches apartment_transfer_failure
+    graph, maps = _maps_passing_the_point_images(SP42)
+    embs, stats = collect(search_dualpolar_embeddings, SP42, SP42, mode="exhaustive", budget=10**6)
+    assert stats["complete"] and len(maps) == len(set(maps)) == 720
+    assert set(maps) == {emb.assignment for emb in embs}
+    members = _members(graph)
+    apartment = frame_vertices(SP42, graph)
+    pushed = [apartment(frame) for frame in enumerate_frames(SP42)[0]]
+    for a in maps:
+        emb = GraphEmbedding(SP42, SP42, graph, graph, a)
+        assert verify_lemma5(emb).rank == 0
+        _point_images("theorem3", emb, members)
+        for vertices in pushed:
+            base, _ = _witness_from_images(SP42, [graph.masks[a[v]] for v in vertices])
+            assert base == 0
+
+
+def test_theorem3_reports_a_failed_transfer_and_counts_it(monkeypatch):
+    # no genuine input reaches apartment_transfer_failure (see above), so
+    # the decomposition is made to raise on the first pushed frame
+    graph = dual_polar_graph(SP42)
+    emb = GraphEmbedding(SP42, SP42, graph, graph, tuple(range(graph.num_vertices)))
+    first = enumerate_frames(SP42, budget=SP42.n + 1)[0][0]
+
+    def fail(space, masks):
+        raise CounterexampleError("theorem2", {"kind": "base_dimension"})
+
+    monkeypatch.setattr(morphisms, "_witness_from_images", fail)
+    report = _theorem3_report_on(emb, monkeypatch)
+    assert report["violations"] == [
+        {"statement": "theorem3", "kind": "apartment_transfer_failure",
+         "frame": [list(pt) for pt in first.points]},
+    ]
+    assert report["counts"]["apartments_checked"] == 1
 
 
 @pytest.mark.parametrize("dst", [SP42, SP62], ids=["sp42-sp42", "sp42-sp62"])

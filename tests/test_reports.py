@@ -1,5 +1,6 @@
 """The report schema: the search-backed verifiers report what their search
-returned, and every report carries exactly the keys README.md lists."""
+returned, every report carries exactly the keys README.md lists, and every
+violation kind is named by a test."""
 
 import json
 import re
@@ -24,7 +25,9 @@ from reference import collect
 SP42 = PolarSpace(2, 2)
 SP43 = PolarSpace(2, 3)
 SEARCH_KEYS = ("mode", "budget", "seed", "workers", "expansions", "complete")
-README = Path(__file__).resolve().parent.parent / "README.md"
+TESTS = Path(__file__).resolve().parent
+README = TESTS.parent / "README.md"
+SRC = TESTS.parent / "src"
 
 
 def _hypercube_search(space, m, mode="exhaustive", budget=DEFAULT_BUDGET, seed=0):
@@ -96,3 +99,17 @@ def test_every_report_has_the_readme_keys(tmp_path):
         assert set(json.loads(written.read_text())) == keys, argv
     emb = collect(search_dualpolar_embeddings, SP42, SP42)[0][0]
     assert set(check_frames_preserving(induced_point_map(emb))) == keys
+
+
+def test_every_violation_kind_is_named_by_a_test():
+    # a kind that no test names belongs to a check that no test is known to
+    # reach; tests/mutants.py checks that each check is reached.
+    # reference.py re-implements the checks, so it names them without
+    # reaching them
+    kinds = {
+        kind for path in SRC.rglob("*.py")
+        for kind in re.findall(r'"kind": "(\w+)"', path.read_text())
+    }
+    tests = "".join(path.read_text() for path in TESTS.glob("test_*.py"))
+    assert len(kinds) >= 8
+    assert {kind for kind in kinds if f'"{kind}"' not in tests} == set()
