@@ -146,6 +146,15 @@ def _branch_search(
     K_1, whose root is its last vertex.  The expansions start at the number
     of positions placed before the first frame, so K_1's frame, which
     places the root once more (``imgs[-1]`` is ``imgs[0]``), counts it once.
+
+    A position before last - 1 whose constraints leave exactly one candidate
+    has no frame either: the frame above it places it, ORs it into the key,
+    carries ``canon`` past its ``floor`` and moves on to the next position,
+    all in one loop at the top of ``dfs``.  Its own frame would list the one
+    candidate, draw nothing, and take the budget check and the expansion
+    just before placing it, as the loop does, so the draws, expansions,
+    budget cut points and visit order are those of a frame per position.
+    A position left no candidate returns before any list is built.
     """
     if budget < 1:
         return 0, 0, 0, False
@@ -172,13 +181,30 @@ def _branch_search(
 
     def dfs(k: int, key: int, canon: bool) -> None:
         nonlocal found, images, expansions, complete
-        if k > 0:
-            parent, reqs = plan[k - 1]
-            allowed = dst_adj[imgs[parent]]
-            for j, d in reqs:
-                allowed &= at_dist[imgs[j]][d]
-        else:
-            allowed = root_bit
+        while True:
+            if k > 0:
+                parent, reqs = plan[k - 1]
+                allowed = dst_adj[imgs[parent]]
+                for j, d in reqs:
+                    allowed &= at_dist[imgs[j]][d]
+            else:
+                allowed = root_bit
+            if not allowed:
+                return
+            if k >= pen or allowed & (allowed - 1):
+                break
+            # one candidate before position last - 1: placed here, as its
+            # own frame would place it (k > 0, since pen > k >= top); the
+            # expansions never pass the budget
+            if expansions == budget:
+                complete = False
+                return
+            expansions += 1
+            cand = allowed.bit_length() - 1
+            imgs[k] = cand
+            key |= allowed
+            canon = canon and (k > first or cand > imgs[k - 1])
+            k += 1
         cands = _bits(allowed)
         if getrandbits is not None and len(cands) > 1:
             _shuffle(cands, getrandbits)

@@ -11,7 +11,7 @@ from anywhere, with the names of some checks to run only those:
 
 It prints one line per mutant and exits 1 if any mutant survives.  pytest
 does not collect this file, since its name does not match ``test_*.py``.
-The fifteen mutants take about twelve minutes on two cores.  A check added to
+The sixteen mutants take about twelve minutes on two cores.  A check added to
 ``src/`` gets a line in ``MUTANTS``.
 """
 
@@ -36,6 +36,8 @@ MUTANTS = [
     ("image_count_vs_apartments", "apartments.py",
      'if apartments != stats["distinct_images"]:', "if False:"),
     ("lemma1", "apartments.py", "if meet & ~masks[u]:", "if False:"),
+    # the budget check of a one-candidate position placed in the frame above it
+    ("search_forced_budget", "apartments.py", "if expansions == budget:", "if False:"),
     ("lemma2_opposite", "graphs.py", "if len(opposite) != 1:", "if False:"),
     ("lemma2_geodesic", "graphs.py", "if not ok:", "if False:"),
     ("point_image_defect", "morphisms.py", "if gp.bit_count() != size:", "if False:"),

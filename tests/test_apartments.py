@@ -725,6 +725,26 @@ def test_sample_search_shuffles_only_two_or_more_candidates(monkeypatch):
     assert lengths and min(lengths) >= 2
 
 
+def test_theorem3_search_lists_no_one_candidate_position_before_the_last_level(monkeypatch):
+    # Sp(4,2) into Sp(6,2) as perfbench's theorem3 workload runs it: a
+    # position before last - 1 with one candidate is placed in the frame
+    # above it, so only 8 946 candidate masks are listed (91 598 with a
+    # frame per position), none of them empty, and the draws, expansions
+    # and stats stay what they were
+    lengths = spy_shuffles(monkeypatch)
+    real, listed = apartments._bits, []
+
+    def spy(mask):
+        listed.append(mask)
+        return real(mask)
+
+    monkeypatch.setattr(apartments, "_bits", spy)
+    _, stats = search_isometric_embeddings(G42, G62, "sample", 100_000, 11, visit=lambda *found: None)
+    assert len(listed) <= 8_946 and all(listed)
+    assert len(lengths) == 4_723
+    assert (stats["expansions"], stats["embeddings"], stats["distinct_images"]) == (100_000, 4_196, 63)
+
+
 def test_sample_search_places_each_neighbour_first_uniformly():
     # at budget 2 per root, each root of H_1 in Sp(4,2) places the first of
     # its six shuffled neighbours; over 200 seeds, the 90 (root, neighbour)
@@ -858,40 +878,45 @@ def test_canonical_count_matches_the_reference_wherever_the_budget_cuts(target, 
             assert calls == [(r, True) for r in range(cut + 1)] + [(r, False) for r in range(cut, nv)]
 
 
-# the sources swept over Sp(4,2), each with the per-root shares it is run
-# at: every share of a hypercube's whole branch of 7 or 79 expansions, and
-# for the 565 of Sp(4,2) itself every share through its first leaves, then
-# one in 47 up to the whole branch
+# the searches swept, each with the per-root shares it is run at: into
+# Sp(4,2), every share of a hypercube's whole branch of 7 or 79 expansions,
+# and for the 565 of Sp(4,2) itself every share through its first leaves,
+# then one in 47 up to the whole branch; Sp(4,2) into Sp(6,2), Theorem 3's
+# shape, every share through its first leaves at 14 and then doubling ones,
+# so that cuts fall inside runs of one-candidate positions (its whole branch
+# of 7 925, and so its branch sizes, take the reference some 12 s a mode)
 SHARE_SWEEPS = {
-    "h1": (hypercube(1), range(8)),
-    "h2": (hypercube(2), range(80)),
-    "h3": (hypercube(3), range(80)),
-    "sp42": (G42, [*range(48), *range(48, 566, 47), 565]),
+    "h1": (hypercube(1), G42, range(8)),
+    "h2": (hypercube(2), G42, range(80)),
+    "h3": (hypercube(3), G42, range(80)),
+    "sp42": (G42, G42, [*range(48), *range(48, 566, 47), 565]),
+    "sp42-sp62": (G42, G62, [*range(16), 24, 48, 96, 192]),
 }
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "sample"])
 @pytest.mark.parametrize("sweep", SHARE_SWEEPS.values(), ids=SHARE_SWEEPS.keys())
-def test_search_matches_the_reference_at_every_per_root_share(sweep, mode, monkeypatch):
+def test_search_matches_the_reference_at_every_per_root_share(sweep, mode, two_cpus, monkeypatch):
     # a budget of share s per root, and one more for the first half of the
-    # roots, cuts every branch at its s-th or (s + 1)-th expansion: between
-    # two placements of position last - 1, part way through a last level,
-    # and at the first incomplete branch of a canonical count, which is
-    # then run again with the image keys
-    src, shares = sweep
-    nv = G42.num_vertices
-    sizes = branch_sizes(src, G42)
-    assert shares[-1] >= max(sizes)
+    # roots, cuts every branch at its s-th or (s + 1)-th expansion: inside
+    # a run of one-candidate positions, between two placements of position
+    # last - 1, part way through a last level, and at the first incomplete
+    # branch of a canonical count, which is then run again with the image
+    # keys; a forked search streams what one worker streams
+    src, dst, shares = sweep
+    nv = dst.num_vertices
+    sizes = branch_sizes(src, dst) if dst is G42 else None
+    assert sizes is None or shares[-1] >= max(sizes)
     calls = spy_branches(monkeypatch)
     for share in shares:
         budget = share * nv + nv // 2
         calls.clear()
-        streamed = []
+        streamed, forked = [], []
         _, visited = search_isometric_embeddings(
-            src, G42, mode, budget, 5, visit=lambda *found: streamed.append(found)
+            src, dst, mode, budget, 5, visit=lambda *found: streamed.append(found)
         )
-        _, counted = search_isometric_embeddings(src, G42, mode, budget, 5, visit=None)
-        ref, ref_stats = reference_search(src, G42, mode, budget, 5)
+        _, counted = search_isometric_embeddings(src, dst, mode, budget, 5, visit=None)
+        ref, ref_stats = reference_search(src, dst, mode, budget, 5)
         assert streamed == ref
         assert counted == visited == ref_stats
         if mode == "exhaustive" and src is not G42:
@@ -901,6 +926,11 @@ def test_search_matches_the_reference_at_every_per_root_share(sweep, mode, monke
             canonical = [(r, True) for r in range(nv if cut is None else cut + 1)]
             redone = [] if cut is None else [(r, False) for r in range(cut, nv)]
             assert calls == [(r, False) for r in range(nv)] + canonical + redone
+        _, forked_stats = search_isometric_embeddings(
+            src, dst, mode, budget, 5, workers=2, visit=lambda *found: forked.append(found)
+        )
+        assert forked == streamed
+        assert forked_stats == {**visited, "workers": 2}
 
 
 OTHER_SOURCES = {
