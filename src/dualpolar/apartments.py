@@ -561,7 +561,7 @@ class ApartmentWitness:
         """The point frame of a full-rank witness (empty base).
 
         It is None only for a witness built by hand.  For one that
-        ``is_apartment`` returns, ``_witness_from_images`` has checked that
+        ``is_apartment`` returns, ``_decomposer`` has checked that
         the 2n faces are single points, and its base and face checks imply
         that they are distinct and each collinear with every other except
         its partner, which is what ``polar.is_frame`` asks of a frame.
@@ -603,10 +603,13 @@ def _opposite_base(
     return base
 
 
-def _witness_from_images(space: PolarSpace, masks: Sequence[int]) -> tuple[int, list[int]]:
-    """Decompose a hypercube labelling given by the point masks of its images,
-    maximal singular subspaces indexed by sign mask: returns the masks of the
-    base and of the residue frame, or raises CounterexampleError.
+def _decomposer(space: PolarSpace, m: int):
+    """The decomposition of hypercube labellings of H_m in ``space``, given
+    by the point masks of their images, maximal singular subspaces indexed
+    by sign mask: returns ``decompose(masks)``, which returns the masks of
+    the base and of the residue frame or raises CounterexampleError.  Make
+    one per verifier call: it builds the antipodal pairs and each face's
+    sign masks once.
 
     The base B is that of the opposite pairs (x, x ^ (2^m - 1)) of antipodal
     sign masks (``_opposite_base``), with lemma5's payloads.  It then lies in
@@ -630,24 +633,34 @@ def _witness_from_images(space: PolarSpace, masks: Sequence[int]) -> tuple[int, 
       of the chosen faces of an image X on q_i's side, which span X, and a
       maximal is its own perp: q_i' lies in X, and as above in B.
     """
-    full = len(masks) - 1
-    m = full.bit_length()
-    pairs = [(x, x ^ full) for x in range(len(masks) // 2)]
-    base = _opposite_base(space, masks, pairs, space.n - m, "theorem2")
-    face_size = subspace_size(space, space.n - m + 1)
-    faces: list[int] = []
-    for s in range(2 * m):
-        bit = s % m
-        want = 1 if s >= m else 0
-        q = reduce(and_, (pm for mask, pm in enumerate(masks) if (mask >> bit) & 1 == want))
-        if q.bit_count() != face_size:
-            raise CounterexampleError(
-                "theorem2",
-                {"kind": "face_intersection_defect", "signed_index": s,
-                 "got": subspace_json(subspace_of_mask(space, q))},
-            )
-        faces.append(q)
-    return base, faces
+    full = (1 << m) - 1
+    pairs = [(x, x ^ full) for x in range(1 << m - 1)]
+    rank = space.n - m
+    face_size = subspace_size(space, rank + 1)
+    # face s holds the images whose bit s % m is 1 exactly when s >= m
+    sides = [tuple(x for x in range(full + 1) if (x >> s % m) & 1 == (s >= m))
+             for s in range(2 * m)]
+
+    def decompose(masks: Sequence[int]) -> tuple[int, list[int]]:
+        base = _opposite_base(space, masks, pairs, rank, "theorem2")
+        faces: list[int] = []
+        for s, side in enumerate(sides):
+            q = reduce(and_, map(masks.__getitem__, side))
+            if q.bit_count() != face_size:
+                raise CounterexampleError(
+                    "theorem2",
+                    {"kind": "face_intersection_defect", "signed_index": s,
+                     "got": subspace_json(subspace_of_mask(space, q))},
+                )
+            faces.append(q)
+        return base, faces
+
+    return decompose
+
+
+def _witness_from_images(space: PolarSpace, masks: Sequence[int]) -> tuple[int, list[int]]:
+    """The decomposition of one labelling by a fresh ``_decomposer``."""
+    return _decomposer(space, (len(masks) - 1).bit_length())(masks)
 
 
 def is_apartment(space: PolarSpace, members) -> ApartmentWitness | None:
@@ -836,7 +849,7 @@ def verify_theorem2(
     distinct points, each collinear with all the others except its partner,
     which makes them a frame, and each image is the span of its chosen
     points, one from each pair, which is what ``apartment_of_frame``
-    computes for that frame (``_witness_from_images`` argues all three).
+    computes for that frame (``_decomposer`` argues all three).
 
     A complete m = n search in exhaustive mode also counts its distinct
     images against the closed form ``polar.frame_count``, one apartment per
@@ -853,6 +866,7 @@ def verify_theorem2(
     start = time.perf_counter()
     graph = dual_polar_graph(space)
     violations: list[dict] = []
+    decompose = _decomposer(space, m)
 
     # vertex v of ``hypercube(m)`` has sign mask v, so an assignment is
     # already indexed by sign mask
@@ -860,7 +874,7 @@ def verify_theorem2(
         if not new:
             return
         try:
-            _witness_from_images(space, [graph.masks[v] for v in assignment])
+            decompose([graph.masks[v] for v in assignment])
         except CounterexampleError as exc:
             violations.append(exc.as_violation())
 

@@ -14,6 +14,7 @@ import pytest
 from dualpolar import apartments, polar
 from dualpolar.apartments import (
     ApartmentWitness,
+    _decomposer,
     _distance_masks,
     _opposite_base,
     _shuffle,
@@ -1011,10 +1012,11 @@ def _labellings():
     return cases
 
 
-def _perturbed_labellings(count, seed):
-    """Seeded copies of the labellings: unchanged, two images swapped, or one
-    image replaced by a random vertex."""
-    cases = _labellings()
+def _perturbed_labellings(count, seed, cases=None):
+    """Seeded copies of the labellings (``_labellings()`` unless ``cases``
+    are given): unchanged, two images swapped, or one image replaced by a
+    random vertex."""
+    cases = cases or _labellings()
     rng = random.Random(seed)
     for k in range(count):
         space, graph, order = cases[rng.randrange(len(cases))]
@@ -1139,3 +1141,58 @@ def test_colliding_faces_fail_the_base_or_face_checks():
         assert info.value.as_violation() == violation
         collided.add((space, m))
     assert collided >= {(SP42, 1), (SP42, 2), (SP43, 2), (SP62, 2), (SP62, 3)}
+
+
+def _decomposed(decompose, space, masks):
+    """(base, residue frame) as subspaces, or the violation payload."""
+    try:
+        base, faces = decompose(masks)
+    except CounterexampleError as exc:
+        return exc.as_violation()
+    return subspace_of_mask(space, base), tuple(subspace_of_mask(space, q) for q in faces)
+
+
+def test_one_decomposer_per_space_and_m_matches_a_fresh_one_and_the_reference():
+    # verify_theorem2 decomposes every image with one _decomposer: reused
+    # across labellings valid and broken, m = 1..n on each space, it gives
+    # what a fresh one (_witness_from_images) and the rref reference give,
+    # masks or violation payload.  At m = 1 each face is one image
+    cases = _labellings()
+    for space, graph in ((SP43, G43), (SP62, G62)):
+        edges, _ = cube_embeddings(1, graph, mode="sample", budget=1_000, seed=5)
+        cases += [(space, graph, order) for order in edges[:30]]
+    decomposers = {}
+    verdicts = set()
+    for space, graph, order in _perturbed_labellings(900, seed=41, cases=cases):
+        masks = [graph.masks[v] for v in order]
+        m = (len(masks) - 1).bit_length()
+        if (space, m) not in decomposers:
+            decomposers[space, m] = _decomposer(space, m)
+        got = _decomposed(decomposers[space, m], space, masks)
+        assert _decomposed(lambda ms: _witness_from_images(space, ms), space, masks) == got
+        try:
+            want = witness_from_images(space, [graph.labels[v] for v in order])
+        except CounterexampleError as exc:
+            want = exc.as_violation()
+        assert got == want
+        verdicts.add((space.n, space.p, m, got["kind"] if isinstance(got, dict) else "ok"))
+    assert {(n, p, m) for n, p, m, _ in verdicts} == {
+        (2, 2, 1), (2, 2, 2), (2, 3, 1), (2, 3, 2), (3, 2, 1), (3, 2, 2), (3, 2, 3)}
+    assert {kind for *_, kind in verdicts} == {
+        "ok", "base_dimension", "base_depends_on_opposite_pair", "face_intersection_defect"}
+    assert {(n, p, 1, "ok") for n, p in ((2, 2), (2, 3), (3, 2))} <= verdicts
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_verify_theorem2_builds_one_decomposer_per_call(monkeypatch, workers):
+    made = []
+
+    def spy(space, m):
+        made.append((space, m))
+        return decomposer(space, m)
+
+    decomposer = apartments._decomposer
+    monkeypatch.setattr(apartments, "_decomposer", spy)
+    report = verify_theorem2(SP62, 3, mode="sample", budget=2_000, seed=11, workers=workers)
+    assert report["counts"]["distinct_images"] > 100 and not report["violations"]
+    assert made == [(SP62, 3)]
