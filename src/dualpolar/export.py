@@ -1,5 +1,11 @@
 """JSON and DOT serialization of spaces and graphs (integers only, canonical
-ordering)."""
+ordering).
+
+The JSON payloads hold the program's own tuples (points, RREF rows, edges)
+rather than list copies of them: ``json`` writes a tuple as an array, so the
+bytes are the same.  ``label_to_json`` still returns lists, since
+``label_name`` hashes its ``repr`` into the DOT vertex names.
+"""
 
 from __future__ import annotations
 
@@ -15,10 +21,9 @@ def space_to_json(space: PolarSpace) -> dict:
     return {
         "p": space.p,
         "n": space.n,
-        "points": [list(pt) for pt in space.points],
+        "points": space.points,
         "singular_subspaces_by_dim": [
-            [[list(row) for row in sub.rows] for sub in polar.enumerate_singular(space, k)]
-            for k in range(space.n)
+            [sub.rows for sub in polar.enumerate_singular(space, k)] for k in range(space.n)
         ],
     }
 
@@ -48,8 +53,9 @@ def label_name(label) -> str:
 
 def graph_to_json(graph: DenseGraph) -> dict:
     return {
-        "vertices": [label_to_json(lab) for lab in graph.labels],
-        "edges": [[i, j] for i, j in graph.edges()],
+        "vertices": [lab.rows if isinstance(lab, Subspace) else label_to_json(lab)
+                     for lab in graph.labels],
+        "edges": graph.edges(),
     }
 
 

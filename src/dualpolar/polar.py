@@ -244,46 +244,65 @@ def enumerate_singular(space: PolarSpace, k: int) -> tuple[Subspace, ...]:
     column where every row of P is zero.  Each (P, v) pair of that kind
     yields T exactly once, and P's rows followed by v are already T's RREF
     rows (see ``_children``), so no layer above 0 reduces a matrix.
+
+    Every layer comes out sorted by its rows without a sort.  Layer 0 is
+    ``space.points``, which is sorted.  Two children of different parents
+    first differ inside their first k + 1 rows, exactly where their parents
+    do, so they follow their parents' order; and one parent's children are
+    yielded in ascending point index, which is ascending order of v.
     """
     if not 0 <= k <= space.n - 1:
         raise ValueError(f"projective dimension {k} out of range [0, {space.n - 1}]")
     cache = space._singular_cache
     if not cache:
-        # space.points is sorted, so layer 0 is too
         cache[0] = tuple(rref(space.field, [pt], space.dim) for pt in space.points)
     for kk in range(max(cache) + 1, k + 1):
-        cache[kk] = tuple(sorted(_children(space, cache[kk - 1]), key=lambda s: s.rows))
+        cache[kk] = tuple(_children(space, cache[kk - 1]))
     return cache[k]
 
 
 def _children(space: PolarSpace, layer: Sequence[Subspace]) -> Iterable[Subspace]:
-    """The subspaces one rank up whose canonical parent lies in ``layer``.
+    """The subspaces one rank up whose canonical parent lies in ``layer``,
+    parent by parent and each parent's in ascending point index.
 
     A child is ``Subspace(parent.rows + (v,))`` with v a normalized point
     perpendicular to every row of the parent, whose pivot c lies after the
     parent's last pivot and in a column where every row of the parent is 0.
     Those rows are already in RREF, so they are not reduced: the pivots
     increase, v is 0 in every earlier pivot column because they all lie
-    before c, and the parent is 0 in v's pivot column c.  The candidates
-    are one mask: the OR of ``lead[c]``, the points whose pivot is c, over
-    the columns c after the last pivot in which the parent is 0, ANDed with
-    the perps of the parent's rows.
+    before c, and the parent is 0 in v's pivot column c.
+
+    The candidates are one mask, taken from per-point masks alone.
+    ``support[i]`` has bit c set when coordinate c of point i is nonzero, so
+    the parent's free columns are the complement of the OR of its rows'
+    supports, cut to the columns after its last pivot (the lowest bit of
+    its last row's support).  The candidates are the OR of ``lead[c]``, the
+    points whose pivot is c, over those columns, kept per set of free
+    columns for this call, ANDed with the perps of the parent's rows.
     """
     d = space.dim
     perp = space.collinear_masks()
     index = space.point_index
     lead = [0] * d
+    support = []
     for i, pt in enumerate(space.points):
         lead[pt.index(1)] |= 1 << i
+        support.append(sum(1 << c for c, x in enumerate(pt) if x))
+    full = (1 << d) - 1
+    leads_of: dict[int, int] = {}
     for parent in layer:
         rows = parent.rows
-        cands = 0
-        for c in range(rows[-1].index(1) + 1, d):
-            if not any(row[c] for row in rows):
-                cands |= lead[c]
+        used, cands = 0, -1
         for row in rows:
             i = index[row]
+            used |= support[i]
             cands &= perp[i] | 1 << i
+        last = support[i] & -support[i]  # the last row's pivot bit
+        free = ~used & -(last << 1) & full
+        leads = leads_of.get(free)
+        if leads is None:
+            leads = leads_of[free] = reduce(or_, [lead[c] for c in _bits(free)], 0)
+        cands &= leads
         while cands:
             low = cands & -cands
             cands ^= low

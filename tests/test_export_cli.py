@@ -21,7 +21,7 @@ from dualpolar.export import (
     space_to_json,
 )
 from dualpolar.graphs import dual_polar_graph, hypercube
-from dualpolar.polar import PolarSpace
+from dualpolar.polar import PolarSpace, enumerate_singular
 from dualpolar.reporting import exit_code_for, make_report, report_json, strip_volatile
 
 SP42 = PolarSpace(2, 2)
@@ -32,10 +32,18 @@ def test_space_json_shape():
     assert payload["p"] == 2 and payload["n"] == 2
     assert len(payload["points"]) == 15
     assert [len(layer) for layer in payload["singular_subspaces_by_dim"]] == [15, 15]
-    # integers only
+    # integers only; the payload holds tuples, which json writes as arrays
     dump = dump_json(payload)
     assert "." not in dump.split("}")[0]
-    assert json.loads(dump) == payload
+    assert json.loads(dump) == {
+        "p": 2,
+        "n": 2,
+        "points": [list(pt) for pt in SP42.points],
+        "singular_subspaces_by_dim": [
+            [[list(row) for row in sub.rows] for sub in enumerate_singular(SP42, k)]
+            for k in range(2)
+        ],
+    }
 
 
 def test_graph_json_and_dot():

@@ -65,8 +65,9 @@ COMMANDS = {
 }
 
 
-# (p, n) of the spaces whose ``build`` exports are pinned by digest
-BUILDS = [(2, 2), (3, 2), (2, 3)]
+# (p, n) of the spaces whose ``build`` exports are pinned by digest; Sp(6,3)
+# is the benchmark's build and Sp(4,5) the largest field
+BUILDS = [(2, 2), (3, 2), (2, 3), (3, 3), (5, 2)]
 
 
 def build_digests(p: int, n: int, out: Path) -> dict:

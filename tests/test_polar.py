@@ -112,12 +112,14 @@ def gaussian_binomial(n, k, q):
 def test_singular_layers_are_fixed_points_of_rref(n, p):
     # the layers above 0 are built without row reduction, so each subspace
     # must already be its own canonical RREF; the layer of rank r has
-    # [n, r]_q (q^(n-r+1) + 1) ... (q^n + 1) members
+    # [n, r]_q (q^(n-r+1) + 1) ... (q^n + 1) members; the layers are grown
+    # in order, not sorted, so each must be strictly ascending by rows
     space = PolarSpace(n, p)
     sizes = []
     for k in range(n):
         layer = enumerate_singular(space, k)
         assert all(rref(space.field, sub.rows, space.dim) == sub for sub in layer)
+        assert all(a.rows < b.rows for a, b in zip(layer, layer[1:]))
         assert len(layer) == gaussian_binomial(n, k + 1, p) * prod(
             p**i + 1 for i in range(n - k, n + 1)
         )
