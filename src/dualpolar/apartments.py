@@ -5,8 +5,9 @@ candidates for a vertex are one AND of distance masks per placed vertex,
 read off the target graph's distance classes (``DenseGraph.at_dist[v][d]``,
 the target vertices at distance d from v; a pair at ``UNREACHABLE``, 0xFF,
 is in no class), and each full placement is streamed to a visitor, from
-this process or as the replayed visitor calls of the same search run in one
-forked process beside the visitor's checks.  An image is decomposed in the
+this process or, above one worker, as the replayed visitor calls of root
+branches split over forked children that search beside the visitor's
+checks.  An image is decomposed in the
 hypercube labelling the search gave it, on the point masks of its members:
 the common base subspace and the 2m residue-frame subspaces obtained by
 intersecting the images of opposite hypercube faces, which span every
@@ -290,19 +291,24 @@ def _branch_search(
     return found, images, expansions, complete
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _can_fork(workers: int) -> bool:
-    """Whether a search at ``workers`` runs its branches in a forked child:
-    only above one worker, where ``os.fork`` exists, no other thread runs (a
-    forked child would inherit that thread's locks in whatever state they
-    are) and this process may run on two CPUs or more, one for the search
-    and one for the checks."""
+    """Whether a search at ``workers`` runs its root branches in forked
+    children: only above one worker, where ``os.fork`` exists, no other
+    thread runs (a forked child would inherit that thread's locks in
+    whatever state they are) and this process may run on two CPUs or more.
+    The search then forks min(``workers``, usable CPUs, roots) children, so
+    never more children than CPUs, whatever ``workers`` says."""
     if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return False
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    return cpus > 1
+    return _usable_cpus() > 1
 
 
 def _write_record(out, record) -> None:
@@ -323,73 +329,98 @@ def _read_record(reader):
     return marshal.loads(data) if len(data) == size else None
 
 
-def _serve_search(run, fd: int) -> None:
-    """Body of the forked child: ``run`` with a visitor that buffers its
-    calls, one record of them per root branch to ``fd`` and then the stats,
-    or the text of the exception it raised.  Leaves through ``os._exit``."""
+def _serve_branches(branch, roots, fd: int, inherited) -> None:
+    """Body of a forked child: run ``branch(root, keys, visit)`` for each of
+    ``roots`` in order, with one set of image keys, and write one record per
+    root to ``fd``: (visitor calls, embeddings, expansions, complete), or
+    the text of the exception a branch raised.  A call is (assignment,
+    image key), the key 0 when this child has seen the image before.  Closes
+    the ``inherited`` read ends of earlier children's pipes first and leaves
+    through ``os._exit``."""
     code = 1
     try:
+        for reader in inherited:
+            reader.close()
         with os.fdopen(fd, "wb") as out:
+            keys: set[int] = set()
             calls: list[tuple] = []
 
-            def send() -> None:
-                _write_record(out, calls)
-                calls.clear()
+            def found(assignment, new) -> None:
+                calls.append((assignment, sum(1 << v for v in assignment) if new else 0))
 
             try:
-                stats = run(lambda *call: calls.append(call), send)
+                for root in roots:
+                    emb, _, exp, comp = branch(root, keys, found)
+                    _write_record(out, (calls, emb, exp, comp))
+                    calls.clear()
             except Exception as exc:
                 _write_record(out, f"{type(exc).__name__}: {exc}")
             else:
-                _write_record(out, stats)
                 code = 0
     finally:
         os._exit(code)
 
 
-def _forked_search(run, nroots: int, visit) -> dict:
-    """Run ``run(visit, branch_done)`` in one forked child and replay its
-    visitor calls through ``visit`` in this process, root branch by root
-    branch, while the child searches on; returns the child's stats.
+def _forked_search(branch, nroots: int, children: int, visit) -> tuple[int, int, int, bool]:
+    """Run the root branches in ``children`` forked children, child c
+    taking the roots r with r % children == c in ascending order
+    (``_serve_branches``), and replay their visitor calls through ``visit``
+    in this process in root order; returns (embeddings, distinct images,
+    expansions, complete) summed over the branches.
 
-    The child inherits the search's tables by fork, so nothing is sent to
-    it, and the pipe's buffer holds it back when it gets ahead.  A child
-    that raises or dies makes this raise RuntimeError naming the root, or
-    the stats, whose record never arrived; whatever raises, the child is
-    killed and reaped and the pipe closed.
+    ``new`` is decided here, from one set of image keys filled in root
+    order, so it and the distinct-image count are those of one worker.  A
+    child sends an image's key only with its first embedding there: an
+    image it has seen before was also seen before in root order.  The
+    children inherit the search's tables by fork, so nothing is sent to
+    them, and each pipe's buffer holds back a child that gets ahead.  A
+    child that raises or dies makes this raise RuntimeError naming the root
+    whose record never arrived; whatever raises, every child is killed and
+    reaped and every pipe closed.
     """
-    r, w = os.pipe()
+    pids: list[int] = []
+    readers: list = []
     try:
-        pid = os.fork()
-    except BaseException:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:
-        os.close(r)
-        _serve_search(run, w)
-    try:
-        os.close(w)
-        with os.fdopen(r, "rb") as reader:
-            for root in range(nroots):
-                record = _read_record(reader)
-                if not isinstance(record, list):
-                    raise RuntimeError(
-                        f"search branch at root {root} failed in the forked search process: "
-                        f"{record or 'it exited without a result'}"
-                    )
-                for call in record:
-                    visit(*call)
-            stats = _read_record(reader)
-            if not isinstance(stats, dict):
+        for c in range(children):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                os.close(r)
+                _serve_branches(branch, range(c, nroots, children), w, readers)
+            pids.append(pid)
+            os.close(w)
+            readers.append(os.fdopen(r, "rb"))
+        keys: set[int] = set()
+        found = expansions = 0
+        complete = True
+        for root in range(nroots):
+            record = _read_record(readers[root % children])
+            if not isinstance(record, tuple):
                 raise RuntimeError(
-                    "the forked search process failed after its last root branch: "
-                    f"{stats or 'it exited without its stats'}"
+                    f"search branch at root {root} failed in a forked search process: "
+                    f"{record or 'it exited without a result'}"
                 )
-            return stats
+            calls, emb, exp, comp = record
+            for assignment, key in calls:
+                new = key != 0 and key not in keys
+                if new:
+                    keys.add(key)
+                visit(assignment, new)
+            found += emb
+            expansions += exp
+            complete = complete and comp
+        return found, len(keys), expansions, complete
     finally:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for reader in readers:
+            reader.close()
 
 
 def _check_search_args(mode: str, budget: int, seed: int, workers: int) -> None:
@@ -451,13 +482,15 @@ def search_isometric_embeddings(
     A negative seed in sample mode, or fewer than one worker, raises
     ValueError (``_check_search_args``), and so does an empty or
     disconnected source.  Exhaustive mode draws nothing.
-    ``run`` is the whole search: every root branch in root order, calling
-    ``branch_done()`` after each, with one set of image keys that the
-    branches fill, and the stats.  With ``workers`` above 1 and a visitor it runs in one forked
-    process beside the visitor (see ``_forked_search`` and ``_can_fork``),
-    whose visitor calls are replayed here in their order, so the
-    embeddings, their order and the stats other than ``workers`` are the
-    same for every worker count.  Expansions count vertex placements.
+    ``branch(root, keys, on_found)`` runs one root branch.  With one worker
+    the branches run here in root order on one set of image keys.  With
+    ``workers`` above 1 and a visitor they are split over
+    min(``workers``, usable CPUs, roots) forked children, root r in child
+    r mod children (see ``_forked_search`` and ``_can_fork``), whose visitor
+    calls are replayed here in root order, with ``new`` decided here from
+    one set of image keys.  So the embeddings, their order and the stats
+    other than ``workers`` are the same for every worker count.  Expansions
+    count vertex placements.
 
     Each embedding is streamed as ``visit(assignment, new)`` the moment it
     is found: ``assignment`` is the tuple of target vertices of the source
@@ -504,35 +537,35 @@ def search_isometric_embeddings(
         and src.adj == hypercube(m).adj
     )
 
-    def run(on_found, branch_done=lambda: None) -> dict:
-        keys: set[int] = set()
-        found = images = expansions = 0
-        complete = True
-        # the vertices below the first incomplete branch of a canonical count
-        done = 0
-        for root in range(nv):
-            draws = random.Random(seeds[root]).getrandbits if mode == "sample" else None
-            branch = (dst.adj, at_dist, plan, nsrc, root, shares[root], draws)
-            emb, img, exp, comp = _branch_search(
-                *branch, None if canonical and complete else keys, on_found, assign
-            )
-            if canonical and complete and not comp:
-                # the images found so far are those through the vertices
-                # below this root, each counted once; from here on, the
-                # image keys count the images that miss them
-                done = (1 << root) - 1
-                emb, img, exp, comp = _branch_search(*branch, keys, on_found, assign)
-            found += emb
-            images += img
-            expansions += exp
-            complete = complete and comp
-            branch_done()
-        images += sum(1 for key in keys if not key & done) if done else len(keys)
-        return search_stats(mode, budget, seed, workers, found, images, expansions, complete)
+    def branch(root: int, keys, on_found):
+        draws = random.Random(seeds[root]).getrandbits if mode == "sample" else None
+        return _branch_search(
+            dst.adj, at_dist, plan, nsrc, root, shares[root], draws, keys, on_found, assign
+        )
 
     if visit is not None and _can_fork(workers):
-        return None, _forked_search(run, nv, visit)
-    return None, run(visit)
+        children = min(workers, _usable_cpus(), nv)
+        found, images, expansions, complete = _forked_search(branch, nv, children, visit)
+        return None, search_stats(mode, budget, seed, workers, found, images, expansions, complete)
+    keys: set[int] = set()
+    found = images = expansions = 0
+    complete = True
+    # the vertices below the first incomplete branch of a canonical count
+    done = 0
+    for root in range(nv):
+        emb, img, exp, comp = branch(root, None if canonical and complete else keys, visit)
+        if canonical and complete and not comp:
+            # the images found so far are those through the vertices below
+            # this root, each counted once; from here on, the image keys
+            # count the images that miss them
+            done = (1 << root) - 1
+            emb, img, exp, comp = branch(root, keys, visit)
+        found += emb
+        images += img
+        expansions += exp
+        complete = complete and comp
+    images += sum(1 for key in keys if not key & done) if done else len(keys)
+    return None, search_stats(mode, budget, seed, workers, found, images, expansions, complete)
 
 
 # -- decomposition of embedded hypercubes ------------------------------------

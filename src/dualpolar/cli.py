@@ -52,9 +52,9 @@ def _build_parser() -> _Parser:
                             "vertices may place nothing")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--workers", type=int, default=1,
-                       help="above 1, run the embedding search of `verify` in one forked "
-                            "process beside the checks; the report is the same for any "
-                            "count apart from its `workers` field")
+                       help="above 1, split the embedding search of `verify` over "
+                            "min(W, usable CPUs) forked processes beside the checks; the "
+                            "report is the same for any count apart from its `workers` field")
         p.add_argument("--output", type=str, default=None,
                        help="output file/directory (default: $DUALPOLAR_OUTPUT_DIR or cwd)")
         p.add_argument("--format", choices=("json", "dot"), default="json")

@@ -455,7 +455,25 @@ def verify_theorem3(
     (see ``_collinearity_break``), so ``frames_checked`` is the number of
     frames.  The residue-collinear pairs are counted once per distinct set
     of point images (``_collinearity_check``), and scanned only on a set
-    whose count differs from the source's.  For the first 50 embeddings,
+    whose count differs from the source's.
+
+    The point images and the collinearity check run on the first embedding
+    of each image, and on every later one only while the image has not
+    passed them; Lemma 5 and the transfer below run on every embedding.
+    Two embeddings e, e' onto one image differ by sigma = e^-1 o e', a
+    bijection of the source graph that keeps every distance, since both
+    embeddings do: an automorphism.  The star of a point p, the maximals
+    through p, is the convex closure of any two of them at distance n - 1,
+    which meet exactly in p (Cameron, *Dual polar spaces*; BCN 9.4), so
+    sigma permutes the stars of points: sigma(star(p)) = star(pi(p)) for a
+    permutation pi of the points.  Then g'(p), the meet of the images under
+    e' of star(p), is g(pi(p)): the two maps have one set of point images,
+    so the rank of each, injectivity and the residue-collinear pair count
+    read the same for both.  An image that fails is checked in full at
+    every embedding, so each failing embedding still gets its own
+    violation.  The set of passed images is local to the call.
+
+    For the first 50 embeddings,
     the first two frame apartments are also pushed through the embedding
     and decomposed, in the sign-mask labelling they come with, as
     apartments; a transfer fails exactly when the decomposition raises.
@@ -480,6 +498,8 @@ def verify_theorem3(
     members = _members(src)
     collinearity = _collinearity_check("theorem3", src_space, dst_space)
     violations: list[dict] = []
+    # the images whose first embedding passed the point-image checks
+    passed: set[frozenset[int]] = set()
     visited = checked_apartments = 0
 
     def check(emb: GraphEmbedding) -> None:
@@ -488,8 +508,12 @@ def verify_theorem3(
         visited += 1
         try:
             verify_lemma5(emb)
-            if broken := collinearity(_point_images("theorem3", emb, members)):
-                violations.append(broken)
+            image = frozenset(emb.assignment)
+            if image not in passed:
+                if broken := collinearity(_point_images("theorem3", emb, members)):
+                    violations.append(broken)
+                else:
+                    passed.add(image)
             if first:
                 for frame, vertices in pushed:
                     # the members come by sign mask, so the pushed members

@@ -333,14 +333,16 @@ def test_the_pair_count_agrees_with_the_pair_scan_on_every_c11_embedding():
 
 
 @pytest.mark.parametrize(
-    "run",
-    [lambda: verify_theorem3(SP42, SP62, mode="sample", budget=100_000, seed=11),
-     lambda: verify_chow(SP43, budget=20_000)],
+    "run,calls",
+    [(lambda: verify_theorem3(SP42, SP62, mode="sample", budget=100_000, seed=11),
+      "distinct_images"),
+     (lambda: verify_chow(SP43, budget=20_000), "embeddings")],
     ids=["theorem3", "chow"],
 )
-def test_a_verifier_call_counts_the_pairs_once_per_set_of_point_images(monkeypatch, run):
+def test_a_verifier_call_counts_the_pairs_once_per_set_of_point_images(monkeypatch, run, calls):
     # the memo is measured by count: one pair scan per distinct frozenset(g),
-    # in the order the sets are first seen, far fewer than the embeddings
+    # in the order the sets are first seen, far fewer than the embeddings;
+    # theorem3 takes the point images once per image, chow per embedding
     sets, scanned = [], []
 
     def spied(statement, emb, members):
@@ -355,9 +357,55 @@ def test_a_verifier_call_counts_the_pairs_once_per_set_of_point_images(monkeypat
     monkeypatch.setattr(morphisms, "_point_images", spied)
     monkeypatch.setattr(morphisms, "_residue_collinear", counting)
     report = run()
-    assert report["violations"] == [] and len(sets) == report["counts"]["embeddings"]
+    assert report["violations"] == [] and len(sets) == report["counts"][calls]
     assert scanned == list(dict.fromkeys(sets))
-    assert 20 * len(scanned) < len(sets)
+    assert 20 * len(scanned) < report["counts"]["embeddings"]
+
+
+def test_every_c11_embedding_gets_the_verdict_of_its_images_first_embedding():
+    # the per-image skip of verify_theorem3: on every embedding of Sp(4,2)
+    # in Sp(6,2), the point images form the set of its image's first
+    # embedding, and the full checks give the same verdict
+    members = _members(dual_polar_graph(SP42))
+    check = morphisms._collinearity_check("theorem3", SP42, SP62)
+    first = {}
+
+    def verdict(emb):
+        try:
+            verify_lemma5(emb)
+            g = _point_images("theorem3", emb, members)
+        except CounterexampleError as exc:
+            return None, exc.as_violation()
+        return frozenset(g), check(g)
+
+    def visit(emb):
+        got = verdict(emb)
+        assert first.setdefault(frozenset(emb.assignment), got) == got
+
+    _, stats = search_dualpolar_embeddings(SP42, SP62, "exhaustive", 10**7, visit=visit)
+    assert stats["complete"] and stats["embeddings"] == 45_360 and len(first) == 63
+    assert len({g for g, _ in first.values()}) == 63
+    assert {broken for _, broken in first.values()} == {None}
+
+
+@pytest.mark.parametrize("fail", ["point_images", "collinearity"])
+def test_theorem3_checks_every_embedding_of_an_image_that_failed(monkeypatch, fail):
+    # an image whose first embedding fails is never marked as passed: each
+    # of its embeddings is checked and reported on its own
+    violation = {"statement": "theorem3", "kind": "point_image_defect"}
+    if fail == "point_images":
+        def failing(statement, emb, members):
+            raise CounterexampleError("theorem3", {"kind": "point_image_defect"})
+
+        monkeypatch.setattr(morphisms, "_point_images", failing)
+    else:
+        violation = {"statement": "theorem3", "kind": "collinearity_not_preserved", "pair": [0, 1]}
+        monkeypatch.setattr(
+            morphisms, "_collinearity_check", lambda *args: lambda g: dict(violation))
+    report = verify_theorem3(SP42, SP62, mode="sample", budget=20_000, seed=4)
+    counts = report["counts"]
+    assert counts["embeddings"] > counts["distinct_images"] > 1
+    assert report["violations"] == [violation] * counts["embeddings"]
 
 
 def test_counterexample_payloads_are_jsonable():

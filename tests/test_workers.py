@@ -1,4 +1,4 @@
-"""The forked search process of the embedding search: when it forks, its
+"""The forked children of the embedding search: how many it forks, their
 cleanup on failure, and reports that do not depend on the worker count."""
 
 import inspect
@@ -16,7 +16,7 @@ from dualpolar.apartments import (
     verify_theorem2,
 )
 from dualpolar.cli import main
-from dualpolar.graphs import dual_polar_graph, hypercube
+from dualpolar.graphs import dual_polar_graph, graph_from_edges, hypercube
 from dualpolar.morphisms import verify_chow, verify_lemma5_bulk, verify_theorem3
 from dualpolar.polar import PolarSpace
 from dualpolar.reporting import CounterexampleError, strip_volatile
@@ -42,11 +42,15 @@ def _search(workers, visit):
     )
 
 
-def _count_forks(monkeypatch) -> list[int]:
+def _count_forks(monkeypatch, limit: int = 4) -> list[int]:
+    """The pids of the children forked from now on; a fork past ``limit``
+    raises instead of starting a child, so a broken cap forks few."""
     forks: list[int] = []
     real_fork = os.fork
 
     def counting_fork():
+        if len(forks) >= limit:
+            raise OSError(f"more than {limit} forks")
         pid = real_fork()
         if pid:
             forks.append(pid)
@@ -56,15 +60,49 @@ def _count_forks(monkeypatch) -> list[int]:
     return forks
 
 
-@pytest.mark.parametrize("workers", [2, 10**6])
-def test_search_forks_exactly_one_child(monkeypatch, two_cpus, workers):
+def _cpus(monkeypatch, count: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+@pytest.mark.parametrize("cpus,workers,children", [
+    (2, 2, 2), (2, 10**6, 2), (3, 2, 2), (3, 3, 3), (3, 10**6, 3),
+])
+def test_search_forks_one_child_per_worker_up_to_the_cpus(monkeypatch, cpus, workers, children):
     ref, ref_stats = collect(_search, 1)
+    _cpus(monkeypatch, cpus)
     forks = _count_forks(monkeypatch)
     fds = _open_fds()
     found, stats = collect(_search, workers)
-    assert len(forks) == 1
+    assert len(forks) == children
     assert found == ref
     assert stats == {**ref_stats, "workers": workers}
+    _assert_no_children()
+    assert _open_fds() == fds
+
+
+def test_search_forks_no_more_children_than_roots(monkeypatch):
+    # a triangle: three roots
+    target = graph_from_edges(range(3), [(0, 1), (1, 2), (0, 2)])
+
+    def search(workers, visit):
+        return search_isometric_embeddings(hypercube(1), target, workers=workers, visit=visit)
+
+    ref, ref_stats = collect(search, 1)
+    _cpus(monkeypatch, 4)
+    forks = _count_forks(monkeypatch)
+    found, stats = collect(search, 10**6)
+    assert len(forks) == 3
+    assert found == ref and len(ref) == 6
+    assert stats == {**ref_stats, "workers": 10**6}
+    _assert_no_children()
+
+
+def test_a_failed_fork_kills_the_children_already_forked(monkeypatch, two_cpus):
+    forks = _count_forks(monkeypatch, limit=1)
+    fds = _open_fds()
+    with pytest.raises(OSError, match="more than 1 forks"):
+        _search(2, visit=lambda *found: None)
+    assert len(forks) == 1
     _assert_no_children()
     assert _open_fds() == fds
 
@@ -109,51 +147,49 @@ def _raise_in_branch():
     raise ValueError("broken branch")
 
 
+# root 9 is in the middle of the search and root 134 its last; the failure
+# is injected into ``_branch_search``, which only the children run
+@pytest.mark.parametrize("root", [9, 134])
 @pytest.mark.parametrize("fail,message", [
     (_raise_in_branch, "ValueError: broken branch"),
     (lambda: os._exit(3), "exited without a result"),
 ], ids=["raises", "dies"])
-def test_worker_failure_names_its_root(monkeypatch, two_cpus, fail, message):
+def test_worker_failure_names_its_root(monkeypatch, two_cpus, fail, message, root):
     real = apartments._branch_search
     signature = inspect.signature(real)
 
     def failing(*args):
-        if signature.bind(*args).arguments["root_img"] == 9:
+        if signature.bind(*args).arguments["root_img"] == root:
             fail()
         return real(*args)
 
     ref = []
     _search(1, visit=lambda *found: ref.append(found))
+    assert ref[-1][0][0] == 134 == G62.num_vertices - 1
     monkeypatch.setattr(apartments, "_branch_search", failing)
     fds = _open_fds()
     seen = []
-    with pytest.raises(RuntimeError, match=f"root 9 .*{message}"):
+    with pytest.raises(RuntimeError, match=f"root {root} .*{message}"):
         _search(2, visit=lambda *found: seen.append(found))
     # the embeddings of the roots before it came through, in order; the
     # root is the image of source vertex 0
-    assert seen and seen == [found for found in ref if found[0][0] < 9]
+    assert seen and seen == [found for found in ref if found[0][0] < root]
     _assert_no_children()
     assert _open_fds() == fds
 
 
-def _raise_in_stats(*args):
-    raise ValueError("broken stats")
-
-
-@pytest.mark.parametrize("fail,message", [
-    (_raise_in_stats, "ValueError: broken stats"),
-    (lambda *args: os._exit(3), "it exited without its stats"),
-], ids=["raises", "dies"])
-def test_worker_failure_after_its_last_root(monkeypatch, two_cpus, fail, message):
-    # the child builds its stats only once its last root record is written
-    ref = []
-    _search(1, visit=lambda *found: ref.append(found))
-    monkeypatch.setattr(apartments, "search_stats", fail)
+def test_worker_failure_after_its_last_root(monkeypatch, two_cpus):
+    # a child that dies once its last record is written has sent all it
+    # had to send: the search is whole and the child reaped
+    real_exit = os._exit
+    ref, ref_stats = collect(_search, 1)
+    monkeypatch.setattr(os, "_exit", lambda code: real_exit(3))
+    forks = _count_forks(monkeypatch)
     fds = _open_fds()
-    seen = []
-    with pytest.raises(RuntimeError, match=f"after its last root branch: {message}"):
-        _search(2, visit=lambda *found: seen.append(found))
-    assert seen == ref
+    found, stats = collect(_search, 2)
+    assert len(forks) == 2
+    assert found == ref
+    assert stats == {**ref_stats, "workers": 2}
     _assert_no_children()
     assert _open_fds() == fds
 
@@ -185,6 +221,12 @@ def _comparable(report):
 REPORTS = {
     "theorem3-sp42-sp62": lambda w: verify_theorem3(
         SP42, SP62, mode="sample", budget=20_000, seed=4, workers=w),
+    "theorem3-sp42-sp62-exhaustive": lambda w: verify_theorem3(
+        SP42, SP62, mode="exhaustive", budget=10**7, workers=w),
+    # each root's share, 2 962 or 2 963 placements, ends about a third of
+    # the way into its branch
+    "theorem3-sp42-sp62-cut": lambda w: verify_theorem3(
+        SP42, SP62, mode="sample", budget=400_000, seed=9, workers=w),
     "chow-sp42": lambda w: verify_chow(SP42, budget=10**6, workers=w),
     "lemma5-sp42-sp62": lambda w: verify_lemma5_bulk(
         SP42, SP62, mode="sample", budget=20_000, seed=8, workers=w),
@@ -193,11 +235,17 @@ REPORTS = {
 }
 
 
-@pytest.mark.parametrize("run", REPORTS.values(), ids=REPORTS.keys())
-def test_reports_do_not_depend_on_the_worker_count(run, two_cpus):
-    reports = [run(w) for w in (1, 2, 3)]
+COMPLETE = {"theorem3-sp42-sp62-exhaustive", "chow-sp42"}
+
+
+@pytest.mark.parametrize("name", REPORTS)
+def test_reports_do_not_depend_on_the_worker_count(name, monkeypatch):
+    # three CPUs, so that three workers fork three children
+    _cpus(monkeypatch, 3)
+    reports = [REPORTS[name](w) for w in (1, 2, 3)]
     assert [r["workers"] for r in reports] == [1, 2, 3]
     assert reports[0]["counts"]["embeddings"] > 0
+    assert reports[0]["complete"] == (name in COMPLETE)
     assert all(_comparable(r) == _comparable(reports[0]) for r in reports)
 
 
