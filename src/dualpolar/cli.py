@@ -8,6 +8,8 @@ before completion, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import os
 import sys
 import time
@@ -23,6 +25,17 @@ EXIT_USAGE = 64
 
 VERIFY_STATEMENTS = ("lemma1", "lemma2", "theorem2", "lemma5", "theorem3", "chow")
 COUNT_KINDS = ("points", "singular", "frames", "apartments", "embeddings")
+# The largest rank, per prime, whose dual polar graph (or list of maximals)
+# a command may build.  Sp(6,5)'s graph, 19 656 maximals, takes about 2.6 s
+# and 246 MB; Sp(8,3)'s 91 840 maximals would need about 5.3 GB of distance
+# masks alone, and Sp(8,5) has 12 304 656 maximals.
+MAX_GRAPH_RANK = {2: 4, 3: 3, 5: 3}
+
+
+# set once ``main`` has registered ``gc.freeze`` with ``atexit``:
+# ``atexit.unregister`` leaves a slot behind, so re-registering on every call
+# would grow the handler table of an in-process caller
+_freeze_at_exit = False
 
 
 class UsageError(Exception):
@@ -95,6 +108,25 @@ def _validate(args) -> None:
         raise UsageError("--workers must be at least 1")
     if args.seed < 0:
         raise UsageError("--seed must be non-negative")
+    rank = _largest_graph_rank(args)
+    if rank is not None and rank > MAX_GRAPH_RANK[args.p]:
+        raise UsageError(
+            f"the dual polar graph of Sp({2 * rank},{args.p}) is too large to build; "
+            f"at p = {args.p} the rank is at most {MAX_GRAPH_RANK[args.p]}"
+        )
+
+
+def _largest_graph_rank(args) -> int | None:
+    """The largest rank whose dual polar graph or maximals the command
+    builds, or None when it builds neither: ``count points``, ``frames``
+    and ``apartments`` read only the points, and ``lemma2`` no space."""
+    if args.command == "count" and args.what not in ("singular", "embeddings"):
+        return None
+    if args.command == "verify" and args.statement == "lemma2":
+        return None
+    if args.command == "verify" and args.statement in ("lemma5", "theorem3"):
+        return args.n_prime or args.n
+    return args.n
 
 
 def _out_dir(args) -> Path:
@@ -218,6 +250,23 @@ def cmd_count(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    Registers ``gc.freeze`` with ``atexit`` once per process, however often
+    ``main`` runs, so that at interpreter shutdown every live object sits in
+    the permanent generation and the final collections do not walk the
+    heap: a run then exits in 3-6 ms instead of 11-15 ms.  The collector
+    keeps running until then, so an in-process caller still frees the
+    cyclic garbage of each call.  Skipping the final collection only skips
+    the finalizers of cyclic garbage, and the program relies on none:
+    report and export files are closed by ``write_text``, the interpreter
+    flushes stdout and stderr itself, and forked children leave through
+    ``os._exit``, which runs no ``atexit`` handler.
+    """
+    global _freeze_at_exit
+    if not _freeze_at_exit:
+        atexit.register(gc.freeze)
+        _freeze_at_exit = True
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -112,8 +112,9 @@ def search_dualpolar_embeddings(
     visit,
 ) -> tuple[None, dict]:
     """Backtracking search for isometric embeddings between dual polar graphs,
-    each passed to ``visit`` as a ``GraphEmbedding`` as soon as it is found;
-    returns (None, stats) as ``search_isometric_embeddings`` does.
+    each passed to ``visit`` as a ``GraphEmbedding`` as soon as it is found,
+    or only counted when ``visit`` is None; returns (None, stats) as
+    ``search_isometric_embeddings`` does, which also says what None skips.
 
     A source of larger diameter admits none, and that case returns as soon
     as its arguments are checked.
@@ -124,7 +125,7 @@ def search_dualpolar_embeddings(
     src, dst = dual_polar_graph(src_space), dual_polar_graph(dst_space)
     return search_isometric_embeddings(
         src, dst, mode, budget, seed, workers,
-        visit=lambda assignment, new: visit(
+        visit=None if visit is None else lambda assignment, new: visit(
             GraphEmbedding(src_space, dst_space, src, dst, assignment)
         ),
     )

@@ -1,3 +1,5 @@
+import atexit
+import gc
 import json
 import os
 import subprocess
@@ -10,7 +12,7 @@ from time import perf_counter
 import pytest
 
 import dualpolar
-from dualpolar import cli
+from dualpolar import cli, graphs, polar
 from dualpolar.apartments import search_isometric_embeddings, search_stats
 from dualpolar.cli import main
 from dualpolar.export import (
@@ -25,6 +27,16 @@ from dualpolar.polar import PolarSpace, enumerate_singular
 from dualpolar.reporting import exit_code_for, make_report, report_json, strip_volatile
 
 SP42 = PolarSpace(2, 2)
+
+
+def run_python(script, *args):
+    """Run ``script`` in a fresh interpreter that imports this checkout's
+    ``dualpolar``."""
+    src = str(Path(dualpolar.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
 
 
 def test_space_json_shape():
@@ -142,11 +154,8 @@ runs = [
 codes = [main(args + ["--output", out]) for args in runs]
 print(codes, "numpy" in sys.modules)
 """
-    src = str(Path(dualpolar.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, check=True)
+    done = run_python(script)
+    assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[0, 2, 0, 0] False"
 
 
@@ -160,11 +169,8 @@ code = main(["verify", "lemma1", "--p", "2", "--n", "3", "--mode", "sample",
              "--budget", "200", "--seed", "1", "--output", {str(tmp_path)!r}])
 print(code, len(sample_frames(PolarSpace(3, 2), 5, seed=5)))
 """
-    src = str(Path(dualpolar.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, check=True)
+    done = run_python(script)
+    assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "0 5"
 
 
@@ -359,3 +365,92 @@ def test_cli_output_dir_from_env(tmp_path, monkeypatch):
     assert main(["count", "points", "--p", "2", "--n", "2"]) == 0
     report = json.loads((tmp_path / "count_points_p2_n2.json").read_text())
     assert report["counts"]["points"] == 15
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--p", "3", "--n", "4"],
+    ["build", "--p", "5", "--n", "4", "--format", "dot"],
+    ["verify", "lemma1", "--p", "5", "--n", "4"],
+    ["verify", "theorem2", "--p", "3", "--n", "4", "--m", "2"],
+    ["verify", "chow", "--p", "3", "--n", "4"],
+    ["verify", "theorem3", "--p", "3", "--n", "2", "--n-prime", "4"],
+    ["verify", "lemma5", "--p", "5", "--n", "3", "--n-prime", "4"],
+    ["count", "singular", "--p", "3", "--n", "4"],
+    ["count", "embeddings", "--p", "5", "--n", "4", "--m", "2"],
+])
+def test_cli_refuses_graphs_too_large_to_build(argv, tmp_path, monkeypatch, capsys):
+    # Sp(8,3)'s distance masks alone would take about 5.3 GB: a builder
+    # that is reached fails the test at once instead of starting the build
+    def build(*args, **kwargs):
+        raise AssertionError(f"built {args} before refusing {argv}")
+
+    monkeypatch.setattr(cli, "PolarSpace", build)
+    monkeypatch.setattr(graphs, "dual_polar_graph", build)
+    monkeypatch.setattr(polar, "enumerate_singular", build)
+    assert main([*argv, "--output", str(tmp_path)]) == 64
+    assert "too large to build" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--p", "5", "--n", "3"],
+    ["verify", "theorem3", "--p", "3", "--n", "2", "--n-prime", "3"],
+    ["verify", "theorem2", "--p", "3", "--n", "2", "--m", "2", "--n-prime", "4"],
+    ["verify", "lemma2", "--p", "3", "--n", "4", "--m", "2"],
+    ["count", "points", "--p", "5", "--n", "4"],
+    ["count", "frames", "--p", "3", "--n", "4"],
+    ["count", "apartments", "--p", "3", "--n", "4"],
+    ["build", "--p", "2", "--n", "4"],
+])
+def test_cli_accepts_every_graph_it_can_build(argv):
+    # Sp(6,5) and Sp(8,2) are built; the other commands read no maximals of
+    # the large space (theorem2 ignores --n-prime, lemma2 builds no space)
+    cli._validate(cli._build_parser().parse_args(argv))
+
+
+EXIT_PROBE = """
+import atexit, gc, sys
+from dualpolar.cli import main
+
+# registered before main, so it runs after the handlers main registers
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0))
+code = main(sys.argv[2:])
+if sys.argv[1] == "unfrozen":
+    atexit.unregister(gc.freeze)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["build", "--p", "2", "--n", "3"], 0),
+    (["verify", "theorem2", "--p", "2", "--n", "3", "--m", "2", "--budget", "50"], 2),
+])
+def test_cli_process_exits_frozen_with_the_same_outputs(argv, code, tmp_path):
+    runs = {}
+    for kind in ("frozen", "unfrozen"):
+        out = tmp_path / kind
+        done = run_python(EXIT_PROBE, kind, *argv, "--output", str(out))
+        assert done.returncode == code, done.stderr
+        files = {
+            path.name: dump_json(strip_volatile(json.loads(path.read_text())))
+            if path.name.startswith("report_") else path.read_bytes()
+            for path in out.iterdir()
+        }
+        runs[kind] = done.stdout.replace(str(out), "OUT").splitlines(), files
+    frozen, unfrozen = runs["frozen"], runs["unfrozen"]
+    assert frozen[0][-1] == "frozen at exit: True"
+    assert unfrozen[0][-1] == "frozen at exit: False"
+    assert frozen[0][:-1] == unfrozen[0][:-1] and frozen[0][0].startswith("wrote OUT")
+    assert frozen[1] == unfrozen[1] and frozen[1]
+
+
+def test_cli_main_leaves_the_collector_as_it_found_it(tmp_path):
+    # the heap is frozen only at exit, so an in-process caller keeps
+    # collecting each call's cyclic garbage; and the handler is registered
+    # once however often main runs
+    before = gc.get_freeze_count(), gc.isenabled()
+    assert main(["build", "--p", "2", "--n", "2", "--output", str(tmp_path)]) == 0
+    handlers = atexit._ncallbacks()
+    assert main(["count", "points", "--p", "2", "--n", "2", "--output", str(tmp_path)]) == 0
+    assert atexit._ncallbacks() == handlers
+    assert (gc.get_freeze_count(), gc.isenabled()) == before

@@ -167,6 +167,18 @@ def test_search_same_rank_finds_bijections():
         induced_point_map(emb)
 
 
+@pytest.mark.parametrize("dst, embeddings, images", [(SP42, 720, 1), (SP62, 45_360, 63)])
+def test_search_without_a_visitor_counts_what_a_visiting_search_finds(dst, embeddings, images):
+    # visit=None asks for the stats alone; it used to be called on the first
+    # embedding found
+    found = []
+    _, visited = search_dualpolar_embeddings(SP42, dst, budget=10**7, visit=found.append)
+    _, counted = search_dualpolar_embeddings(SP42, dst, budget=10**7, visit=None)
+    assert counted == visited
+    assert counted["complete"] and len(found) == counted["embeddings"] == embeddings
+    assert counted["distinct_images"] == images
+
+
 def test_cross_rank_sample_found_embeddings_validate():
     embs, stats = collect(
         search_dualpolar_embeddings, SP42, SP62, mode="sample", budget=40_000, seed=6

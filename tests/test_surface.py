@@ -1,8 +1,11 @@
 """The public surface of the package: exactly the names ``dualpolar`` exports,
-and no module-level memo behind them."""
+no module-level memo behind them, and no hook on the caller's collector or
+exit outside the CLI."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import dualpolar
 
@@ -50,3 +53,30 @@ def test_no_module_holds_a_memo():
                   and value.__module__ == module.__name__):
                 memos.add((module.__name__, name))
     assert memos <= PINNED_MEMOS
+
+
+def process_hooks(source: str) -> set[str]:
+    """The calls of ``gc.freeze`` and ``gc.disable`` and the uses of
+    ``atexit`` in ``source``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {f"import {a.name}" for a in node.names if a.name == "atexit"}
+        elif isinstance(node, ast.ImportFrom) and node.module in ("atexit", "gc"):
+            found |= {f"from {node.module} import {a.name}" for a in node.names
+                      if node.module == "atexit" or a.name in ("freeze", "disable")}
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "atexit" or (
+                    node.value.id == "gc" and node.attr in ("freeze", "disable")):
+                found.add(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_only_the_cli_hooks_the_collector_or_the_exit():
+    # the CLI owns its process and freezes the heap at exit; a library
+    # module that did so would change how its caller's interpreter collects
+    # and exits
+    package = Path(dualpolar.__file__).parent
+    hooks = {path.name: process_hooks(path.read_text()) for path in package.glob("*.py")}
+    assert {"import atexit", "gc.freeze", "atexit.register"} <= hooks.pop("cli.py")
+    assert hooks and not any(hooks.values()), hooks
