@@ -3,9 +3,9 @@
 The search engine backtracks over source vertices in BFS order.  The
 candidates for a vertex are one AND of distance masks per placed vertex,
 read off the target graph's distance classes (``DenseGraph.at_dist[v][d]``,
-the target vertices at distance d from v; a pair at ``UNREACHABLE``, 0xFF,
-is in no class), and each full placement is streamed to a visitor, from
-this process or, above one worker, as the replayed visitor calls of root
+the target vertices at distance d from v; a pair in no class is no
+candidate for the other), and each full placement is streamed to a visitor,
+from this process or, above one worker, as the replayed visitor calls of root
 branches split over forked children that search beside the visitor's
 checks.  An image is decomposed in the
 hypercube labelling the search gave it, on the point masks of its members:
@@ -59,14 +59,14 @@ def _source_plan(src: DenseGraph):
     shares the one pair ``pairs[j][d]`` for each (j, d) instead of building
     its own.
     """
-    order = sorted(range(src.num_vertices), key=lambda v: (src.dist[0][v], v))
+    dist = src.distance
+    order = sorted(range(src.num_vertices), key=lambda v: (dist(0, v), v))
     pos_of = {v: k for k, v in enumerate(order)}
     pairs = [tuple((j, d) for d in range(src.diameter + 1)) for j in range(len(order))]
     plan = []
     for k, v in enumerate(order[1:], 1):
         parent = min(pos_of[u] for u in src.neighbors(v) if pos_of[u] < k)
-        row = src.dist[v]
-        reqs = tuple([pairs[j][row[u]] for j, u in enumerate(order[:k]) if j != parent])
+        reqs = tuple([pairs[j][dist(v, u)] for j, u in enumerate(order[:k]) if j != parent])
         plan.append((parent, reqs))
     return order, plan
 
@@ -124,7 +124,7 @@ def _branch_search(
 
     ``at_dist[v][d]`` is the bitmask of target vertices at distance d from v
     (the target's ``DenseGraph.at_dist``, padded with empty masks up to the
-    source's diameter; a pair at ``UNREACHABLE``, 0xFF, is in no mask), so
+    source's diameter; a pair in no class is in no mask), so
     the candidates left by every distance constraint are one AND per
     placed vertex.  Exhaustive mode (``getrandbits`` None) walks them in
     ascending order.  Sample mode walks a node's two or more candidates in
@@ -720,14 +720,14 @@ def is_apartment(space: PolarSpace, members) -> ApartmentWitness | None:
         return None
     masks = [point_mask(space, s) for s in unique]
     graph = meet_graph(space, unique, masks)
-    dist = graph.dist
+    dist = graph.distance
     nbrs = graph.neighbors(0)
     if len(nbrs) != m:
         return None
     labels = [
-        sum(1 << i for i, u in enumerate(nbrs) if dist[v][u] < dist[0][v]) for v in range(size)
+        sum(1 << i for i, u in enumerate(nbrs) if dist(v, u) < dist(0, v)) for v in range(size)
     ]
-    if any(dist[v][w] != (labels[v] ^ labels[w]).bit_count()
+    if any(dist(v, w) != (labels[v] ^ labels[w]).bit_count()
            for v in range(size) for w in range(v)):
         return None
     order = [0] * size

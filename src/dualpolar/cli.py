@@ -32,6 +32,17 @@ COUNT_KINDS = ("points", "singular", "frames", "apartments", "embeddings")
 MAX_GRAPH_RANK = {2: 4, 3: 3, 5: 3}
 
 
+def _point_count(p: int, n: int) -> int:
+    return (p ** (2 * n) - 1) // (p - 1)
+
+
+# The most points whose collinearity masks, one bitmask over the points per
+# point, a command may build: Sp(6,5)'s 3 906, the most of a space whose
+# graph is built.  Sp(8,3)'s 3 280 points take 1.3 MB of masks; Sp(8,5)'s
+# 97 656 would take about 1.2 GB.
+MAX_POINTS = max(_point_count(p, rank) for p, rank in MAX_GRAPH_RANK.items())
+
+
 # set once ``main`` has registered ``gc.freeze`` with ``atexit``:
 # ``atexit.unregister`` leaves a slot behind, so re-registering on every call
 # would grow the handler table of an in-process caller
@@ -92,6 +103,8 @@ def _validate(args) -> None:
     if not 2 <= args.n <= 4:
         raise UsageError("--n must be between 2 and 4")
     n_prime = getattr(args, "n_prime", None)
+    if n_prime is not None and args.statement not in ("lemma5", "theorem3"):
+        raise UsageError("--n-prime applies only to lemma5 and theorem3")
     if n_prime is not None and not args.n <= n_prime <= 4:
         raise UsageError("--n-prime must be between n and 4")
     m = getattr(args, "m", None)
@@ -114,12 +127,17 @@ def _validate(args) -> None:
             f"the dual polar graph of Sp({2 * rank},{args.p}) is too large to build; "
             f"at p = {args.p} the rank is at most {MAX_GRAPH_RANK[args.p]}"
         )
+    points = _point_count(args.p, args.n)
+    if args.command == "count" and args.what in ("frames", "apartments") and points > MAX_POINTS:
+        raise UsageError(f"the collinearity masks of Sp({2 * args.n},{args.p})'s {points} points "
+                         f"are too large to build; at most {MAX_POINTS} points are allowed")
 
 
 def _largest_graph_rank(args) -> int | None:
     """The largest rank whose dual polar graph or maximals the command
-    builds, or None when it builds neither: ``count points``, ``frames``
-    and ``apartments`` read only the points, and ``lemma2`` no space."""
+    builds, or None when it builds neither: ``count points`` reads only the
+    points, ``frames`` and ``apartments`` the collinearity masks too, and
+    ``lemma2`` no space."""
     if args.command == "count" and args.what not in ("singular", "embeddings"):
         return None
     if args.command == "verify" and args.statement == "lemma2":

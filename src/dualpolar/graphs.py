@@ -6,11 +6,10 @@ maximal singular subspaces of a polar space, whose distance is n - rank of
 the meet (adjacency = distance 1, i.e. intersection one step below maximal).
 Every graph keeps its distances as ``at_dist[v][d]``, the bitmask of the
 vertices at distance d from v for d = 0..diameter, which the searches AND
-together.  ``dist[v]``, one byte per vertex for reading single distances,
-is built from those classes the first time it is read; a pair in no
-distance class reads ``UNREACHABLE`` (0xFF).  A BFS takes its classes from
-its frontiers; a dual polar graph takes them from bit-sliced counts of the
-points two maximals share (see ``meet_graph``).  A dual polar graph also
+together, and ``distance(v, u)`` reads a single pair off them: None for a
+pair in no distance class.  A BFS takes its classes from its frontiers; a
+dual polar graph takes them from bit-sliced counts of the points two
+maximals share (see ``meet_graph``).  A dual polar graph also
 keeps the point mask of every vertex, which the verifiers take their meets,
 containments and perps from.  Geodesics are walked on the classes alone:
 the vertices at distance i from v on a geodesic to w, d(v, w) = d, are
@@ -22,7 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import reduce
 from operator import and_, or_
 from typing import Iterator, Sequence
 
@@ -30,19 +29,14 @@ from . import polar
 from .polar import PolarSpace, _bits
 from .reporting import make_report
 
-UNREACHABLE = 0xFF
-
 
 @dataclass(frozen=True, eq=False)
 class DenseGraph:
     """A graph on ``labels`` with bitmask adjacency and every distance.
 
     ``at_dist[v][d]`` is the bitmask of the vertices at distance d from v,
-    for d = 0..diameter, and ``dist[v][u]`` the distance of v and u as one
-    byte of the row ``dist[v]``, built from ``at_dist`` the first time
-    ``dist`` is read; a pair in no class (unreachable, or a meet that is no
-    subspace) is in no mask and reads ``UNREACHABLE`` (0xFF), which
-    ``diameter`` does not count.
+    for d = 0..diameter; a pair in no class (unreachable, or a meet that is
+    no subspace) is in no mask, and ``diameter`` does not count it.
     """
 
     labels: tuple
@@ -63,9 +57,13 @@ class DenseGraph:
     def edges(self) -> list[tuple[int, int]]:
         return [(i, j) for i, row in enumerate(self.adj) for j in _bits(row >> i + 1 << i + 1)]
 
-    @cached_property
-    def dist(self) -> tuple[bytes, ...]:
-        return _byte_rows(self.at_dist)
+    def distance(self, v: int, u: int) -> int | None:
+        """The d whose class ``at_dist[v][d]`` holds u, or None if none does."""
+        bit = 1 << u
+        for d, mask in enumerate(self.at_dist[v]):
+            if mask & bit:
+                return d
+        return None
 
 
 @dataclass(frozen=True)
@@ -82,36 +80,6 @@ class HypercubeVertex:
         return tuple(
             -(i + 1) if (self.mask >> i) & 1 else i + 1 for i in range(self.m)
         )
-
-
-# byte i of int.from_bytes(format(mask, f"0{nv}b").encode().translate(_SPREAD))
-# is bit i of mask
-_SPREAD = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _byte_rows(at_dist: Sequence[Sequence[int]]) -> tuple[bytes, ...]:
-    """The distance rows of the classes ``at_dist``: byte u of row v is the
-    d whose mask ``at_dist[v][d]`` holds u, or UNREACHABLE if none does.
-
-    Each class is spread to one byte per vertex by its binary digits and a
-    translation, scaled by its distance and added up, so no Python loop runs
-    per entry.
-    """
-    nv = len(at_dist)
-    code = f"0{nv}b"
-    full = (1 << nv) - 1
-
-    def spread(mask: int) -> int:
-        return int.from_bytes(format(mask, code).encode().translate(_SPREAD), "big")
-
-    rows = []
-    for classes in at_dist:
-        row = sum(d * spread(mask) for d, mask in enumerate(classes) if d and mask)
-        unreached = full & ~reduce(or_, classes, 0)
-        if unreached:
-            row += UNREACHABLE * spread(unreached)
-        rows.append(row.to_bytes(nv, "little"))
-    return tuple(rows)
 
 
 def _bfs_classes(adj: Sequence[int], src: int) -> list[int]:
@@ -237,7 +205,7 @@ def _geodesic_layers(graph: DenseGraph, v: int, w: int) -> list[int]:
     bitmask ``at_dist[v][i] & at_dist[w][d - i]`` of the vertices on a
     geodesic at distance i from v, for d = d(v, w) and i = 0..d."""
     forward, back = graph.at_dist[v], graph.at_dist[w]
-    d = next((d for d, mask in enumerate(forward) if mask >> w & 1), None)
+    d = graph.distance(v, w)
     if d is None:
         raise ValueError(f"vertices {v} and {w} are not connected")
     return [forward[i] & back[d - i] for i in range(d + 1)]

@@ -359,11 +359,11 @@ def lift_frame_preserving_map(
         assignment.append(vertex_of[perp])
     for i in range(len(assignment)):
         for j in range(i + 1, len(assignment)):
-            d = dst.dist[assignment[i]][assignment[j]]
-            if d != src.dist[i][j]:
+            d, want = dst.distance(assignment[i], assignment[j]), src.distance(i, j)
+            if d != want:
                 raise LiftError(
                     "lifted map does not preserve distances",
-                    {"pair": [i, j], "expected": src.dist[i][j], "got": d},
+                    {"pair": [i, j], "expected": want, "got": d},
                 )
     return GraphEmbedding(src_space, dst_space, src, dst, tuple(assignment))
 

@@ -4,16 +4,19 @@ the point-mask code of ``dualpolar`` is tested against.
 Meets come from the Zassenhaus block construction, joins and containments
 from row reduction, and frames, frame apartments and the hypercube witness
 from those, as the package computed them before it moved to point masks.
-Isometry of a vertex map is checked pair by pair, and ``collect`` keeps what
-an embedding search streams to its visitor.  Geodesic path counts and
-uniform geodesic draws scan every vertex's byte distances for the interval,
-as the package did before it walked the distance classes.
+Graph distances come from a BFS over the adjacency alone, one row per
+vertex, built once per graph.  Isometry of a vertex map is checked pair by
+pair on those rows, and ``collect`` keeps what an embedding search streams
+to its visitor.  Geodesic path counts and uniform geodesic draws scan every
+vertex's distances for the interval, as the package did before it walked
+the distance classes.
 ``reference_search`` is the embedding search with a distance test per
 candidate and, in sample mode, the stdlib's ``random.Random.shuffle`` of
 the surviving candidates.
 """
 
 import random
+import weakref
 from bisect import bisect_right
 from functools import reduce
 from itertools import accumulate
@@ -83,6 +86,38 @@ def contains_subspace(field: GF, outer: Subspace, inner: Subspace) -> bool:
     return all(contains(field, outer, row) for row in inner.rows)
 
 
+# -- graph distances, by BFS over the adjacency ----------------------------------
+
+# the rows of each graph, dropped with it
+_ROWS = weakref.WeakKeyDictionary()
+
+
+def _members(mask: int) -> list[int]:
+    return [i for i, c in enumerate(reversed(bin(mask))) if c == "1"]
+
+
+def distance_rows(graph) -> list[list]:
+    """``rows[v][u]``, the length of a shortest path from v to u over
+    ``graph.adj``, or None if u is not reached from v."""
+    rows = _ROWS.get(graph)
+    if rows is None:
+        rows = _ROWS[graph] = []
+        for v in range(graph.num_vertices):
+            row = [None] * graph.num_vertices
+            seen = frontier = 1 << v
+            d = 0
+            while frontier:
+                reached = 0
+                for u in _members(frontier):
+                    row[u] = d
+                    reached |= graph.adj[u]
+                frontier = reached & ~seen
+                seen |= frontier
+                d += 1
+            rows.append(row)
+    return rows
+
+
 # -- graph embeddings -------------------------------------------------------------
 
 
@@ -92,8 +127,9 @@ def is_isometric_embedding(mapping: Sequence[int], src, dst) -> bool:
     arr = list(mapping)
     if len(arr) != src.num_vertices or len(set(arr)) != len(arr):
         return False
+    src_rows, dst_rows = distance_rows(src), distance_rows(dst)
     return all(
-        dst.dist[arr[i]][arr[j]] == src.dist[i][j]
+        dst_rows[arr[i]][arr[j]] == src_rows[i][j]
         for i in range(len(arr))
         for j in range(i + 1, len(arr))
     )
@@ -108,13 +144,14 @@ def collect(search, *args, **kwargs) -> tuple[list, dict]:
     return found, stats
 
 
-# -- geodesics, by scanning the distance rows ----------------------------------------
+# -- geodesics, by scanning the BFS rows -----------------------------------------
 
 
 def geodesic_counts(graph, v: int, w: int) -> list[int]:
     """For each vertex u, the number of geodesics from v to u that extend to
     geodesics from v to w (0 off the interval d(v, u) + d(u, w) = d(v, w))."""
-    nv, dv, dw = graph.num_vertices, graph.dist[v], graph.dist[w]
+    rows = distance_rows(graph)
+    nv, dv, dw = graph.num_vertices, rows[v], rows[w]
     interval = sorted((u for u in range(nv) if dv[u] + dw[u] == dv[w]), key=dv.__getitem__)
     counts = [0] * nv
     counts[v] = 1
@@ -128,7 +165,7 @@ def sample_geodesic(graph, v: int, w: int, counts: Sequence[int], rng) -> list[i
     r = ``rng.randrange(counts[u])`` of a ``random.Random`` and takes the
     first of the neighbors one closer to v that lie on the interval, in
     index order, whose cumulative count exceeds r."""
-    dv = graph.dist[v]
+    dv = distance_rows(graph)[v]
     path = [w]
     while path[-1] != v:
         u = path[-1]
@@ -199,7 +236,7 @@ def reference_search(src, dst, mode, budget, seed):
     visits, images, expansions, complete = [], set(), 0, True
     for root in range(nv):
         found, exp, comp = _reference_branch(
-            nbrs, dst.dist, plan, nsrc, root, shares[root], rngs[root]
+            nbrs, distance_rows(dst), plan, nsrc, root, shares[root], rngs[root]
         )
         expansions += exp
         complete = complete and comp

@@ -27,7 +27,6 @@ from dualpolar.apartments import (
     verify_theorem2,
 )
 from dualpolar.graphs import (
-    UNREACHABLE,
     _bits,
     dual_polar_graph,
     graph_from_edges,
@@ -53,6 +52,7 @@ from reference import (
     _reference_branch,
     collect,
     contains,
+    distance_rows,
     intersect,
     is_isometric_embedding,
     reference_search,
@@ -266,7 +266,7 @@ def test_is_apartment_rejects_non_isometric_squares():
         (a, b)
         for a, b in edges
         if {a, b}.isdisjoint({i, j})
-        and G42.dist[i][a] + G42.dist[i][b] + G42.dist[j][a] + G42.dist[j][b] == 8
+        and G42.distance(i, a) + G42.distance(i, b) + G42.distance(j, a) + G42.distance(j, b) == 8
     )
     members = [lbl[i], lbl[j], lbl[far[0]], lbl[far[1]]]
     assert is_apartment(SP42, members) is None
@@ -489,9 +489,10 @@ def test_labelled_validation_rejects_swapped_images(space, graph):
 
 
 def packbits_distance_masks(graph, max_dist):
-    """``at_dist`` as numpy's packbits builds it from the distance rows, one
-    column per vertex."""
-    dist = np.array([list(r) for r in graph.dist], dtype=np.int16)
+    """``at_dist`` as numpy's packbits builds it from the reference's BFS
+    distance rows, one column per vertex."""
+    rows = distance_rows(graph)
+    dist = np.array([[-1 if d is None else d for d in row] for row in rows], dtype=np.int16)
     return tuple(zip(*(
         [int.from_bytes(row.tobytes(), "little")
          for row in np.packbits(dist == d, axis=1, bitorder="little")]
@@ -504,14 +505,14 @@ def packbits_distance_masks(graph, max_dist):
     (G43, 2),
     # beyond the diameter: empty masks
     (hypercube(3), 5),
-    # disconnected targets: UNREACHABLE entries are in no mask
+    # disconnected targets: unreached vertices are in no mask
     (graph_from_edges(list(range(8)), [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)]), 3),
     (graph_from_edges(list(range(5)), [(0, 1), (1, 2)]), 2),
 ])
 def test_distance_masks_match_packbits(graph, max_dist):
     assert graph.at_dist == packbits_distance_masks(graph, graph.diameter)
     assert _distance_masks(graph, max_dist) == packbits_distance_masks(graph, max_dist)
-    unreachable = [[u for u, d in enumerate(row) if d == UNREACHABLE] for row in graph.dist]
+    unreachable = [[u for u, d in enumerate(row) if d is None] for row in distance_rows(graph)]
     assert unreachable == [_bits(((1 << graph.num_vertices) - 1) & ~reduce(or_, classes))
                            for classes in graph.at_dist]
 
@@ -791,7 +792,7 @@ def branch_sizes(src, dst):
     _, plan = _source_plan(src)
     nbrs = [dst.neighbors(v) for v in range(dst.num_vertices)]
     return [
-        _reference_branch(nbrs, dst.dist, plan, src.num_vertices, root, 10**9, None)[1]
+        _reference_branch(nbrs, distance_rows(dst), plan, src.num_vertices, root, 10**9, None)[1]
         for root in range(dst.num_vertices)
     ]
 

@@ -393,18 +393,50 @@ def test_cli_refuses_graphs_too_large_to_build(argv, tmp_path, monkeypatch, caps
 
 
 @pytest.mark.parametrize("argv", [
+    ["count", "frames", "--p", "5", "--n", "4"],
+    ["count", "apartments", "--p", "5", "--n", "4"],
+])
+def test_cli_refuses_collinearity_masks_too_large_to_build(argv, tmp_path, monkeypatch, capsys):
+    # Sp(8,5)'s 97 656 collinearity masks of 97 656 bits would take about
+    # 1.2 GB: building them fails the test at once instead
+    def build(space):
+        raise AssertionError(f"built the collinearity masks of {space} before refusing {argv}")
+
+    monkeypatch.setattr(polar.PolarSpace, "collinear_masks", build)
+    assert main([*argv, "--output", str(tmp_path)]) == 64
+    assert "too large to build" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "theorem2", "--p", "3", "--n", "2", "--m", "2", "--n-prime", "4"],
+    ["verify", "theorem2", "--p", "2", "--n", "2", "--m", "2", "--n-prime", "2"],
+    ["verify", "lemma1", "--p", "2", "--n", "2", "--n-prime", "3"],
+    ["verify", "lemma2", "--m", "2", "--n-prime", "2"],
+    ["verify", "chow", "--p", "2", "--n", "2", "--n-prime", "3"],
+])
+def test_cli_refuses_n_prime_where_the_statement_has_no_target(argv, tmp_path, capsys):
+    # only lemma5 and theorem3 map into a target space; elsewhere --n-prime
+    # would be dropped without a word
+    assert main([*argv, "--budget", "1", "--output", str(tmp_path)]) == 64
+    assert "--n-prime applies only to lemma5 and theorem3" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
     ["build", "--p", "5", "--n", "3"],
     ["verify", "theorem3", "--p", "3", "--n", "2", "--n-prime", "3"],
-    ["verify", "theorem2", "--p", "3", "--n", "2", "--m", "2", "--n-prime", "4"],
     ["verify", "lemma2", "--p", "3", "--n", "4", "--m", "2"],
     ["count", "points", "--p", "5", "--n", "4"],
     ["count", "frames", "--p", "3", "--n", "4"],
     ["count", "apartments", "--p", "3", "--n", "4"],
+    ["count", "frames", "--p", "5", "--n", "3"],
     ["build", "--p", "2", "--n", "4"],
 ])
 def test_cli_accepts_every_graph_it_can_build(argv):
     # Sp(6,5) and Sp(8,2) are built; the other commands read no maximals of
-    # the large space (theorem2 ignores --n-prime, lemma2 builds no space)
+    # the large space (lemma2 builds no space), and the collinearity masks
+    # of Sp(8,3) and Sp(6,5) are at most 1.9 MB
     cli._validate(cli._build_parser().parse_args(argv))
 
 

@@ -1,8 +1,6 @@
-import dataclasses
 import gc
 import math
 import random
-import sys
 import weakref
 from collections import Counter
 from itertools import combinations, permutations
@@ -11,9 +9,7 @@ import numpy as np
 import pytest
 
 from dualpolar import graphs
-from dualpolar.export import graph_to_dot, graph_to_json
 from dualpolar.graphs import (
-    UNREACHABLE,
     HypercubeVertex,
     dual_polar_graph,
     geodesic_count,
@@ -38,20 +34,20 @@ ORACLE_SPACES = [SP42, SP62, SP43, SP45, SP63]
 
 def test_complete_graph_distances():
     g = graph_from_edges("abcd", combinations(range(4), 2))
-    assert all(g.dist[i][j] == 1 for i in range(4) for j in range(4) if i != j)
+    assert all(g.distance(i, j) == 1 for i in range(4) for j in range(4) if i != j)
     assert g.diameter == 1
 
 
 def test_path_graph_distances():
     g = graph_from_edges("abc", [(0, 1), (1, 2)])
-    assert g.dist[0][2] == 2
+    assert g.distance(0, 2) == 2
     assert g.diameter == 2
 
 
 def test_disconnected_graph_flagged():
     g = graph_from_edges(range(2), [])
     assert not g.connected
-    assert g.dist[0][1] == UNREACHABLE
+    assert g.distance(0, 1) is None
     with pytest.raises(ValueError):
         graph_from_edges("ab", [], require_connected=True)
 
@@ -72,7 +68,7 @@ def test_hypercube_vertex_members():
 def test_hypercube_antipodal_distance():
     g = hypercube(2)
     full = HypercubeVertex(0b11, 2)
-    assert g.dist[g.labels.index(HypercubeVertex(0, 2))][g.labels.index(full)] == 2
+    assert g.distance(g.labels.index(HypercubeVertex(0, 2)), g.labels.index(full)) == 2
 
 
 def test_hypercube_distance_is_hamming_up_to_8():
@@ -80,9 +76,8 @@ def test_hypercube_distance_is_hamming_up_to_8():
         g = hypercube(m)
         assert g.diameter == m
         for x in range(1 << m):
-            row = g.dist[x]
             for y in range(1 << m):
-                assert row[y] == (x ^ y).bit_count()
+                assert g.distance(x, y) == (x ^ y).bit_count()
 
 
 def test_hypercube_vertex_is_its_sign_mask():
@@ -121,7 +116,7 @@ def test_dual_polar_distance_formula(space):
     for i in range(g.num_vertices):
         for j in range(i, g.num_vertices):
             meet = intersect(space.field, g.labels[i], g.labels[j])
-            assert g.dist[i][j] == space.n - meet.rank
+            assert g.distance(i, j) == space.n - meet.rank
 
 
 @pytest.mark.parametrize("space", ORACLE_SPACES)
@@ -129,8 +124,7 @@ def test_meet_distances_equal_bfs(space):
     g = dual_polar_graph(space)
     bfs = graph_from_edges(range(g.num_vertices), g.edges())
     assert bfs.connected
-    assert len(bfs.dist) == len(g.dist)
-    assert all(list(row) == list(ref) for row, ref in zip(g.dist, bfs.dist))
+    assert bfs.at_dist == g.at_dist
 
 
 @pytest.mark.parametrize("space", ORACLE_SPACES)
@@ -139,7 +133,7 @@ def test_meet_distances_on_sampled_pairs(space):
     rng = random.Random(2010)
     for _ in range(300):
         i, j = rng.randrange(g.num_vertices), rng.randrange(g.num_vertices)
-        assert g.dist[i][j] == space.n - intersect(space.field, g.labels[i], g.labels[j]).rank
+        assert g.distance(i, j) == space.n - intersect(space.field, g.labels[i], g.labels[j]).rank
 
 
 @pytest.mark.parametrize("space", ORACLE_SPACES)
@@ -150,44 +144,22 @@ def test_intersection_array(space):
     b = [q ** (i + 1) * (q ** (n - i) - 1) // (q - 1) for i in range(n + 1)]
     g = dual_polar_graph(space)
     for v in range(g.num_vertices):
-        spheres = [0] * (n + 2)
-        for u, d in enumerate(g.dist[v]):
-            spheres[d] |= 1 << u
-        for u, d in enumerate(g.dist[v]):
-            if d > 0:
-                assert (g.adj[u] & spheres[d - 1]).bit_count() == c[d]
-            assert (g.adj[u] & spheres[d + 1]).bit_count() == b[d]
+        spheres = list(g.at_dist[v]) + [0]
+        assert len(spheres) == n + 2 and sum(spheres) == (1 << g.num_vertices) - 1
+        for d in range(n + 1):
+            for u in graphs._bits(spheres[d]):
+                if d > 0:
+                    assert (g.adj[u] & spheres[d - 1]).bit_count() == c[d]
+                assert (g.adj[u] & spheres[d + 1]).bit_count() == b[d]
 
 
 def test_meet_count_that_is_no_subspace_size_is_unreachable():
     # two GF(3) point sets of a line's size sharing 2 points: a meet of 2
     # points is no subspace, so the pair is in no distance class
     g = meet_graph(SP43, "ab", [0b111100, 0b001111])
-    assert g.dist == (bytes([0, UNREACHABLE]), bytes([UNREACHABLE, 0]))
     assert g.at_dist == ((0b01,), (0b10,))
+    assert [[g.distance(v, u) for u in range(2)] for v in range(2)] == [[0, None], [None, 0]]
     assert g.diameter == 0 and g.adj == (0, 0) and not g.connected
-
-
-def test_distance_rows_are_bytes_small_enough_for_sp63():
-    # one byte per entry: about 1.3 MB over the 1 120 rows, where tuples of
-    # ints took about 10 MB
-    g = dual_polar_graph(SP63)
-    assert sum(sys.getsizeof(row) for row in g.dist) < 2 * 2**20
-
-
-def test_distance_rows_are_built_only_when_read():
-    # the build and both exports read no distance row
-    space = PolarSpace(3, 2)
-    g = dual_polar_graph(space)
-    graph_to_json(g)
-    graph_to_dot(g)
-    assert "dist" not in vars(g)
-    dist = graph_from_edges(range(g.num_vertices), g.edges()).dist
-    assert g.dist == dist
-    assert "dist" in vars(g)
-    # the rows are no field, so a copy with other masks builds its own
-    copy = dataclasses.replace(g, masks=g.masks[::-1])
-    assert "dist" not in vars(copy) and copy.dist == dist
 
 
 def test_graph_memo_lives_on_the_space():
@@ -207,12 +179,13 @@ def test_opposite_iff_disjoint(space):
     for i in range(g.num_vertices):
         for j in range(i + 1, g.num_vertices):
             disjoint = intersect(space.field, g.labels[i], g.labels[j]).rank == 0
-            assert (g.dist[i][j] == space.n) == disjoint
+            assert (g.distance(i, j) == space.n) == disjoint
 
 
 @pytest.mark.parametrize("graph", [hypercube(3), dual_polar_graph(SP42), dual_polar_graph(SP62)])
 def test_triangle_inequality(graph):
-    d = np.array([list(r) for r in graph.dist])
+    nv = graph.num_vertices
+    d = np.array([[graph.distance(i, j) for j in range(nv)] for i in range(nv)])
     best = (d[:, :, None] + d[None, :, :]).min(axis=1)
     assert (d <= best).all()
 
@@ -254,14 +227,14 @@ def test_geodesics_budget_sampling():
         assert len(path) == 5
         assert path[0] == 0 and path[-1] == 15
         for a, b in zip(path, path[1:]):
-            assert g.dist[a][b] == 1
+            assert g.distance(a, b) == 1
     assert paths == draws(1)
 
 
 def test_sampled_geodesics_draw_from_one_stream():
     # successive draws from one stream are uniform over the geodesics
     g = dual_polar_graph(SP62)
-    v, w = 0, next(u for u in range(g.num_vertices) if g.dist[0][u] == 3)
+    v, w = 0, next(u for u in range(g.num_vertices) if g.distance(0, u) == 3)
     total, counts = geodesic_count(g, v, w)
     rng = random.Random(9)
     drawn = Counter(tuple(sample_geodesic(g, v, w, counts, rng)) for _ in range(50 * total))

@@ -501,7 +501,7 @@ def test_mask_residue_collinearity_agrees_with_polar(data):
 
 def _reference_opposite_pairs(graph):
     nv = graph.num_vertices
-    return [(i, j) for i in range(nv) for j in range(i + 1, nv) if graph.dist[i][j] == graph.diameter]
+    return [(i, j) for i in range(nv) for j in range(i + 1, nv) if graph.distance(i, j) == graph.diameter]
 
 
 def reference_lemma5(emb):
@@ -944,7 +944,7 @@ def test_lift_names_a_collapsed_pair_in_its_distance_check(dst):
     for w in maximals:
         with pytest.raises(LiftError, match="does not preserve distances") as info:
             lift_frame_preserving_map(SP42, dst, base, {pt: w for pt in SP42.points})
-        assert info.value.details == {"pair": [0, 1], "expected": source.dist[0][1], "got": 0}
+        assert info.value.details == {"pair": [0, 1], "expected": source.distance(0, 1), "got": 0}
 
 
 @pytest.mark.parametrize(
@@ -1006,13 +1006,14 @@ def _reference_lift_outcome(src, dst, base, point_map):
         return ("span of point images is not maximal singular",
                 {"source": subspace_json(sub), "span": subspace_json(span)})
     graph, source = dual_polar_graph(dst), dual_polar_graph(src)
+    rows, source_rows = reference.distance_rows(graph), reference.distance_rows(source)
     assignment = tuple(graph.labels.index(s) for s in images)
     for i in range(len(images)):
         for j in range(i + 1, len(images)):
-            d = graph.dist[assignment[i]][assignment[j]]
-            if d != source.dist[i][j]:
+            d = rows[assignment[i]][assignment[j]]
+            if d != source_rows[i][j]:
                 return ("lifted map does not preserve distances",
-                        {"pair": [i, j], "expected": source.dist[i][j], "got": d})
+                        {"pair": [i, j], "expected": source_rows[i][j], "got": d})
     return assignment
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import mutants
 from dualpolar.apartments import DEFAULT_BUDGET, search_isometric_embeddings, verify_theorem2
 from dualpolar.cli import COUNT_KINDS, VERIFY_STATEMENTS, main
 from dualpolar.graphs import dual_polar_graph, hypercube
@@ -113,3 +114,10 @@ def test_every_violation_kind_is_named_by_a_test():
     tests = "".join(path.read_text() for path in TESTS.glob("test_*.py"))
     assert len(kinds) >= 8
     assert {kind for kind in kinds if f'"{kind}"' not in tests} == set()
+
+
+def test_every_mutant_guard_occurs_once_in_its_module():
+    # tests/mutants.py neutralizes each guard by its text, so a guard that
+    # was rewritten or copied would be missed or neutralized twice; the
+    # mutants themselves deselect this test, whose guard they change
+    mutants._check_guards()
